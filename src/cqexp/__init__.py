@@ -10,14 +10,8 @@ from .analysis import (
     best_type,
     best_type_up_to,
     constant_composition_mi,
-    critical_rate,
-    error_exponent_lower,
-    exponent_curve,
-    exponent_objective,
     holevo_capacity,
-    reliability_function,
     renyi_mi_channel,
-    sphere_packing_upper,
 )
 from .channel import CQChannel
 from .channel_io import channel_from_dict, channel_to_dict, load_channel, save_channel

@@ -11,14 +11,12 @@ session caches those inner optimizations and warm-starts nearby ones.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import CQChannel
-from .config import DEFAULT_CONFIG, LN_BASE, RunConfig, worker_count
+from .config import DEFAULT_CONFIG, LN_BASE, RunConfig
 from .divergences import check_alpha, letter_powers, mi_values_from_powers
 from .errors import InvalidGrid, NumericalInstability, RateAboveCapacity, TooLarge
 from .linalg import mat_power, tensor_all, von_neumann_entropy
@@ -36,7 +34,8 @@ class OptimizationReport:
     prior: np.ndarray
     iterations: int
     converged: bool
-    multistart_count: int
+    # Certified bound, in bits, on the distance of ``value`` to the optimum.
+    gap: float
 
 
 @dataclass(frozen=True)
@@ -142,13 +141,27 @@ def _holevo_batches(channel: CQChannel):
     return value, value_grad
 
 
-def _report(result: SimplexMaximum) -> OptimizationReport:
+def _report(result: SimplexMaximum, alpha: float = 1.0) -> OptimizationReport:
+    """Wrap a solve; turn its Frank-Wolfe gap G into a bound on I* - I(p) in bits.
+
+    At alpha = 1 the objective is concave and G is the bound. Below 1,
+    I_a = a/(a-1) log2 f with f(p) = tr[(sum_x p_x rho_x^a)^(1/a)] convex.
+    The Frank-Wolfe gap of f, (1-a) ln2 f G / a, bounds f - f*, so
+    I* - I_a = a/(1-a) log2(f/f*) <= -a/(1-a) log2(1 - (1-a) ln2 G / a).
+    """
+    gap = result.gap
+    if alpha < 1.0:
+        shrink = (1.0 - alpha) * LN_BASE * gap / alpha
+        if shrink < 1.0:
+            gap = -alpha / (1.0 - alpha) * math.log1p(-shrink) / LN_BASE
+        else:
+            gap = math.inf
     return OptimizationReport(
         value=result.value,
         prior=result.point,
         iterations=result.iterations,
         converged=result.converged,
-        multistart_count=result.start_count,
+        gap=gap,
     )
 
 
@@ -164,7 +177,6 @@ def holevo_capacity(
         value_grad,
         channel.size,
         config,
-        seed_key=(config.seed, 101, channel.size),
         warm_starts=warm_starts,
     )
     return _report(result)
@@ -191,10 +203,9 @@ def renyi_mi_channel(
         lambda priors: _renyi_value_grad_batch(priors, powers, alpha),
         channel.size,
         config,
-        seed_key=(config.seed, 202, channel.size),
         warm_starts=warm_starts,
     )
-    return _report(result)
+    return _report(result, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +236,10 @@ def _golden_max(f, lo: float, hi: float, tol: float, max_iter: int = 200):
 class ChannelAnalysis:
     """Session object caching the inner prior optimizations of one channel.
 
-    All methods are deterministic for a fixed (channel, config): warm
-    starts for off-grid alpha values are taken from the fixed alpha grids
-    only, never from other refinement results, so outcomes do not depend
-    on evaluation order.
+    All methods are deterministic for a fixed (channel, config) and call
+    order. Warm starts for off-grid alpha values are taken from the fixed
+    alpha grids only, never from other refinement results. Another call
+    order moves a cached value by no more than its reported gap.
     """
 
     def __init__(self, channel: CQChannel, config: RunConfig | None = None):
@@ -237,7 +248,6 @@ class ChannelAnalysis:
         self._mi_cache: dict[float, OptimizationReport] = {}
         self._grids: dict[str, tuple[np.ndarray, list[OptimizationReport]]] = {}
         self._critical: float | None = None
-        self._lock = threading.Lock()
 
     # -- inner optimizations -------------------------------------------------
 
@@ -252,20 +262,19 @@ class ChannelAnalysis:
         return lower_range if kind == "lower" else upper_range
 
     def _grid(self, kind: str) -> tuple[np.ndarray, list[OptimizationReport]]:
-        with self._lock:
-            cached = self._grids.get(kind)
-            if cached is not None:
-                return cached
-            lo, hi = self._alpha_range(kind)
-            alphas = np.linspace(lo, hi, self.config.alpha_grid_points)
-            reports: list[OptimizationReport] = []
-            warm: tuple = ()
-            for alpha in alphas:
-                rep = self._mi_point(float(alpha), warm_starts=warm)
-                reports.append(rep)
-                warm = (rep.prior,)
-            self._grids[kind] = (alphas, reports)
-            return self._grids[kind]
+        cached = self._grids.get(kind)
+        if cached is not None:
+            return cached
+        lo, hi = self._alpha_range(kind)
+        alphas = np.linspace(lo, hi, self.config.alpha_grid_points)
+        reports: list[OptimizationReport] = []
+        warm: tuple = ()
+        for alpha in alphas:
+            rep = self._mi_point(float(alpha), warm_starts=warm)
+            reports.append(rep)
+            warm = (rep.prior,)
+        self._grids[kind] = (alphas, reports)
+        return self._grids[kind]
 
     def _mi_point(self, alpha: float, warm_starts=()) -> OptimizationReport:
         key = float(alpha)
@@ -277,8 +286,8 @@ class ChannelAnalysis:
 
     def _grid_warm(self, kind: str, alpha: float) -> tuple:
         alphas, reports = self._grid(kind)
-        order = np.argsort(np.abs(alphas - alpha))[:2]
-        return tuple(reports[i].prior for i in order)
+        nearest = int(np.argmin(np.abs(alphas - alpha)))
+        return (reports[nearest].prior,)
 
     def mutual_info(self, alpha: float) -> OptimizationReport:
         """Cached I_alpha(N) report (alpha = 1 gives the capacity report)."""
@@ -382,9 +391,6 @@ class ChannelAnalysis:
         if rates[0] <= 0 or rates[-1] >= c:
             raise InvalidGrid(f"rates must lie strictly inside (0, {c:.6g})")
         rc = self.critical_rate()
-        # Materialize both alpha grids before any parallel row work.
-        self._grid("lower")
-        self._grid("upper")
 
         def row(r: float) -> ExponentRow:
             low = self.lower_bound(r)
@@ -406,13 +412,8 @@ class ChannelAnalysis:
                 upper_saturated=up.saturated,
             )
 
-        workers = min(worker_count(), len(rates))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(row, rates))
-        else:
-            rows = [row(r) for r in rates]
-        return ExponentCurve(rows=tuple(rows), critical_rate=rc, capacity=c)
+        rows = tuple(row(r) for r in rates)
+        return ExponentCurve(rows=rows, critical_rate=rc, capacity=c)
 
 
 # ---------------------------------------------------------------------------
@@ -480,39 +481,3 @@ def best_type_up_to(
             best_t, best_v = t, v
         rows.append((n, best_t, best_v))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# One-shot wrappers around a throwaway session.
-
-
-def exponent_objective(
-    channel: CQChannel, alpha: float, r: float, config: RunConfig = DEFAULT_CONFIG
-) -> float:
-    return ChannelAnalysis(channel, config).exponent_objective(alpha, r)
-
-
-def error_exponent_lower(
-    channel: CQChannel, r: float, config: RunConfig = DEFAULT_CONFIG
-) -> BoundResult:
-    return ChannelAnalysis(channel, config).lower_bound(r)
-
-
-def sphere_packing_upper(
-    channel: CQChannel, r: float, config: RunConfig = DEFAULT_CONFIG
-) -> BoundResult:
-    return ChannelAnalysis(channel, config).upper_bound(r)
-
-
-def critical_rate(channel: CQChannel, config: RunConfig = DEFAULT_CONFIG) -> float:
-    return ChannelAnalysis(channel, config).critical_rate()
-
-
-def reliability_function(
-    channel: CQChannel, r: float, config: RunConfig = DEFAULT_CONFIG
-) -> ReliabilityResult:
-    return ChannelAnalysis(channel, config).reliability(r)
-
-
-def exponent_curve(channel: CQChannel, rates, config: RunConfig = DEFAULT_CONFIG) -> ExponentCurve:
-    return ChannelAnalysis(channel, config).curve(rates)

@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 validation failure, 3 numerical failure,
 4 resource cap exceeded. CSV goes to stdout (header always included,
 numeric fields with 9 significant digits); diagnostics go to stderr.
 ``--json`` switches to one JSON object per row; ``--nats`` converts
-bit-valued outputs to nats on emission only. The CQEXP_THREADS variable
-caps internal worker parallelism (0 = auto).
+bit-valued outputs to nats on emission only. ``--seed`` (simulate) seeds
+the codebooks; ``--max-dim`` (simulate, besttype) overrides the cap on
+the blocklength-n state dimension.
 """
 
 from __future__ import annotations
@@ -54,12 +55,10 @@ def _guard(fn):
     return wrapper
 
 
-def _config(seed: int = 0, max_dim: int | None = None):
-    overrides = {"seed": seed}
-    if max_dim is not None:
-        overrides["max_dim"] = max_dim
-        overrides["max_sim_dim"] = max_dim
-    return dataclasses.replace(DEFAULT_CONFIG, **overrides)
+def _config(max_dim: int | None):
+    if max_dim is None:
+        return DEFAULT_CONFIG
+    return dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=max_dim)
 
 
 def _conv(x: float, nats: bool) -> float:
@@ -111,15 +110,13 @@ def main() -> None:
 
 @main.command()
 @click.argument("channel_file", type=click.Path())
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-dim", type=int, default=None)
 @click.option("--json", "json_mode", is_flag=True)
 @click.option("--nats", is_flag=True)
 @_guard
-def capacity(channel_file, seed, max_dim, json_mode, nats) -> None:
+def capacity(channel_file, json_mode, nats) -> None:
     """Channel capacity (bits/use) with the optimizing input prior."""
     channel = load_channel(channel_file)
-    report = holevo_capacity(channel, _config(seed, max_dim))
+    report = holevo_capacity(channel)
     if not report.converged:
         _fail(NUMERICAL_EXIT, "capacity optimization did not converge")
     value = _conv(report.value, nats)
@@ -136,12 +133,10 @@ def capacity(channel_file, seed, max_dim, json_mode, nats) -> None:
 @click.option("--alpha", type=float, required=True)
 @click.option("--prior", "prior_raw", type=str, default=None,
               help="Comma-separated weights; omit to optimize over priors.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-dim", type=int, default=None)
 @click.option("--json", "json_mode", is_flag=True)
 @click.option("--nats", is_flag=True)
 @_guard
-def renyi(channel_file, alpha, prior_raw, seed, max_dim, json_mode, nats) -> None:
+def renyi(channel_file, alpha, prior_raw, json_mode, nats) -> None:
     """Renyi mutual information of order --alpha (alpha=1 gives Holevo)."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
@@ -157,7 +152,7 @@ def renyi(channel_file, alpha, prior_raw, seed, max_dim, json_mode, nats) -> Non
         else:
             click.echo(f"renyi_mi: {value:.6f}")
     else:
-        report = renyi_mi_channel(channel, alpha, _config(seed, max_dim))
+        report = renyi_mi_channel(channel, alpha)
         if not report.converged:
             _fail(NUMERICAL_EXIT, "prior optimization did not converge")
         value = _conv(report.value, nats)
@@ -176,12 +171,10 @@ def renyi(channel_file, alpha, prior_raw, seed, max_dim, json_mode, nats) -> Non
 @click.option("--rmin", type=float, required=True)
 @click.option("--rmax", type=float, required=True)
 @click.option("--steps", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-dim", type=int, default=None)
 @click.option("--json", "json_mode", is_flag=True)
 @click.option("--nats", is_flag=True)
 @_guard
-def exponent(channel_file, rmin, rmax, steps, seed, max_dim, json_mode, nats) -> None:
+def exponent(channel_file, rmin, rmax, steps, json_mode, nats) -> None:
     """Reliability-function bounds over a rate grid (CSV to stdout).
 
     Rows at or above capacity carry zero bounds and the above_capacity flag.
@@ -191,7 +184,7 @@ def exponent(channel_file, rmin, rmax, steps, seed, max_dim, json_mode, nats) ->
     if not 0.0 < rmin < rmax:
         raise ValueError("need 0 < rmin < rmax")
     channel = load_channel(channel_file)
-    session = ChannelAnalysis(channel, _config(seed, max_dim))
+    session = ChannelAnalysis(channel)
     cap = session.capacity().value
     rc = session.critical_rate()
     rates = np.linspace(rmin, rmax, steps)
@@ -241,7 +234,7 @@ def simulate(channel_file, rate, n_list_raw, trials, seed, max_dim, json_mode, n
         raise ValueError("rate must be positive")
     n_list = _parse_n_list(n_list_raw)
     channel = load_channel(channel_file)
-    config = _config(seed, max_dim)
+    config = _config(max_dim)
     session = ChannelAnalysis(channel, config)
     lower = session.lower_bound(rate).value
     upper = session.upper_bound(rate).value
@@ -263,12 +256,11 @@ def simulate(channel_file, rate, n_list_raw, trials, seed, max_dim, json_mode, n
 @click.argument("channel_file", type=click.Path())
 @click.option("--alpha", type=float, required=True)
 @click.option("--nmax", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--max-dim", type=int, default=None)
 @click.option("--json", "json_mode", is_flag=True)
 @click.option("--nats", is_flag=True)
 @_guard
-def besttype(channel_file, alpha, nmax, seed, max_dim, json_mode, nats) -> None:
+def besttype(channel_file, alpha, nmax, max_dim, json_mode, nats) -> None:
     """Best constant-composition information for blocklengths up to n = 1..nmax.
 
     Each row reports the best type over blocklengths m <= n, so the value
@@ -280,7 +272,7 @@ def besttype(channel_file, alpha, nmax, seed, max_dim, json_mode, nats) -> None:
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     channel = load_channel(channel_file)
-    config = _config(seed, max_dim)
+    config = _config(max_dim)
     target = renyi_mi_channel(channel, alpha, config).value
     header = ["n", "best_type", "value_per_use", "I_alpha_target"]
     rows = []

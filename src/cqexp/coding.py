@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from .channel import CQChannel
-from .config import DEFAULT_CONFIG, LN_BASE, RunConfig, SUPPORT_CUTOFF, worker_count
+from .config import DEFAULT_CONFIG, LN_BASE, RunConfig, SUPPORT_CUTOFF
 from .errors import DimensionError, NotClassical, TooLarge
 from .linalg import herm_eig, hermitize, tensor_all
 from .typeclasses import TypeClass, nearest_type
@@ -262,8 +261,7 @@ def estimate_exponent(
     this rate, and constant-composition at the nearest type. The reported
     statistic is the minimum exact PGM error over all draws, mirroring the
     infimum over codes; the mean is kept for diagnostics. Each trial derives
-    its RNG stream from (seed, n, trial, mode), so results are independent
-    of scheduling.
+    its RNG stream from (seed, n, trial, mode).
 
     Returns a list of :class:`ExponentEstimate`; with ``return_trials`` a
     second list of :class:`TrialRecord` (including exact ML errors on
@@ -308,14 +306,7 @@ def estimate_exponent(
                 ExponentEstimate(n=n, size=size, best_pe=0.0, mean_pe=0.0, implied_exponent=math.inf)
             )
             continue
-        tasks = [(n, k) for k in range(trials_per_n)]
-        workers = min(worker_count(), len(tasks))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                chunks = list(pool.map(lambda nk: one_trial(*nk), tasks))
-        else:
-            chunks = [one_trial(*nk) for nk in tasks]
-        records = [rec for chunk in chunks for rec in chunk]
+        records = [rec for trial in range(trials_per_n) for rec in one_trial(n, trial)]
         all_records.extend(records)
         pes = [rec.pe for rec in records]
         best = min(pes)

@@ -7,7 +7,6 @@ All rates, entropies and divergences are reported in units of log base
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, fields
 
 # Logarithm base used everywhere; 2.0 means bits.
@@ -24,8 +23,8 @@ PSD_TOL = 1e-10
 # Relative cutoff used when testing supp(rho) <= supp(sigma).
 SUPPORT_CONTAINMENT_TOL = 1e-10
 
-# Hermiticity tolerance for type invariants.
-HERMITICITY_TOL = 1e-12
+# Default cap on the dimension of a Kronecker chain (``linalg.tensor_all``).
+MAX_TENSOR_DIM = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -36,16 +35,10 @@ class RunConfig:
     tolerance can be overridden per call.
     """
 
-    seed: int = 0
-
-    # Simplex maximization (exponentiated gradient with multistart).
-    multistarts: int = 16
+    # Simplex maximization: exponentiated gradient from one start, stopped
+    # when the Frank-Wolfe gap reaches eg_grad_tol.
     eg_max_iters: int = 10_000
     eg_grad_tol: float = 1e-9
-
-    # Dense simplex grid certificate against local maxima.
-    cert_grid_step: float = 0.02
-    cert_grid_max_alphabet: int = 3
 
     # Alpha sweeps for the exponent bounds: coarse grid then golden section.
     alpha_grid_points: int = 64
@@ -61,7 +54,6 @@ class RunConfig:
     richardson_tol: float = 1e-5
 
     # Resource caps.
-    max_dim: int = 2 ** 14
     max_sim_dim: int = 256
     max_opt_alphabet: int = 8
     max_type_count: int = 1_000_000
@@ -69,10 +61,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             v = getattr(self, f.name)
-            if f.name.startswith("max_") or f.name in ("multistarts", "eg_max_iters", "alpha_grid_points"):
+            if f.name.startswith("max_") or f.name in ("eg_max_iters", "alpha_grid_points"):
                 if v < 1:
                     raise ValueError(f"{f.name} must be >= 1, got {v}")
-            elif f.name in ("eg_grad_tol", "cert_grid_step", "alpha_tol", "fd_step", "richardson_tol"):
+            elif f.name in ("eg_grad_tol", "alpha_tol", "fd_step", "richardson_tol"):
                 if v <= 0:
                     raise ValueError(f"{f.name} must be > 0, got {v}")
         if not 0 < self.sphere_packing_alpha_min < 1:
@@ -82,15 +74,3 @@ class RunConfig:
 
 
 DEFAULT_CONFIG = RunConfig()
-
-
-def worker_count() -> int:
-    """Worker parallelism cap from the CQEXP_THREADS env var (0 = auto)."""
-    raw = os.environ.get("CQEXP_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    if n <= 0:
-        return os.cpu_count() or 1
-    return n

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, LN_BASE, PSD_TOL, SUPPORT_CUTOFF
+from .config import LN_BASE, MAX_TENSOR_DIM, PSD_TOL, SUPPORT_CUTOFF
 from .errors import DimensionError, InvalidOperator, NotPSD, TooLarge
 
 
@@ -78,13 +78,12 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def tensor_all(mats: Sequence[np.ndarray], cap: int | None = None) -> np.ndarray:
+def tensor_all(mats: Sequence[np.ndarray], cap: int = MAX_TENSOR_DIM) -> np.ndarray:
     """Kronecker chain over a nonempty sequence of matrices.
 
-    The result dimension is capped (default config limit) because chained
-    products grow exponentially.
+    The result dimension is capped because chained products grow
+    exponentially.
     """
-    cap = DEFAULT_CONFIG.max_dim if cap is None else cap
     total = 1
     for m in mats:
         total *= np.asarray(m).shape[0]

@@ -1,10 +1,13 @@
 """Maximization of smooth objectives over the probability simplex.
 
 The workhorse is exponentiated-gradient (mirror) ascent with a monotone
-line search, run from many starts in lockstep so each iteration is a
-single batched linear-algebra call. Because concavity of the objectives
-is not assumed, a dense simplex-grid certificate can be layered on top
-for small alphabets.
+line search, run once from a single start. The objectives maximized here
+have no spurious stationary points: the Holevo quantity is concave in the
+prior, and the Renyi information is a decreasing transform of a convex
+function of it. So the run stops on the Frank-Wolfe gap
+max_x g_x - p.g, which vanishes only at the optimum and, for a concave
+objective, bounds the distance to it (Jaggi, "Revisiting Frank-Wolfe",
+ICML 2013).
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import RunConfig
-from .typeclasses import enumerate_types
 
 ValueFn = Callable[[np.ndarray], np.ndarray]
 ValueGradFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -23,142 +25,48 @@ ValueGradFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 _STEP_GROW = 1.25
 _STEP_MIN = 1e-14
 _MAX_HALVINGS = 12
+# Weight of the uniform prior mixed into a warm start. The multiplicative
+# update cannot revive an exactly zero coordinate, so without it a stale
+# warm start would pin the run to a face of the simplex.
+_WARM_MIX = 1e-9
 
 
 @dataclass(frozen=True)
 class SimplexMaximum:
-    """Outcome of a multistart simplex maximization."""
+    """Outcome of a simplex maximization.
+
+    ``gap`` is the Frank-Wolfe gap of the objective at ``point``.
+    ``converged`` means the run stopped on the gap tolerance or on a
+    line-search stall, not at the iteration cap. ``start_count`` is
+    always 1.
+    """
 
     value: float
     point: np.ndarray
     iterations: int
     converged: bool
     start_count: int
+    gap: float
 
 
-def simplex_grid(dim: int, step: float) -> np.ndarray:
-    """All probability vectors with coordinates in multiples of ``step``."""
-    n = max(1, round(1.0 / step))
-    types = enumerate_types(n, dim)
-    return np.asarray([t.counts for t in types], dtype=float) / n
+def _frank_wolfe_gap(point: np.ndarray, grad: np.ndarray) -> float:
+    """max_x g_x - p.g: zero exactly at the simplex-constrained optima."""
+    return max(float(grad.max() - point @ grad), 0.0)
 
 
-def _natural_grad_norms(points: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """Stationarity measure that vanishes at simplex-constrained optima."""
-    mean = (points * grads).sum(axis=1, keepdims=True)
-    return np.abs(points * (grads - mean)).sum(axis=1)
-
-
-def exp_grad_ascent(
-    value_fn: ValueFn,
-    value_grad_fn: ValueGradFn,
-    starts: np.ndarray,
-    *,
-    max_iters: int,
-    grad_tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Run EG ascent from every row of ``starts`` simultaneously.
-
-    Steps are multiplicative, p' = p * exp(eta * g) renormalized; eta is
-    halved until the value improves and grown gently on success. A start
-    finishes when its natural gradient norm drops below ``grad_tol`` or
-    when no step of any usable size improves the value (numerically
-    stationary). Returns (final points, values, natural gradient norms,
-    finished flags, total iterations).
-    """
-    points = np.array(starts, dtype=float)
-    k = points.shape[0]
-    values, grads = value_grad_fn(points)
-    # Scale-free initial step per start.
-    spread = np.abs(grads - grads.max(axis=1, keepdims=True)).max(axis=1)
-    eta = 1.0 / (1.0 + spread)
-    active = np.ones(k, dtype=bool)
-    finished = np.zeros(k, dtype=bool)
-    total_iters = 0
-
-    for _ in range(max_iters):
-        if not active.any():
+def _line_search(
+    value_fn: ValueFn, point: np.ndarray, value: float, direction: np.ndarray, eta: float
+) -> tuple[np.ndarray | None, float]:
+    """Halve eta until the EG step improves the value; None if no step does."""
+    for _ in range(_MAX_HALVINGS):
+        trial = point * np.exp(eta * direction)
+        trial /= trial.sum()
+        if float(value_fn(trial[None, :])[0]) > value + 1e-15:
+            return trial, eta
+        eta *= 0.5
+        if eta < _STEP_MIN:
             break
-        idx = np.flatnonzero(active)
-        gnorm = _natural_grad_norms(points[idx], grads[idx])
-        done = gnorm <= grad_tol
-        active[idx[done]] = False
-        finished[idx[done]] = True
-        idx = idx[~done]
-        if idx.size == 0:
-            break
-        total_iters += 1
-
-        # Retire duplicates: starts that already coincide keep only one
-        # representative iterating (results are unaffected, the survivor
-        # carries the shared optimum).
-        if idx.size > 1:
-            order = idx[np.argsort(values[idx])[::-1]]
-            pts = points[order]
-            dist = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2)
-            dup = np.zeros(order.size, dtype=bool)
-            for late in range(1, order.size):
-                if (dist[late, :late][~dup[:late]] < 1e-12).any():
-                    dup[late] = True
-            active[order[dup]] = False
-            idx = idx[active[idx]]
-            if idx.size == 0:
-                break
-
-        pending = idx
-        rounds = 0
-        while pending.size:
-            g = grads[pending]
-            # Shift before exponentiating: the update is shift-invariant
-            # and unshifted gradients can overflow near alpha = 1.
-            shifted = g - g.max(axis=1, keepdims=True)
-            trial = points[pending] * np.exp(eta[pending, None] * shifted)
-            trial = np.clip(trial, 0.0, None)
-            trial /= trial.sum(axis=1, keepdims=True)
-            trial_vals = value_fn(trial)
-            improved = trial_vals > values[pending] + 1e-15
-            acc = pending[improved]
-            if acc.size:
-                points[acc] = trial[improved]
-                values[acc] = trial_vals[improved]
-                eta[acc] *= _STEP_GROW
-            rej = pending[~improved]
-            eta[rej] *= 0.5
-            stalled = eta[rej] < _STEP_MIN
-            rounds += 1
-            if rounds >= _MAX_HALVINGS:
-                # The remaining starts cannot improve at any usable step:
-                # they sit at their numerical optimum, so stop iterating them.
-                stalled = np.ones(rej.size, dtype=bool)
-            active[rej[stalled]] = False
-            finished[rej[stalled]] = True
-            pending = rej[~stalled]
-
-        recompute = np.flatnonzero(active)
-        if recompute.size:
-            values[recompute], grads[recompute] = value_grad_fn(points[recompute])
-
-    gnorm = _natural_grad_norms(points, grads)
-    finished |= gnorm <= grad_tol
-    return points, values, gnorm, finished, total_iters
-
-
-def standard_starts(dim: int, count: int, seed_key: Sequence[int]) -> np.ndarray:
-    """Uniform point, smoothed vertices, then seeded Dirichlet fills.
-
-    Vertices are smoothed toward the interior because exact vertices are
-    fixed points of the multiplicative update; the exact vertices are
-    still evaluated separately by the caller.
-    """
-    rows = [np.full(dim, 1.0 / dim)]
-    for x in range(dim):
-        v = np.full(dim, 0.05 / max(dim - 1, 1))
-        v[x] = 0.95
-        rows.append(v / v.sum())
-    rng = np.random.default_rng(list(seed_key))
-    while len(rows) < max(count, 1):
-        rows.append(rng.dirichlet(np.ones(dim)))
-    return np.asarray(rows)
+    return None, eta
 
 
 def maximize_on_simplex(
@@ -167,61 +75,53 @@ def maximize_on_simplex(
     dim: int,
     config: RunConfig,
     *,
-    seed_key: Sequence[int] = (0,),
     warm_starts: Sequence[np.ndarray] = (),
-    use_grid_certificate: bool | None = None,
 ) -> SimplexMaximum:
-    """Multistart EG ascent with vertex candidates and a grid certificate.
+    """EG ascent from the first warm start, or from the uniform prior.
 
-    ``warm_starts`` are extra start points (e.g. optima from neighboring
-    parameter values); they only add candidates and never replace the
-    standard multistart set, so results are reproducible.
+    The objective callbacks take a batch of priors, one per row. Steps are
+    multiplicative, p' = p * exp(eta * g) renormalized; eta is halved until
+    the value improves and grown gently on success. The run stops when the
+    Frank-Wolfe gap drops to ``config.eg_grad_tol``, when no step of any
+    usable size improves the value (numerically stationary), or after
+    ``config.eg_max_iters`` iterations.
     """
-    starts = standard_starts(dim, config.multistarts, seed_key)
-    extra = [np.asarray(w, dtype=float) for w in warm_starts]
-    extra = [w / w.sum() for w in extra if w.shape == (dim,) and w.min() >= 0 and w.sum() > 0]
-    if extra:
-        starts = np.vstack([starts, np.asarray(extra)])
+    uniform = np.full(dim, 1.0 / dim)
+    point = uniform
+    if warm_starts:
+        warm = np.asarray(warm_starts[0], dtype=float)
+        if warm.shape != (dim,) or warm.min() < 0 or not warm.sum() > 0:
+            raise ValueError(f"warm start must be a nonnegative nonzero vector of length {dim}")
+        point = (1.0 - _WARM_MIX) * warm / warm.sum() + _WARM_MIX * uniform
+    values, grads = value_grad_fn(point[None, :])
+    value, grad = float(values[0]), grads[0]
+    gap = _frank_wolfe_gap(point, grad)
+    # Scale-free initial step.
+    eta = 1.0 / (1.0 + np.ptp(grad))
+    iterations = 0
+    stalled = False
 
-    if use_grid_certificate is None:
-        use_grid_certificate = dim <= config.cert_grid_max_alphabet
-    if use_grid_certificate:
-        grid = simplex_grid(dim, config.cert_grid_step)
-        grid_vals = value_fn(grid)
-        best = int(np.argmax(grid_vals))
-        # Refine from the certificate's winner (smoothed off the boundary).
-        anchor = grid[best] + 1e-6
-        starts = np.vstack([starts, anchor / anchor.sum()])
+    while gap > config.eg_grad_tol and iterations < config.eg_max_iters:
+        iterations += 1
+        # Shift before exponentiating: the update is shift-invariant and
+        # unshifted gradients can overflow near alpha = 1.
+        trial, eta = _line_search(value_fn, point, value, grad - grad.max(), eta)
+        if trial is None:
+            # No usable step improves the value: the point sits at its
+            # numerical optimum.
+            stalled = True
+            break
+        point = trial
+        eta *= _STEP_GROW
+        values, grads = value_grad_fn(point[None, :])
+        value, grad = float(values[0]), grads[0]
+        gap = _frank_wolfe_gap(point, grad)
 
-    points, values, gnorms, finished, iters = exp_grad_ascent(
-        value_fn,
-        value_grad_fn,
-        starts,
-        max_iters=config.eg_max_iters,
-        grad_tol=config.eg_grad_tol,
-    )
-
-    candidates = [points]
-    candidate_vals = [values]
-    vertices = np.eye(dim)
-    candidates.append(vertices)
-    candidate_vals.append(value_fn(vertices))
-    if use_grid_certificate:
-        candidates.append(grid)
-        candidate_vals.append(grid_vals)
-
-    all_points = np.vstack(candidates)
-    all_vals = np.concatenate(candidate_vals)
-    winner = int(np.argmax(all_vals))
-    point = all_points[winner]
-    # Converged when some finished EG run reached the winning value; a bare
-    # vertex or grid candidate that no run reproduced counts as unconverged.
-    best_finished = values[finished].max() if finished.any() else -np.inf
-    converged = bool(best_finished >= all_vals[winner] - 1e-12)
     return SimplexMaximum(
-        value=float(all_vals[winner]),
+        value=value,
         point=point.copy(),
-        iterations=iters,
-        converged=converged,
-        start_count=starts.shape[0],
+        iterations=iterations,
+        converged=stalled or gap <= config.eg_grad_tol,
+        start_count=1,
+        gap=gap,
     )

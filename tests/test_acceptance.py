@@ -177,7 +177,7 @@ def test_criterion_5_type_restriction_trend():
 def test_criterion_6_channel_additivity():
     """Joint-prior optimization over a product channel splits into the sum."""
     rng = np.random.default_rng(606)
-    config = dataclasses.replace(DEFAULT_CONFIG, cert_grid_max_alphabet=4)
+    config = DEFAULT_CONFIG
     worst = 0.0
     ch1 = random_channel(2, 2, rng)
     ch2 = random_channel(2, 2, rng)

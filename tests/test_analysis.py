@@ -18,6 +18,7 @@ from cqexp import (
 from cqexp.analysis import _renyi_value_grad_batch
 from cqexp.divergences import letter_powers
 from cqexp.errors import InvalidGrid, RateAboveCapacity, TooLarge
+from cqexp.simplex_opt import maximize_on_simplex
 
 from conftest import random_channel, random_unitary
 from oracles import (
@@ -143,6 +144,89 @@ class TestHolevoCapacity:
         cap = holevo_capacity(ch).value
         near = renyi_mi_channel(ch, 1.0 - 1e-4).value
         assert abs(cap - near) <= 1e-3
+
+
+def _letters_of_mixed_rank(k: int, d: int, rng) -> CQChannel:
+    """k random states on C^d, each of a random rank in 1..d."""
+    states = []
+    for _ in range(k):
+        rank = int(rng.integers(1, d + 1))
+        g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+        rho = g @ g.conj().T
+        states.append(rho / np.trace(rho).real)
+    return CQChannel.from_states(states)
+
+
+def _mi_of_priors(channel: CQChannel, priors: np.ndarray, alpha: float) -> np.ndarray:
+    """I_alpha(N, p) in bits for each row of ``priors``, from plain eigendecompositions."""
+    outputs = channel.outputs
+    if alpha == 1.0:
+        def entropy(mats):
+            w = np.clip(np.linalg.eigvalsh(mats), 1e-300, None)
+            return -(w * np.log2(w)).sum(axis=-1)
+
+        return entropy(np.einsum("km,mij->kij", priors, outputs)) - priors @ entropy(outputs)
+    lam, vec = np.linalg.eigh(outputs)
+    lam_a = np.where(lam > 1e-12, np.clip(lam, 1e-300, None) ** alpha, 0.0)
+    powers = np.einsum("xij,xj,xkj->xik", vec, lam_a, vec.conj())
+    w = np.clip(np.linalg.eigvalsh(np.einsum("km,mij->kij", priors, powers)), 0.0, None)
+    return alpha / (alpha - 1.0) * np.log2((w ** (1.0 / alpha)).sum(axis=-1))
+
+
+class TestPriorCertificate:
+    """Single-start EG solves certified by the Frank-Wolfe gap."""
+
+    @pytest.mark.parametrize("case", range(20))
+    def test_gap_bounds_every_probe(self, case):
+        rng = np.random.default_rng([4021, case])
+        k, d = int(rng.integers(2, 9)), int(rng.integers(2, 5))
+        alpha = (0.2, 0.5, 0.8, 1.0)[case % 4]
+        ch = _letters_of_mixed_rank(k, d, rng)
+        rep = renyi_mi_channel(ch, alpha)
+        assert rep.converged
+        assert 0.0 <= rep.gap <= 1e-6
+        probes = np.vstack([np.eye(k), rng.dirichlet(np.ones(k), size=2000)])
+        # The gap is a bound on I* - I(p); 1e-12 absorbs rounding in the probes.
+        assert _mi_of_priors(ch, probes, alpha).max() <= rep.value + rep.gap + 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_warm_start_off_the_optimal_support(self, rng, alpha):
+        ch = random_channel(3, 2, rng)
+        cold = renyi_mi_channel(ch, alpha)
+        used = int(np.argmax(cold.prior))
+        warm_start = np.zeros(3)
+        warm_start[(used + 1) % 3] = 1.0
+        warm = renyi_mi_channel(ch, alpha, warm_starts=(warm_start,))
+        assert warm.converged
+        assert warm.value == pytest.approx(cold.value, abs=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.zeros(3), np.array([0.5, 0.5]), np.array([1.5, -0.5, 0.0])])
+    def test_malformed_warm_start_rejected(self, rng, bad):
+        ch = random_channel(3, 2, rng)
+        with pytest.raises(ValueError):
+            renyi_mi_channel(ch, 0.5, warm_starts=(bad,))
+
+    def test_iteration_cap_is_not_convergence(self, rng):
+        ch = random_channel(4, 2, rng)
+        capped = dataclasses.replace(DEFAULT_CONFIG, eg_max_iters=1)
+        rep = renyi_mi_channel(ch, 0.5, capped)
+        assert rep.iterations == 1
+        assert not rep.converged
+        assert rep.gap > capped.eg_grad_tol
+
+    def test_one_start(self):
+        target = np.array([0.1, 0.2, 0.3, 0.4])
+
+        def value_grad(points):
+            return -((points - target) ** 2).sum(axis=1), -2.0 * (points - target)
+
+        result = maximize_on_simplex(
+            lambda points: value_grad(points)[0], value_grad, 4, DEFAULT_CONFIG
+        )
+        assert result.start_count == 1
+        assert result.converged
+        assert result.gap <= 1e-6
+        np.testing.assert_allclose(result.point, target, atol=1e-6)
 
 
 class TestExponentObjective:
@@ -372,6 +456,6 @@ class TestAdditivity:
         alpha = 0.5
         single = renyi_mi_channel(ch, alpha).value
         product = ch.tensor(orthogonal_pair)
-        config = dataclasses.replace(DEFAULT_CONFIG, cert_grid_max_alphabet=4)
+        config = DEFAULT_CONFIG
         joint = renyi_mi_channel(product, alpha, config).value
         assert joint == pytest.approx(single + 1.0, abs=1e-3)
