@@ -3,9 +3,12 @@ the error-exponent bounds built from them.
 
 The alpha-parametrized objective ((1-a)/a) * (I_a(N) - r) is maximized
 over two ranges: [1/2, 1] for the achievability (lower) bound and
-(alpha_min, 1] for the sphere-packing (upper) bound. Each evaluation of
-I_a(N) is itself a maximization over priors, so a :class:`ChannelAnalysis`
-session caches those inner optimizations and warm-starts nearby ones.
+(alpha_min, 1] for the sphere-packing (upper) bound. With s = (1-a)/a it
+is E0(s) - s r, E0(s) = s I_{1/(1+s)}(N); the critical rate E0'(1) and the
+root of E0'(s) = r that refines each bound come from the closed-form slope
+at the optimal prior (Danskin's theorem). Each evaluation of I_a(N) is
+itself a maximization over priors, so a :class:`ChannelAnalysis` session
+caches those inner optimizations and warm-starts nearby ones.
 """
 
 from __future__ import annotations
@@ -19,11 +22,9 @@ from .channel import CQChannel
 from .config import DEFAULT_CONFIG, LN_BASE, RunConfig
 from .divergences import check_alpha, letter_powers, mi_values_from_powers
 from .errors import InvalidGrid, NumericalInstability, RateAboveCapacity, TooLarge
-from .linalg import mat_power, tensor_all, von_neumann_entropy
+from .linalg import log_base_psd, mat_power, tensor_all, von_neumann_entropy
 from .simplex_opt import SimplexMaximum, maximize_on_simplex
 from .typeclasses import TypeClass, enumerate_sequences, enumerate_types
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -212,25 +213,22 @@ def renyi_mi_channel(
 # Alpha sweeps.
 
 
-def _golden_max(f, lo: float, hi: float, tol: float, max_iter: int = 200):
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    it = 0
-    while (b - a) > tol and it < max_iter:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        it += 1
-    if fc >= fd:
-        return c, fc
-    return d, fd
+def _e0_slope(channel: CQChannel, prior: np.ndarray, alpha: float) -> float:
+    """d/ds E0(s, p) in bits at s = 1/alpha - 1, for E0 = -log2 tr[A^(1+s)].
+
+    A = sum_x p_x rho_x^alpha and A' = -alpha^2 sum_x p_x rho_x^alpha ln rho_x give
+    d/ds tr[A^(1+s)] = tr[A^(1+s) ln A] + (1+s) tr[A^s A'], here in log2 so
+    that the ln 2 of E0 cancels. At alpha = 1 it is the Holevo quantity of p.
+    """
+    s = 1.0 / alpha - 1.0
+    powers = letter_powers(channel.outputs, alpha)
+    a = sum(p * rho_a for p, rho_a in zip(prior, powers))
+    a_prime = -alpha**2 * sum(
+        p * rho_a @ log_base_psd(rho) for p, rho_a, rho in zip(prior, powers, channel.outputs)
+    )
+    a_pow = mat_power(a, 1.0 + s)
+    d_trace = np.trace(a_pow @ log_base_psd(a) + (1.0 + s) * mat_power(a, s) @ a_prime).real
+    return float(-d_trace / np.trace(a_pow).real)
 
 
 class ChannelAnalysis:
@@ -247,19 +245,13 @@ class ChannelAnalysis:
         self.config = config or DEFAULT_CONFIG
         self._mi_cache: dict[float, OptimizationReport] = {}
         self._grids: dict[str, tuple[np.ndarray, list[OptimizationReport]]] = {}
-        self._critical: float | None = None
 
     # -- inner optimizations -------------------------------------------------
 
     def _alpha_range(self, kind: str) -> tuple[float, float]:
-        cfg = self.config
-        achievability = (cfg.achievability_alpha_min, 1.0)
-        sphere = (cfg.sphere_packing_alpha_min, 1.0)
-        if cfg.use_printed_alpha_ranges:
-            lower_range, upper_range = sphere, achievability
-        else:
-            lower_range, upper_range = achievability, sphere
-        return lower_range if kind == "lower" else upper_range
+        if kind == "lower":
+            return self.config.achievability_alpha_min, 1.0
+        return self.config.sphere_packing_alpha_min, 1.0
 
     def _grid(self, kind: str) -> tuple[np.ndarray, list[OptimizationReport]]:
         cached = self._grids.get(kind)
@@ -281,6 +273,8 @@ class ChannelAnalysis:
         rep = self._mi_cache.get(key)
         if rep is None:
             rep = renyi_mi_channel(self.channel, key, self.config, warm_starts=warm_starts)
+            if not rep.converged:
+                raise NumericalInstability(f"prior optimization did not converge at alpha={key}")
             self._mi_cache[key] = rep
         return rep
 
@@ -306,26 +300,43 @@ class ChannelAnalysis:
         mi = self._mi_point(alpha, warm_starts=self._grid_warm("lower", alpha)).value
         return (1.0 - alpha) / alpha * (mi - r)
 
-    def _objective_on(self, kind: str, alpha: float, r: float) -> float:
-        if alpha >= 1.0:
-            return 0.0
-        mi = self._mi_point(alpha, warm_starts=self._grid_warm(kind, alpha)).value
-        return (1.0 - alpha) / alpha * (mi - r)
-
     def _bound(self, kind: str, r: float) -> BoundResult:
-        lo, hi = self._alpha_range(kind)
+        """Grid maximum of E0(s) - s r, refined to the root of E0'(s) = r.
+
+        The sign of E0' - r at the grid maximum picks the neighbouring cell
+        (the objective rises toward larger s where E0' > r). If the sign
+        changes across it, the Illinois method (regula falsi halving the stale
+        end) shrinks that alpha bracket to alpha_tol, one solve per probe.
+        """
+        lo, _ = self._alpha_range(kind)
         alphas, reports = self._grid(kind)
         mis = np.asarray([rep.value for rep in reports])
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.where(alphas >= 1.0, 0.0, (1.0 - alphas) / alphas * (mis - r))
         best = int(np.argmax(vals))
-        a_lo = float(alphas[max(best - 1, 0)])
-        a_hi = float(alphas[min(best + 1, len(alphas) - 1)])
-        alpha_star, val_star = _golden_max(
-            lambda a: self._objective_on(kind, a, r), a_lo, a_hi, self.config.alpha_tol
-        )
-        if vals[best] > val_star:
-            alpha_star, val_star = float(alphas[best]), float(vals[best])
+        alpha_star, val_star = float(alphas[best]), float(vals[best])
+
+        def excess(alpha: float, rep: OptimizationReport) -> float:
+            return _e0_slope(self.channel, rep.prior, alpha) - r
+
+        a, ga = alpha_star, excess(alpha_star, reports[best])
+        other = best - 1 if ga > 0 else best + 1
+        b, gb = a, 0.0
+        if ga != 0.0 and 0 <= other < len(alphas):
+            b = float(alphas[other])
+            gb = excess(b, reports[other])
+        while ga * gb < 0.0 and abs(b - a) > self.config.alpha_tol:
+            c = (a * gb - b * ga) / (gb - ga)
+            rep = self._mi_point(c, warm_starts=self._grid_warm(kind, c))
+            val = (1.0 - c) / c * (rep.value - r)
+            if val > val_star:
+                alpha_star, val_star = c, val
+            gc = excess(c, rep)
+            if gc * gb < 0.0:
+                a, ga = b, gb
+            else:
+                ga /= 2.0
+            b, gb = c, gc
         saturated = (
             math.isclose(lo, self.config.sphere_packing_alpha_min)
             and alpha_star <= lo + max(self.config.alpha_tol * 10, 1e-9)
@@ -345,23 +356,10 @@ class ChannelAnalysis:
         return self._bound("upper", r)
 
     def critical_rate(self) -> float:
-        """d/ds [ s * I_{1/(1+s)}(N) ] at s = 1, by verified central differences."""
-        if self._critical is None:
-            h = self.config.fd_step
-
-            def g(s: float) -> float:
-                alpha = 1.0 / (1.0 + s)
-                warm = self._grid_warm("lower", alpha)
-                return s * self._mi_point(alpha, warm_starts=warm).value
-
-            coarse = (g(1.0 + h) - g(1.0 - h)) / (2.0 * h)
-            fine = (g(1.0 + h / 2.0) - g(1.0 - h / 2.0)) / h
-            if abs(coarse - fine) > self.config.richardson_tol:
-                raise NumericalInstability(
-                    f"critical-rate difference quotients disagree: {coarse} vs {fine}"
-                )
-            self._critical = float(fine)
-        return self._critical
+        """r_c = E0'(1), the slope of s * I_{1/(1+s)}(N) at s = 1, in closed form
+        at the prior maximizing I_{1/2} (Danskin's theorem): no solve beyond
+        alpha = 1/2, the first point of the achievability grid."""
+        return _e0_slope(self.channel, self._mi_point(0.5).prior, 0.5)
 
     def reliability(self, r: float) -> ReliabilityResult:
         """Exact exponent for r >= r_c, bounding interval below r_c."""

@@ -273,13 +273,15 @@ def besttype(channel_file, alpha, nmax, max_dim, json_mode, nats) -> None:
         raise ValueError("nmax must be >= 1")
     channel = load_channel(channel_file)
     config = _config(max_dim)
-    target = renyi_mi_channel(channel, alpha, config).value
+    report = renyi_mi_channel(channel, alpha, config)
+    if not report.converged:
+        _fail(NUMERICAL_EXIT, "prior optimization did not converge")
     header = ["n", "best_type", "value_per_use", "I_alpha_target"]
     rows = []
     for n, t, value in best_type_up_to(channel, nmax, alpha, config):
         rows.append([
             n, "|".join(str(c) for c in t.counts),
-            _conv(value, nats), _conv(target, nats),
+            _conv(value, nats), _conv(report.value, nats),
         ])
     _emit(header, rows, json_mode)
 

@@ -40,18 +40,12 @@ class RunConfig:
     eg_max_iters: int = 10_000
     eg_grad_tol: float = 1e-9
 
-    # Alpha sweeps for the exponent bounds: coarse grid then golden section.
+    # Alpha sweeps for the exponent bounds: a coarse grid, then the root of
+    # E0'(s) = r bracketed to alpha_tol in alpha.
     alpha_grid_points: int = 64
-    alpha_tol: float = 1e-10
+    alpha_tol: float = 1e-8
     sphere_packing_alpha_min: float = 0.01
     achievability_alpha_min: float = 0.5
-    # Evaluate the bound displays with their printed alpha ranges instead of
-    # the transposed ones (see README discussion of the bound ranges).
-    use_printed_alpha_ranges: bool = False
-
-    # Critical-rate finite difference.
-    fd_step: float = 1e-4
-    richardson_tol: float = 1e-5
 
     # Resource caps.
     max_sim_dim: int = 256
@@ -64,7 +58,7 @@ class RunConfig:
             if f.name.startswith("max_") or f.name in ("eg_max_iters", "alpha_grid_points"):
                 if v < 1:
                     raise ValueError(f"{f.name} must be >= 1, got {v}")
-            elif f.name in ("eg_grad_tol", "alpha_tol", "fd_step", "richardson_tol"):
+            elif f.name in ("eg_grad_tol", "alpha_tol"):
                 if v <= 0:
                     raise ValueError(f"{f.name} must be > 0, got {v}")
         if not 0 < self.sphere_packing_alpha_min < 1:

@@ -25,7 +25,6 @@ from cqexp import (
 )
 from cqexp.cli import main as cli_main
 from cqexp.config import DEFAULT_CONFIG
-import dataclasses
 
 from conftest import random_channel, random_density_matrix
 from oracles import (

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from cqexp import (
     renyi_mi_channel,
     renyi_mi_channel_prior,
 )
-from cqexp.analysis import _renyi_value_grad_batch
+from cqexp.analysis import _e0_slope, _renyi_value_grad_batch
+from cqexp.channel_io import load_channel
 from cqexp.divergences import letter_powers
-from cqexp.errors import InvalidGrid, RateAboveCapacity, TooLarge
+from cqexp.errors import InvalidGrid, NumericalInstability, RateAboveCapacity, TooLarge
 from cqexp.simplex_opt import maximize_on_simplex
 
 from conftest import random_channel, random_unitary
@@ -30,6 +32,7 @@ from oracles import (
 )
 
 W_BSC = np.array([[0.9, 0.1], [0.1, 0.9]])
+CHANNELS_DIR = Path(__file__).resolve().parent.parent / "channels"
 
 
 @pytest.fixture(scope="module")
@@ -286,23 +289,57 @@ class TestExponentBounds:
                     <= session.upper_bound(r).value + 1e-8
                 )
 
-    def test_printed_range_variant_swaps_sups(self, bsc_channel):
-        # With the printed ranges the lower display scans (alpha_min, 1] and
-        # the upper display scans [1/2, 1]; at rates below the critical rate
-        # the printed lower bound therefore dominates the printed upper.
-        default = ChannelAnalysis(bsc_channel)
-        printed = ChannelAnalysis(
-            bsc_channel,
-            dataclasses.replace(DEFAULT_CONFIG, use_printed_alpha_ranges=True),
+    def test_unconverged_solve_raises(self, rng):
+        capped = dataclasses.replace(DEFAULT_CONFIG, eg_max_iters=1)
+        session = ChannelAnalysis(random_channel(4, 2, rng), capped)
+        with pytest.raises(NumericalInstability, match="did not converge"):
+            session.lower_bound(0.1)
+        assert not session._mi_cache
+
+    @pytest.mark.parametrize("case", ["bsc01", "pure_pair", 0, 1, 2])
+    def test_refinement_solves_per_bound(self, case):
+        # Past the two alpha grids, each bound is a short root search on
+        # E0'(s) = r: a handful of warm-started solves, not dozens.
+        if isinstance(case, str):
+            channel = load_channel(CHANNELS_DIR / f"{case}.json")
+        else:
+            rng = np.random.default_rng([5303, case])
+            channel = _letters_of_mixed_rank(int(rng.integers(2, 4)), int(rng.integers(2, 4)), rng)
+        session = ChannelAnalysis(channel)
+        cap = session.capacity().value
+        session._grid("lower")
+        session._grid("upper")
+        for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for bound in (session.lower_bound, session.upper_bound):
+                before = len(session._mi_cache)
+                bound(frac * cap)
+                assert len(session._mi_cache) - before <= 8
+
+
+class TestEnvelopeSlope:
+    """E0'(s) at a fixed prior, from the closed form of the s-derivative."""
+
+    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    def test_matches_central_difference(self, case, alpha):
+        rng = np.random.default_rng([6131, case])
+        k, d = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+        ch = _letters_of_mixed_rank(k, d, rng)
+        prior = rng.dirichlet(np.ones(k))
+
+        def e0(s: float) -> float:
+            return s * renyi_mi_channel_prior(ch, prior, 1.0 / (1.0 + s))
+
+        s, h = 1.0 / alpha - 1.0, 1e-4
+        fd = (e0(s + h) - e0(s - h)) / (2.0 * h)
+        assert _e0_slope(ch, prior, alpha) == pytest.approx(fd, abs=1e-7)
+
+    def test_alpha_one_is_holevo(self, rng):
+        ch = _letters_of_mixed_rank(3, 2, rng)
+        prior = rng.dirichlet(np.ones(3))
+        assert _e0_slope(ch, prior, 1.0) == pytest.approx(
+            renyi_mi_channel_prior(ch, prior, 1.0), abs=1e-12
         )
-        r = 0.05  # below the BSC critical rate
-        assert printed.lower_bound(r).value == pytest.approx(
-            default.upper_bound(r).value, abs=1e-9
-        )
-        assert printed.upper_bound(r).value == pytest.approx(
-            default.lower_bound(r).value, abs=1e-9
-        )
-        assert printed.lower_bound(r).value > printed.upper_bound(r).value
 
 
 class TestCriticalRate:
@@ -314,6 +351,14 @@ class TestCriticalRate:
     def test_bsc_matches_classical(self, bsc_session):
         got = bsc_session.critical_rate()
         assert got == pytest.approx(classical_critical_rate(W_BSC), abs=1e-4)
+
+    def test_bsc_matches_gallager_derivative(self, bsc_session):
+        # Uniform prior: E0(s) = s - (1+s) log2(p^a + q^a) with a = 1/(1+s),
+        # so E0'(1) = 1 - log2(S) + a (p^a ln p + q^a ln q) / (S ln 2) at a = 1/2.
+        p, q, a = 0.1, 0.9, 0.5
+        total = p**a + q**a
+        slope = 1.0 - np.log2(total) + a * (p**a * np.log(p) + q**a * np.log(q)) / (total * np.log(2))
+        assert bsc_session.critical_rate() == pytest.approx(slope, abs=1e-12)
 
     def test_below_capacity_on_random_channels(self, rng):
         for _ in range(2):
@@ -451,7 +496,7 @@ class TestBestType:
 class TestAdditivity:
     def test_product_with_noiseless_bit(self, rng, orthogonal_pair):
         # I(N (x) noiseless bit) = I(N) + 1; joint optimization over the
-        # 4-letter product alphabet with the grid certificate enabled.
+        # 4-letter product alphabet.
         ch = random_channel(2, 2, rng)
         alpha = 0.5
         single = renyi_mi_channel(ch, alpha).value

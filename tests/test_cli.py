@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from cqexp import cli
 from cqexp.cli import main
 
 CHANNELS_DIR = Path(__file__).resolve().parent.parent / "channels"
@@ -200,6 +202,16 @@ class TestBestType:
     def test_alpha_one_rejected(self, runner):
         res = runner.invoke(main, ["besttype", PURE_PAIR, "--alpha", "1", "--nmax", "3"])
         assert res.exit_code == 2
+
+    def test_unconverged_target_exit_3(self, runner, monkeypatch):
+        solve = cli.renyi_mi_channel
+
+        def unconverged(*args, **kwargs):
+            return dataclasses.replace(solve(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(cli, "renyi_mi_channel", unconverged)
+        res = runner.invoke(main, ["besttype", PURE_PAIR, "--alpha", "0.5", "--nmax", "2"])
+        assert res.exit_code == 3
 
     def test_nats_scales_values(self, runner):
         bits = runner.invoke(main, ["besttype", PURE_PAIR, "--alpha", "0.5", "--nmax", "2"])
