@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import CQChannel
+from .coding import codeword_gram, pure_letter_overlaps
 from .config import DEFAULT_CONFIG, LN_BASE, RunConfig
 from .divergences import check_alpha, letter_powers, mi_values_from_powers
 from .errors import InvalidGrid, NumericalInstability, RateAboveCapacity, TooLarge
@@ -425,6 +426,10 @@ def constant_composition_mi(
     distribution over the type class of ``t``.
 
     Evaluates (a/(a-1)) (1/n) log2 tr[(mean over T_n^t of rho_xn^a)^(1/a)].
+    For pure letters rho^a = rho, and the class average has the nonzero
+    spectrum of G_T/|T|, G_T the Gram matrix of the class's sequence
+    vectors; the |T| x |T| matrix then replaces the d^n x d^n one, and
+    ``config.max_sim_dim`` caps |T| instead of d^n.
     """
     alpha = check_alpha(alpha, allow_one=False)
     if alpha <= 0.0:
@@ -432,18 +437,27 @@ def constant_composition_mi(
     if t.alphabet_size != channel.size:
         raise InvalidGrid(f"type alphabet {t.alphabet_size} != channel alphabet {channel.size}")
     n = t.n
-    full_dim = channel.dim ** n
-    if full_dim > config.max_sim_dim:
-        raise TooLarge(f"dimension {full_dim} exceeds cap {config.max_sim_dim}")
-    powers = letter_powers(channel.outputs, alpha)
-    avg = np.zeros((full_dim, full_dim), dtype=complex)
-    count = 0
-    for seq in enumerate_sequences(t, cap=config.max_type_count):
-        avg += tensor_all([powers[x] for x in seq])
-        count += 1
-    avg /= count
+    overlaps = pure_letter_overlaps(channel)
+    if overlaps is not None:
+        count = t.sequence_count()
+        if count > config.max_sim_dim:
+            raise TooLarge(f"type class size {count} exceeds cap {config.max_sim_dim}")
+        avg = codeword_gram(overlaps, list(enumerate_sequences(t, cap=config.max_type_count)))
+        avg /= count
+    else:
+        full_dim = channel.dim ** n
+        if full_dim > config.max_sim_dim:
+            raise TooLarge(f"dimension {full_dim} exceeds cap {config.max_sim_dim}")
+        powers = letter_powers(channel.outputs, alpha)
+        avg = np.zeros((full_dim, full_dim), dtype=complex)
+        count = 0
+        for seq in enumerate_sequences(t, cap=config.max_type_count):
+            avg += tensor_all([powers[x] for x in seq])
+            count += 1
+        avg /= count
     total = float(np.trace(mat_power(avg, 1.0 / alpha)).real)
-    return alpha / (alpha - 1.0) / n * math.log(total) / LN_BASE
+    # + 0.0 turns the -0.0 of a one-sequence class (total exactly 1) into 0.0.
+    return alpha / (alpha - 1.0) / n * math.log(total) / LN_BASE + 0.0
 
 
 def best_type(

@@ -2,11 +2,22 @@
 
 Codebooks are drawn at random (i.i.d. or constant-composition), decoded
 with the pretty-good (square-root) measurement, and every error
-probability is an exact trace: no Monte-Carlo sampling of outcomes.
+probability is exact: no Monte-Carlo sampling of outcomes.
 
-Commuting channels additionally admit an exact maximum-likelihood
-baseline, and the simulation takes a diagonal fast path for them that is
-algebraically identical to the dense route.
+``estimate_exponent`` evaluates the PGM error on one of three paths, chosen
+by the channel's structure:
+
+* **diagonal**, for commuting letters: one (M, d^n) table of output-sequence
+  probabilities per codebook gives both the PGM error and the exact
+  maximum-likelihood error;
+* **Gram**, for pure letters rho_x = |psi_x><psi_x|: the M x M Gram matrix
+  of the codeword vectors replaces the d^n x d^n codeword states;
+* **dense**, for every other channel: codeword states of dimension d^n.
+
+``pgm_decoder``/``average_error`` build the measurement itself and stay the
+reference that every fast path is checked against. The resource cap
+``RunConfig.max_sim_dim`` bounds the dimension of the matrix that is
+decomposed: M on the Gram path, d^n on the other two.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ import numpy as np
 from .channel import CQChannel
 from .config import DEFAULT_CONFIG, LN_BASE, RunConfig, SUPPORT_CUTOFF
 from .errors import DimensionError, NotClassical, TooLarge
-from .linalg import herm_eig, hermitize, tensor_all
+from .linalg import herm_eig, hermitize, mat_power, tensor_all
 from .typeclasses import TypeClass, nearest_type
 
 
@@ -148,8 +159,7 @@ def codeword_state(channel: CQChannel, codeword: Sequence[int]) -> np.ndarray:
     return tensor_all([channel.outputs[x] for x in codeword])
 
 
-def _check_sim_dim(channel: CQChannel, n: int, config: RunConfig) -> int:
-    dim = channel.dim ** n
+def _check_sim_dim(dim: int, config: RunConfig) -> int:
     if dim > config.max_sim_dim:
         raise TooLarge(f"dimension {dim} exceeds simulation cap {config.max_sim_dim}")
     return dim
@@ -163,7 +173,7 @@ def pgm_decoder(channel: CQChannel, codebook: Codebook, config: RunConfig = DEFA
     added to the first element so the POVM is complete; codeword states
     carry no weight there, so per-message errors are unaffected.
     """
-    dim = _check_sim_dim(channel, codebook.n, config)
+    dim = _check_sim_dim(channel.dim ** codebook.n, config)
     states = [codeword_state(channel, cw) for cw in codebook.codewords]
     total = hermitize(reduce(np.add, states, np.zeros((dim, dim), dtype=complex)))
     w, v = herm_eig(total)
@@ -198,7 +208,7 @@ def average_error(channel: CQChannel, codebook: Codebook, povm: POVM) -> ErrorRe
 
 def _pgm_error_dense(channel: CQChannel, codebook: Codebook, config: RunConfig) -> float:
     """PGM average error without materializing the POVM."""
-    dim = _check_sim_dim(channel, codebook.n, config)
+    dim = _check_sim_dim(channel.dim ** codebook.n, config)
     states = [codeword_state(channel, cw) for cw in codebook.codewords]
     total = hermitize(reduce(np.add, states, np.zeros((dim, dim), dtype=complex)))
     w, v = herm_eig(total)
@@ -214,22 +224,70 @@ def _pgm_error_dense(channel: CQChannel, codebook: Codebook, config: RunConfig) 
     return min(max(1.0 - success / len(states), 0.0), 1.0)
 
 
+def pure_letter_overlaps(channel: CQChannel) -> np.ndarray | None:
+    """Overlap table O[a, b] = <psi_a|psi_b> when every letter is pure, else None.
+
+    A letter rho_x counts as pure, rho_x = |psi_x><psi_x|, when its second
+    eigenvalue is at most ``SUPPORT_CUTOFF`` times its largest, the cutoff
+    ``mat_power`` applies. The diagonal is set to exactly 1 (unit trace).
+    """
+    w, v = np.linalg.eigh(channel.outputs)
+    if channel.dim > 1 and bool((w[:, -2] > SUPPORT_CUTOFF * w[:, -1]).any()):
+        return None
+    psi = v[:, :, -1]
+    overlaps = psi.conj() @ psi.T
+    np.fill_diagonal(overlaps, 1.0)
+    return overlaps
+
+
+def codeword_gram(overlaps: np.ndarray, words: Sequence[Sequence[int]]) -> np.ndarray:
+    """Gram matrix G[m, m'] = prod_i O[w_m,i, w_m',i] of pure product vectors."""
+    words = np.asarray(words)
+    g = np.ones((len(words), len(words)), dtype=complex)
+    for col in words.T:
+        g *= overlaps[np.ix_(col, col)]
+    return g
+
+
+def _pgm_error_gram(overlaps: np.ndarray, codebook: Codebook) -> float:
+    """PGM error for pure letters from the M x M Gram matrix of the codewords.
+
+    With Psi the matrix of codeword vectors, Psi^dagger S^(-1/2) Psi is
+    (Psi^dagger Psi)^(1/2) = G^(1/2), so message m is decoded with
+    probability ((G^(1/2))_mm)^2 (Hausladen, Jozsa, Schumacher, Westmoreland
+    and Wootters, PRA 54, 1869, 1996). G and S share their nonzero spectrum,
+    so the root on supp(G) cuts what S^(-1/2) cuts on the dense path; this
+    holds for duplicate codewords (singular G) too.
+    """
+    root = mat_power(codeword_gram(overlaps, codebook.codewords), 0.5)
+    success = float((np.diag(root).real ** 2).mean())
+    return min(max(1.0 - success, 0.0), 1.0)
+
+
 def _sequence_distributions(w: np.ndarray, codebook: Codebook) -> np.ndarray:
-    """Rows of output-sequence probabilities, one per codeword."""
-    rows = []
-    for cw in codebook.codewords:
-        vec = reduce(np.kron, [w[x] for x in cw])
-        rows.append(vec)
-    return np.asarray(rows)
+    """(M, d^n) table of output-sequence probabilities, one row per codeword.
+
+    Row m is the Kronecker product of the rows w[x] of the codeword's
+    letters, built one position at a time for all codewords at once.
+    """
+    words = np.asarray(codebook.codewords)
+    q = w[words[:, 0]]
+    for col in words.T[1:]:
+        q = (q[:, :, None] * w[col][:, None, :]).reshape(len(words), -1)
+    return q
 
 
-def _pgm_error_diagonal(w: np.ndarray, codebook: Codebook) -> float:
-    """PGM error on a commuting channel, evaluated in the common eigenbasis."""
-    q = _sequence_distributions(w, codebook)
+def _pgm_error_diagonal(q: np.ndarray) -> float:
+    """PGM error on a commuting channel, from its sequence-probability table."""
     s = q.sum(axis=0)
     on = s > 0
     success = (q[:, on] ** 2 / s[on]).sum(axis=1)
     return min(max(1.0 - float(success.mean()), 0.0), 1.0)
+
+
+def _ml_error_diagonal(q: np.ndarray) -> float:
+    """Maximum-likelihood error on a commuting channel, from the same table."""
+    return min(max(1.0 - float(q.max(axis=0).sum()) / len(q), 0.0), 1.0)
 
 
 def ml_error_classical(
@@ -238,10 +296,9 @@ def ml_error_classical(
     """Exact minimum average error for commuting outputs (ML decoding)."""
     if not channel.is_classical():
         raise NotClassical("maximum-likelihood baseline needs commuting outputs")
-    _check_sim_dim(channel, codebook.n, config)
-    w = channel.induced_stochastic_matrix()
-    q = _sequence_distributions(w, codebook)
-    return min(max(1.0 - float(q.max(axis=0).sum()) / codebook.size, 0.0), 1.0)
+    _check_sim_dim(channel.dim ** codebook.n, config)
+    q = _sequence_distributions(channel.induced_stochastic_matrix(), codebook)
+    return _ml_error_diagonal(q)
 
 
 def estimate_exponent(
@@ -261,7 +318,9 @@ def estimate_exponent(
     this rate, and constant-composition at the nearest type. The reported
     statistic is the minimum exact PGM error over all draws, mirroring the
     infimum over codes; the mean is kept for diagnostics. Each trial derives
-    its RNG stream from (seed, n, trial, mode).
+    its RNG stream from (seed, n, trial, mode). Errors come from the
+    diagonal, Gram or dense path of the module docstring, and
+    ``config.max_sim_dim`` caps M on the Gram path and d^n on the others.
 
     Returns a list of :class:`ExponentEstimate`; with ``return_trials`` a
     second list of :class:`TrialRecord` (including exact ML errors on
@@ -277,6 +336,16 @@ def estimate_exponent(
     prior = analysis.mutual_info(low.alpha).prior
     classical = channel.is_classical()
     w = channel.induced_stochastic_matrix() if classical else None
+    overlaps = None if classical else pure_letter_overlaps(channel)
+
+    def errors(book: Codebook) -> tuple[float, float | None]:
+        """(PGM error, ML error or None) on the path the channel's structure allows."""
+        if classical:
+            q = _sequence_distributions(w, book)
+            return _pgm_error_diagonal(q), _ml_error_diagonal(q)
+        if overlaps is not None:
+            return _pgm_error_gram(overlaps, book), None
+        return _pgm_error_dense(channel, book, config), None
 
     def one_trial(n: int, trial: int) -> list[TrialRecord]:
         records = []
@@ -285,12 +354,7 @@ def estimate_exponent(
             (("iid", IID(prior=prior)), ("cc", ConstantComposition(nearest_type(prior, n))))
         ):
             book = generate_codebook(channel.size, n, size, mode, seed=[seed, n, trial, mode_idx])
-            if classical:
-                pe = _pgm_error_diagonal(w, book)
-                ml = ml_error_classical(channel, book, config)
-            else:
-                pe = _pgm_error_dense(channel, book, config)
-                ml = None
+            pe, ml = errors(book)
             records.append(TrialRecord(n=n, trial=trial, mode=name, pe=pe, ml_pe=ml))
         return records
 
@@ -299,7 +363,7 @@ def estimate_exponent(
     for n in n_list:
         n = int(n)
         size = int(round(2.0 ** (n * rate)))
-        _check_sim_dim(channel, n, config)
+        _check_sim_dim(size if overlaps is not None else channel.dim ** n, config)
         if size < 2:
             # A single message is always decoded correctly.
             estimates.append(

@@ -15,6 +15,35 @@ def random_channel(k: int, d: int, rng: np.random.Generator) -> CQChannel:
     return CQChannel.from_states([random_density_matrix(d, rng) for _ in range(k)])
 
 
+def random_pure_channel(k: int, d: int, rng: np.random.Generator) -> CQChannel:
+    """Letters |psi><psi| with psi a normalized complex Gaussian vector."""
+    states = []
+    for _ in range(k):
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        psi /= np.linalg.norm(psi)
+        states.append(np.outer(psi, psi.conj()))
+    return CQChannel.from_states(states)
+
+
+# (|X|, d) of the seeded random pure channels the Gram paths are checked on.
+PURE_SHAPES = ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3))
+
+
+def pure_pair_channel() -> CQChannel:
+    """Nonorthogonal pure outputs: the computational |0> and the diagonal |+>."""
+    zero = np.array([[1, 0], [0, 0]], dtype=complex)
+    plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+    return CQChannel.from_states([zero, plus])
+
+
+def pure_channels() -> list[CQChannel]:
+    """pure_pair, then the seeded random pure channels of PURE_SHAPES."""
+    return [pure_pair_channel()] + [
+        random_pure_channel(k, d, np.random.default_rng([4242, i]))
+        for i, (k, d) in enumerate(PURE_SHAPES)
+    ]
+
+
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)
@@ -40,10 +69,7 @@ def orthogonal_pair() -> CQChannel:
 
 @pytest.fixture
 def pure_pair() -> CQChannel:
-    """Nonorthogonal pure outputs: the computational |0> and the diagonal |+>."""
-    zero = np.array([[1, 0], [0, 0]], dtype=complex)
-    plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    return CQChannel.from_states([zero, plus])
+    return pure_pair_channel()
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -12,17 +13,19 @@ from cqexp import (
     best_type,
     best_type_up_to,
     constant_composition_mi,
+    enumerate_types,
     holevo_capacity,
     renyi_mi_channel,
     renyi_mi_channel_prior,
 )
+from cqexp import analysis
 from cqexp.analysis import _e0_slope, _renyi_value_grad_batch
 from cqexp.channel_io import load_channel
 from cqexp.divergences import letter_powers
 from cqexp.errors import InvalidGrid, NumericalInstability, RateAboveCapacity, TooLarge
 from cqexp.simplex_opt import maximize_on_simplex
 
-from conftest import random_channel, random_unitary
+from conftest import pure_channels, random_channel, random_unitary
 from oracles import (
     best_prior_e0,
     classical_channel_renyi_mi,
@@ -460,6 +463,59 @@ class TestConstantComposition:
         tight = dc.replace(DEFAULT_CONFIG, max_sim_dim=4)
         with pytest.raises(TooLarge):
             constant_composition_mi(orthogonal_pair, TypeClass(4, (2, 2)), 0.5, tight)
+
+
+class TestConstantCompositionGram:
+    """The Gram path for pure letters against the dense d^n body."""
+
+    @staticmethod
+    def _dense(monkeypatch, channel, t, alpha):
+        # With no overlap table the function runs its dense d^n body.
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "pure_letter_overlaps", lambda ch: None)
+            return constant_composition_mi(channel, t, alpha)
+
+    @pytest.mark.parametrize("idx", range(len(pure_channels())))
+    def test_matches_dense_on_every_type(self, monkeypatch, idx):
+        ch = pure_channels()[idx]
+        worst = 0.0
+        for n in range(1, 7):
+            if ch.dim ** n > DEFAULT_CONFIG.max_sim_dim:
+                break
+            for t in enumerate_types(n, ch.size):
+                for alpha in (0.3, 0.7):
+                    gram = constant_composition_mi(ch, t, alpha)
+                    worst = max(worst, abs(gram - self._dense(monkeypatch, ch, t, alpha)))
+        assert worst <= 1e-12
+
+    def test_one_sequence_classes_exactly_zero(self):
+        for ch in pure_channels():
+            for x in range(ch.size):
+                for n in (1, 3):
+                    counts = tuple(n if a == x else 0 for a in range(ch.size))
+                    v = constant_composition_mi(ch, TypeClass(n, counts), 0.5)
+                    assert v == 0.0 and math.copysign(1.0, v) == 1.0
+
+    def test_first_enumerated_type_wins_the_n1_tie(self, pure_pair):
+        t, v = best_type(pure_pair, 1, 0.5)
+        assert t.counts == (1, 0) and v == 0.0
+
+    def test_cap_is_type_class_size(self, pure_pair):
+        t = TypeClass(4, (2, 2))  # |T| = 6 sequences in a 16-dimensional space
+        at_size = dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=6)
+        assert constant_composition_mi(pure_pair, t, 0.5, at_size) == constant_composition_mi(pure_pair, t, 0.5)
+        with pytest.raises(TooLarge):
+            constant_composition_mi(pure_pair, t, 0.5, dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=5))
+
+    def test_near_pure_letter_takes_dense_path(self, monkeypatch):
+        near = np.diag([1.0 - 1e-9, 1e-9]).astype(complex)
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        ch = CQChannel.from_states([near, plus])
+        t = TypeClass(3, (2, 1))
+        assert constant_composition_mi(ch, t, 0.5) == self._dense(monkeypatch, ch, t, 0.5)
+        # The cap is still the state dimension 2^3 = 8, not |T| = 3.
+        with pytest.raises(TooLarge):
+            constant_composition_mi(ch, t, 0.5, dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=7))
 
 
 class TestBestType:

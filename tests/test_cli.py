@@ -182,6 +182,17 @@ class TestSimulate:
         assert res.exit_code == 4
 
 
+    def test_gram_path_passes_the_state_cap(self, runner):
+        # Pure letters: n = 12 means M = 12 codewords in a 4096-dimensional
+        # space; --max-dim caps M on the Gram path.
+        args = ["simulate", PURE_PAIR, "--rate", "0.3", "--n-list", "12", "--trials", "2", "--seed", "1"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0
+        _, rows = rows_of(res.output)
+        assert rows[0][:2] == ["12", "12"]
+        assert runner.invoke(main, args + ["--max-dim", "8"]).exit_code == 4
+
+
 class TestBestType:
     def test_first_row_is_vertex_value(self, runner):
         res = runner.invoke(main, ["besttype", PURE_PAIR, "--alpha", "0.5", "--nmax", "2"])
@@ -259,3 +270,43 @@ class TestConcurrencyAndSaturation:
         assert float(rows[0][2]) == pytest.approx(49.5, abs=1e-4)  # pinned at alpha = 0.01
         err = res.stderr if hasattr(res, "stderr") else ""
         assert "saturated" in (err or res.output)
+
+
+# Stdout of the README/benchmark commands. Every row is the one the dense
+# d^n path printed, except the n = 1 besttype row: there the dense path's
+# rounding noise (9.6e-16 for the one-sequence class of |+>) broke the tie
+# between two classes that are exactly 0, and now the first enumerated
+# type wins.
+GOLDEN_SIMULATE_PURE_PAIR = """\
+n,M,best_pe,mean_pe,implied_exponent,lower_bound,upper_bound
+2,2,0.0669872981,0.280475817,1.94998431,0.115037499,0.115043006
+4,2,0.0158770817,0.0960704638,1.49422761,0.115037499,0.115043006
+6,3,0.0285954792,0.12165144,0.854678185,0.115037499,0.115043006
+8,5,0.0425961574,0.101100927,0.569141612,0.115037499,0.115043006
+"""
+
+GOLDEN_BESTTYPE_PURE_PAIR = """\
+n,best_type,value_per_use,I_alpha_target
+1,1|0,0,0.415037499
+2,1|1,0.339035953,0.415037499
+3,1|1,0.339035953,0.415037499
+4,2|2,0.385142095,0.415037499
+5,2|2,0.385142095,0.415037499
+6,3|3,0.397548359,0.415037499
+7,3|3,0.397548359,0.415037499
+8,4|4,0.402705152,0.415037499
+"""
+
+
+class TestGoldenOutputs:
+    def test_simulate_pure_pair(self, runner):
+        res = runner.invoke(main, [
+            "simulate", PURE_PAIR, "--rate", "0.3", "--n-list", "2,4,6,8", "--trials", "50", "--seed", "1",
+        ])
+        assert res.exit_code == 0
+        assert res.stdout == GOLDEN_SIMULATE_PURE_PAIR
+
+    def test_besttype_pure_pair(self, runner):
+        res = runner.invoke(main, ["besttype", PURE_PAIR, "--alpha", "0.5", "--nmax", "8"])
+        assert res.exit_code == 0
+        assert res.stdout == GOLDEN_BESTTYPE_PURE_PAIR

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -14,14 +16,24 @@ from cqexp import (
     estimate_exponent,
     generate_codebook,
     ml_error_classical,
+    nearest_type,
     pgm_decoder,
     type_of,
 )
-from cqexp.coding import _pgm_error_dense, _pgm_error_diagonal
+from cqexp import coding
+from cqexp.coding import (
+    _ml_error_diagonal,
+    _pgm_error_dense,
+    _pgm_error_diagonal,
+    _pgm_error_gram,
+    _sequence_distributions,
+    codeword_gram,
+    pure_letter_overlaps,
+)
 from cqexp.config import DEFAULT_CONFIG
-from cqexp.errors import DimensionError, NotClassical
+from cqexp.errors import DimensionError, NotClassical, TooLarge
 
-from conftest import random_channel
+from conftest import pure_channels, random_channel
 from oracles import classical_ml_error
 
 W_BSC = np.array([[0.9, 0.1], [0.1, 0.9]])
@@ -194,7 +206,7 @@ class TestFastPaths:
         for seed in range(5):
             book = generate_codebook(2, 3, 4, IID(prior=np.array([0.3, 0.7])), seed=seed)
             dense = _pgm_error_dense(bsc_channel, book, DEFAULT_CONFIG)
-            diag = _pgm_error_diagonal(w, book)
+            diag = _pgm_error_diagonal(_sequence_distributions(w, book))
             assert dense == pytest.approx(diag, abs=1e-12)
             povm_pe = average_error(bsc_channel, book, pgm_decoder(bsc_channel, book)).pe
             assert dense == pytest.approx(povm_pe, abs=1e-12)
@@ -210,7 +222,7 @@ class TestFastPaths:
         ch = CQChannel.from_states(states)
         book = generate_codebook(2, 3, 3, IID(prior=np.array([0.5, 0.5])), seed=3)
         dense = _pgm_error_dense(ch, book, DEFAULT_CONFIG)
-        diag = _pgm_error_diagonal(ch.induced_stochastic_matrix(), book)
+        diag = _pgm_error_diagonal(_sequence_distributions(ch.induced_stochastic_matrix(), book))
         assert dense == pytest.approx(diag, abs=1e-10)
 
 
@@ -259,3 +271,133 @@ class TestPackingLimit:
             assert row.size > 2 ** row.n
             assert row.best_pe >= floor - 1e-12
             assert row.best_pe > 0.0
+
+
+PURE_CHANNELS = pure_channels()
+
+
+def _blocklengths(channel: CQChannel) -> list[int]:
+    """Blocklengths up to 8 whose dense reference stays within the default cap."""
+    return [n for n in (1, 2, 3, 5, 8) if channel.dim ** n <= DEFAULT_CONFIG.max_sim_dim]
+
+
+class TestGramPath:
+    @pytest.mark.parametrize("idx", range(len(PURE_CHANNELS)))
+    def test_matches_dense_and_povm(self, idx):
+        ch = PURE_CHANNELS[idx]
+        overlaps = pure_letter_overlaps(ch)
+        assert overlaps is not None
+        prior = np.random.default_rng([17, idx]).dirichlet(np.ones(ch.size))
+        for n in _blocklengths(ch):
+            size = 2 + n % 3
+            for mode_idx, mode in enumerate((IID(prior=prior), ConstantComposition(nearest_type(prior, n)))):
+                book = generate_codebook(ch.size, n, size, mode, seed=[idx, n, mode_idx])
+                gram = _pgm_error_gram(overlaps, book)
+                assert gram == pytest.approx(_pgm_error_dense(ch, book, DEFAULT_CONFIG), abs=1e-12)
+                povm_pe = average_error(ch, book, pgm_decoder(ch, book)).pe
+                assert gram == pytest.approx(povm_pe, abs=1e-12)
+
+    def test_duplicate_codewords_singular_gram(self, pure_pair):
+        book = Codebook(n=3, codewords=((0, 1, 0), (0, 1, 0), (1, 1, 0), (1, 0, 1)))
+        overlaps = pure_letter_overlaps(pure_pair)
+        assert np.linalg.matrix_rank(codeword_gram(overlaps, book.codewords)) == 3
+        gram = _pgm_error_gram(overlaps, book)
+        assert gram == pytest.approx(_pgm_error_dense(pure_pair, book, DEFAULT_CONFIG), abs=1e-12)
+        assert gram == pytest.approx(
+            average_error(pure_pair, book, pgm_decoder(pure_pair, book)).pe, abs=1e-12
+        )
+        assert gram >= 0.25 - 1e-12  # two identical messages share one success
+
+    def test_orthogonal_letters_error_zero(self):
+        # |0>, |1>, |+> do not commute, so this channel takes the Gram path;
+        # codewords over {0, 1} alone are orthogonal product vectors.
+        zero = np.diag([1.0, 0.0]).astype(complex)
+        one = np.diag([0.0, 1.0]).astype(complex)
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        ch = CQChannel.from_states([zero, one, plus])
+        overlaps = pure_letter_overlaps(ch)
+        book = Codebook(n=3, codewords=((0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 0)))
+        assert _pgm_error_gram(overlaps, book) == pytest.approx(0.0, abs=1e-14)
+
+    def test_unit_diagonal_is_exact(self):
+        for ch in PURE_CHANNELS:
+            overlaps = pure_letter_overlaps(ch)
+            assert np.all(np.diag(overlaps) == 1.0)
+            for x, rho in enumerate(ch.outputs):
+                for y, sigma in enumerate(ch.outputs):
+                    # |<psi_x|psi_y>|^2 = tr[rho_x rho_y]
+                    assert abs(overlaps[x, y]) ** 2 == pytest.approx(
+                        np.trace(rho @ sigma).real, abs=1e-12
+                    )
+
+    def test_mixed_letters_have_no_overlap_table(self, bsc_channel, rng):
+        assert pure_letter_overlaps(bsc_channel) is None
+        assert pure_letter_overlaps(random_channel(2, 2, rng)) is None
+
+
+class TestPathSelection:
+    @staticmethod
+    def _spy(monkeypatch, name):
+        calls = []
+        real = getattr(coding, name)
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(coding, name, spy)
+        return calls
+
+    def test_pure_channel_takes_gram_path(self, monkeypatch, pure_pair):
+        dense = self._spy(monkeypatch, "_pgm_error_dense")
+        gram = self._spy(monkeypatch, "_pgm_error_gram")
+        _, records = estimate_exponent(pure_pair, 0.3, [2, 4], 3, seed=5, return_trials=True)
+        assert not dense
+        assert [out for _, out in gram] == [rec.pe for rec in records]
+        assert all(rec.ml_pe is None for rec in records)
+
+    def test_near_pure_letter_takes_dense_path(self, monkeypatch):
+        # Second eigenvalue 1e-9 is above SUPPORT_CUTOFF: the letter is mixed.
+        near = np.diag([1.0 - 1e-9, 1e-9]).astype(complex)
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        ch = CQChannel.from_states([near, plus])
+        assert pure_letter_overlaps(ch) is None
+        dense = self._spy(monkeypatch, "_pgm_error_dense")
+        gram = self._spy(monkeypatch, "_pgm_error_gram")
+        _, records = estimate_exponent(ch, 0.3, [2, 4], 3, seed=5, return_trials=True)
+        assert not gram
+        assert [out for _, out in dense] == [rec.pe for rec in records]
+
+    def test_gram_cap_is_codebook_size(self, pure_pair):
+        # n = 12 at r = 0.3: M = 12 codewords in a 4096-dimensional space.
+        rows = estimate_exponent(pure_pair, 0.3, [12], 1, seed=1)
+        assert rows[0].size == 12
+        tight = dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=11)
+        with pytest.raises(TooLarge):
+            estimate_exponent(pure_pair, 0.3, [12], 1, seed=1, config=tight)
+
+
+class TestSequenceTable:
+    @staticmethod
+    def _kron_rows(w, book):
+        return np.asarray([reduce(np.kron, [w[x] for x in cw]) for cw in book.codewords])
+
+    def test_bit_identical_to_kron_chain(self, rng):
+        w3 = rng.dirichlet(np.ones(3), size=3)
+        for w in (W_BSC, w3):
+            for n in (1, 2, 5, 7):
+                book = generate_codebook(len(w), n, 6, IID(prior=np.ones(len(w)) / len(w)), seed=n)
+                table = _sequence_distributions(w, book)
+                assert np.array_equal(table, self._kron_rows(w, book))
+
+    def test_one_table_per_codebook(self, monkeypatch, bsc_channel):
+        tables = TestPathSelection._spy(monkeypatch, "_sequence_distributions")
+        _, records = estimate_exponent(bsc_channel, 0.3, [4, 6], 4, seed=2, return_trials=True)
+        built = list(tables)
+        assert len(built) == len(records)
+        for (args, q), rec in zip(built, records):
+            book = args[1]
+            assert rec.pe == _pgm_error_diagonal(q)
+            assert rec.ml_pe == ml_error_classical(bsc_channel, book)
+            assert rec.ml_pe == pytest.approx(classical_ml_error(W_BSC, book.codewords), abs=1e-12)
