@@ -428,8 +428,9 @@ def constant_composition_mi(
     Evaluates (a/(a-1)) (1/n) log2 tr[(mean over T_n^t of rho_xn^a)^(1/a)].
     For pure letters rho^a = rho, and the class average has the nonzero
     spectrum of G_T/|T|, G_T the Gram matrix of the class's sequence
-    vectors; the |T| x |T| matrix then replaces the d^n x d^n one, and
-    ``config.max_sim_dim`` caps |T| instead of d^n.
+    vectors. While |T| <= d^n the |T| x |T| matrix replaces the d^n x d^n
+    one, and ``config.max_sim_dim`` caps |T| instead of d^n; so for pure
+    letters it caps min(|T|, d^n).
     """
     alpha = check_alpha(alpha, allow_one=False)
     if alpha <= 0.0:
@@ -437,15 +438,15 @@ def constant_composition_mi(
     if t.alphabet_size != channel.size:
         raise InvalidGrid(f"type alphabet {t.alphabet_size} != channel alphabet {channel.size}")
     n = t.n
+    full_dim = channel.dim ** n
+    count = t.sequence_count()
     overlaps = pure_letter_overlaps(channel)
-    if overlaps is not None:
-        count = t.sequence_count()
+    if overlaps is not None and count <= full_dim:
         if count > config.max_sim_dim:
             raise TooLarge(f"type class size {count} exceeds cap {config.max_sim_dim}")
         avg = codeword_gram(overlaps, list(enumerate_sequences(t, cap=config.max_type_count)))
         avg /= count
     else:
-        full_dim = channel.dim ** n
         if full_dim > config.max_sim_dim:
             raise TooLarge(f"dimension {full_dim} exceeds cap {config.max_sim_dim}")
         powers = letter_powers(channel.outputs, alpha)

@@ -6,8 +6,9 @@ numeric fields with 9 significant digits); diagnostics go to stderr.
 ``--json`` switches to one JSON object per row; ``--nats`` converts
 bit-valued outputs to nats on emission only. ``--seed`` (simulate) seeds
 the codebooks; ``--max-dim`` (simulate, besttype) overrides the cap on
-the dimension of the matrix decomposed at blocklength n: the codebook or
-type-class size for pure letters, the state dimension d^n otherwise.
+the dimension of the matrix decomposed at blocklength n: for pure letters
+the codebook or type-class size while it is at most d^n, the state
+dimension d^n otherwise.
 """
 
 from __future__ import annotations

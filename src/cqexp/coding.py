@@ -10,14 +10,17 @@ by the channel's structure:
 * **diagonal**, for commuting letters: one (M, d^n) table of output-sequence
   probabilities per codebook gives both the PGM error and the exact
   maximum-likelihood error;
-* **Gram**, for pure letters rho_x = |psi_x><psi_x|: the M x M Gram matrix
-  of the codeword vectors replaces the d^n x d^n codeword states;
-* **dense**, for every other channel: codeword states of dimension d^n.
+* **Gram**, for pure letters rho_x = |psi_x><psi_x| while M <= d^n: the
+  M x M Gram matrix of the codeword vectors replaces the d^n x d^n
+  codeword states;
+* **dense**, for every other channel, and for pure letters when M > d^n:
+  codeword states of dimension d^n.
 
 ``pgm_decoder``/``average_error`` build the measurement itself and stay the
 reference that every fast path is checked against. The resource cap
 ``RunConfig.max_sim_dim`` bounds the dimension of the matrix that is
-decomposed: M on the Gram path, d^n on the other two.
+decomposed: M on the Gram path, d^n on the other two, so for pure letters
+it caps min(M, d^n).
 """
 
 from __future__ import annotations
@@ -231,10 +234,13 @@ def pure_letter_overlaps(channel: CQChannel) -> np.ndarray | None:
     eigenvalue is at most ``SUPPORT_CUTOFF`` times its largest, the cutoff
     ``mat_power`` applies. The diagonal is set to exactly 1 (unit trace).
     """
-    w, v = np.linalg.eigh(channel.outputs)
-    if channel.dim > 1 and bool((w[:, -2] > SUPPORT_CUTOFF * w[:, -1]).any()):
-        return None
-    psi = v[:, :, -1]
+    vectors = []
+    for rho in channel.outputs:
+        w, v = herm_eig(rho)
+        if w.size > 1 and float(w[1]) > SUPPORT_CUTOFF * float(w[0]):
+            return None
+        vectors.append(v[:, 0])
+    psi = np.asarray(vectors)
     overlaps = psi.conj() @ psi.T
     np.fill_diagonal(overlaps, 1.0)
     return overlaps
@@ -277,7 +283,7 @@ def _sequence_distributions(w: np.ndarray, codebook: Codebook) -> np.ndarray:
     return q
 
 
-def _pgm_error_diagonal(q: np.ndarray) -> float:
+def _pgm_error_from_table(q: np.ndarray) -> float:
     """PGM error on a commuting channel, from its sequence-probability table."""
     s = q.sum(axis=0)
     on = s > 0
@@ -285,9 +291,14 @@ def _pgm_error_diagonal(q: np.ndarray) -> float:
     return min(max(1.0 - float(success.mean()), 0.0), 1.0)
 
 
-def _ml_error_diagonal(q: np.ndarray) -> float:
+def _ml_error_from_table(q: np.ndarray) -> float:
     """Maximum-likelihood error on a commuting channel, from the same table."""
     return min(max(1.0 - float(q.max(axis=0).sum()) / len(q), 0.0), 1.0)
+
+
+def _pgm_error_diagonal(w: np.ndarray, codebook: Codebook) -> float:
+    """PGM error on a commuting channel, evaluated in the common eigenbasis."""
+    return _pgm_error_from_table(_sequence_distributions(w, codebook))
 
 
 def ml_error_classical(
@@ -298,7 +309,7 @@ def ml_error_classical(
         raise NotClassical("maximum-likelihood baseline needs commuting outputs")
     _check_sim_dim(channel.dim ** codebook.n, config)
     q = _sequence_distributions(channel.induced_stochastic_matrix(), codebook)
-    return _ml_error_diagonal(q)
+    return _ml_error_from_table(q)
 
 
 def estimate_exponent(
@@ -319,8 +330,9 @@ def estimate_exponent(
     statistic is the minimum exact PGM error over all draws, mirroring the
     infimum over codes; the mean is kept for diagnostics. Each trial derives
     its RNG stream from (seed, n, trial, mode). Errors come from the
-    diagonal, Gram or dense path of the module docstring, and
-    ``config.max_sim_dim`` caps M on the Gram path and d^n on the others.
+    diagonal, Gram or dense path of the module docstring, chosen per
+    blocklength, and ``config.max_sim_dim`` caps M on the Gram path and d^n
+    on the others.
 
     Returns a list of :class:`ExponentEstimate`; with ``return_trials`` a
     second list of :class:`TrialRecord` (including exact ML errors on
@@ -338,23 +350,23 @@ def estimate_exponent(
     w = channel.induced_stochastic_matrix() if classical else None
     overlaps = None if classical else pure_letter_overlaps(channel)
 
-    def errors(book: Codebook) -> tuple[float, float | None]:
+    def errors(book: Codebook, gram: bool) -> tuple[float, float | None]:
         """(PGM error, ML error or None) on the path the channel's structure allows."""
         if classical:
             q = _sequence_distributions(w, book)
-            return _pgm_error_diagonal(q), _ml_error_diagonal(q)
-        if overlaps is not None:
+            return _pgm_error_from_table(q), _ml_error_from_table(q)
+        if gram:
             return _pgm_error_gram(overlaps, book), None
         return _pgm_error_dense(channel, book, config), None
 
-    def one_trial(n: int, trial: int) -> list[TrialRecord]:
+    def one_trial(n: int, trial: int, gram: bool) -> list[TrialRecord]:
         records = []
         size = int(round(2.0 ** (n * rate)))
         for mode_idx, (name, mode) in enumerate(
             (("iid", IID(prior=prior)), ("cc", ConstantComposition(nearest_type(prior, n))))
         ):
             book = generate_codebook(channel.size, n, size, mode, seed=[seed, n, trial, mode_idx])
-            pe, ml = errors(book)
+            pe, ml = errors(book, gram)
             records.append(TrialRecord(n=n, trial=trial, mode=name, pe=pe, ml_pe=ml))
         return records
 
@@ -363,14 +375,16 @@ def estimate_exponent(
     for n in n_list:
         n = int(n)
         size = int(round(2.0 ** (n * rate)))
-        _check_sim_dim(size if overlaps is not None else channel.dim ** n, config)
+        # The Gram matrix is the smaller one only while M <= d^n.
+        gram = overlaps is not None and size <= channel.dim ** n
+        _check_sim_dim(size if gram else channel.dim ** n, config)
         if size < 2:
             # A single message is always decoded correctly.
             estimates.append(
                 ExponentEstimate(n=n, size=size, best_pe=0.0, mean_pe=0.0, implied_exponent=math.inf)
             )
             continue
-        records = [rec for trial in range(trials_per_n) for rec in one_trial(n, trial)]
+        records = [rec for trial in range(trials_per_n) for rec in one_trial(n, trial, gram)]
         all_records.extend(records)
         pes = [rec.pe for rec in records]
         best = min(pes)

@@ -48,7 +48,8 @@ class RunConfig:
     achievability_alpha_min: float = 0.5
 
     # Resource caps. max_sim_dim bounds the matrix decomposed at blocklength
-    # n: M codewords or |T| sequences for pure letters, d^n otherwise.
+    # n: M codewords or |T| sequences for pure letters while that is at
+    # most d^n, d^n otherwise.
     max_sim_dim: int = 256
     max_opt_alphabet: int = 8
     max_type_count: int = 1_000_000

@@ -507,6 +507,22 @@ class TestConstantCompositionGram:
         with pytest.raises(TooLarge):
             constant_composition_mi(pure_pair, t, 0.5, dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=5))
 
+    def test_class_larger_than_space_takes_dense_body(self, monkeypatch):
+        # Three pure qubit letters, type (3, 3, 2): |T| = 560 sequences in a
+        # 2^8 = 256-dimensional space, so the dense body is the smaller one
+        # and the cap stays d^n.
+        ch = pure_channels()[2]
+        assert ch.size == 3 and ch.dim == 2
+        t = TypeClass(8, (3, 3, 2))
+        assert t.sequence_count() == 560
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "codeword_gram", None)  # any Gram call fails
+            at_dim = dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=256)
+            value = constant_composition_mi(ch, t, 0.5, at_dim)
+            with pytest.raises(TooLarge):
+                constant_composition_mi(ch, t, 0.5, dataclasses.replace(at_dim, max_sim_dim=255))
+        assert value == self._dense(monkeypatch, ch, t, 0.5)
+
     def test_near_pure_letter_takes_dense_path(self, monkeypatch):
         near = np.diag([1.0 - 1e-9, 1e-9]).astype(complex)
         plus = np.full((2, 2), 0.5, dtype=complex)

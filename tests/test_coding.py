@@ -22,9 +22,9 @@ from cqexp import (
 )
 from cqexp import coding
 from cqexp.coding import (
-    _ml_error_diagonal,
     _pgm_error_dense,
     _pgm_error_diagonal,
+    _pgm_error_from_table,
     _pgm_error_gram,
     _sequence_distributions,
     codeword_gram,
@@ -206,7 +206,7 @@ class TestFastPaths:
         for seed in range(5):
             book = generate_codebook(2, 3, 4, IID(prior=np.array([0.3, 0.7])), seed=seed)
             dense = _pgm_error_dense(bsc_channel, book, DEFAULT_CONFIG)
-            diag = _pgm_error_diagonal(_sequence_distributions(w, book))
+            diag = _pgm_error_diagonal(w, book)
             assert dense == pytest.approx(diag, abs=1e-12)
             povm_pe = average_error(bsc_channel, book, pgm_decoder(bsc_channel, book)).pe
             assert dense == pytest.approx(povm_pe, abs=1e-12)
@@ -222,7 +222,7 @@ class TestFastPaths:
         ch = CQChannel.from_states(states)
         book = generate_codebook(2, 3, 3, IID(prior=np.array([0.5, 0.5])), seed=3)
         dense = _pgm_error_dense(ch, book, DEFAULT_CONFIG)
-        diag = _pgm_error_diagonal(_sequence_distributions(ch.induced_stochastic_matrix(), book))
+        diag = _pgm_error_diagonal(ch.induced_stochastic_matrix(), book)
         assert dense == pytest.approx(diag, abs=1e-10)
 
 
@@ -271,6 +271,31 @@ class TestPackingLimit:
             assert row.size > 2 ** row.n
             assert row.best_pe >= floor - 1e-12
             assert row.best_pe > 0.0
+
+    def test_pure_rate_above_capacity_floor(self, monkeypatch, pure_pair):
+        # At n = 1, M = 2 = 2^n takes the Gram path; at n = 2, 3 the M x M
+        # Gram matrix would exceed the 2^n-dimensional states, so the dense
+        # path runs, and the same packing floor holds.
+        gram = TestPathSelection._spy(monkeypatch, "_pgm_error_gram")
+        dense = TestPathSelection._spy(monkeypatch, "_pgm_error_dense")
+        rows, records = estimate_exponent(pure_pair, 1.2, [1, 2, 3], 5, seed=4, return_trials=True)
+        assert [row.size for row in rows] == [2, 5, 12]
+        assert [out for _, out in gram] == [rec.pe for rec in records if rec.n == 1]
+        assert [out for _, out in dense] == [rec.pe for rec in records if rec.n > 1]
+        for row in rows[1:]:
+            assert row.best_pe >= 1.0 - (2 ** row.n) / row.size - 1e-12
+            assert row.best_pe > 0.0
+
+    def test_pure_codebook_larger_than_space_keeps_state_cap(self, pure_pair):
+        # n = 7 at rate 1.2: M = 338 codewords in a 128-dimensional space.
+        # The cap is then d^n = 128, as on the dense path, not M.
+        rows = estimate_exponent(pure_pair, 1.2, [7], 1, seed=4)
+        assert rows[0].size == 338
+        assert rows[0].best_pe >= 1.0 - 128 / 338 - 1e-12
+        at_dim = dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=128)
+        assert estimate_exponent(pure_pair, 1.2, [7], 1, seed=4, config=at_dim) == rows
+        with pytest.raises(TooLarge):
+            estimate_exponent(pure_pair, 1.2, [7], 1, seed=4, config=dataclasses.replace(at_dim, max_sim_dim=127))
 
 
 PURE_CHANNELS = pure_channels()
@@ -398,6 +423,6 @@ class TestSequenceTable:
         assert len(built) == len(records)
         for (args, q), rec in zip(built, records):
             book = args[1]
-            assert rec.pe == _pgm_error_diagonal(q)
+            assert rec.pe == _pgm_error_from_table(q) == _pgm_error_diagonal(W_BSC, book)
             assert rec.ml_pe == ml_error_classical(bsc_channel, book)
             assert rec.ml_pe == pytest.approx(classical_ml_error(W_BSC, book.codewords), abs=1e-12)
