@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NotClassical, NumericalInstability
+from .config import CLASSICAL_TOL
+from .errors import DimensionError, NotClassical
 from .linalg import hermitize, validate_density_matrix
 
 
@@ -80,42 +81,49 @@ class CQChannel:
             alphabet=[self.alphabet[i] for i in perm],
         )
 
-    def is_classical(self, tol: float = 1e-10) -> bool:
-        """Whether every pair of outputs commutes."""
-        k = self.size
-        for i in range(k):
-            for j in range(i + 1, k):
-                comm = self.outputs[i] @ self.outputs[j] - self.outputs[j] @ self.outputs[i]
-                if float(np.abs(comm).max()) > tol:
-                    return False
-        return True
+    def is_classical(self, tol: float = CLASSICAL_TOL) -> bool:
+        """Whether the outputs commute: ``common_eigenbasis`` finds a basis at ``tol``."""
+        return self._diagonalizing_basis(tol) is not None
 
-    def common_eigenbasis(self, tol: float = 1e-8, attempts: int = 8) -> np.ndarray:
+    def common_eigenbasis(self, tol: float = CLASSICAL_TOL, attempts: int = 8) -> np.ndarray:
         """Unitary whose columns simultaneously diagonalize all outputs.
+
+        In that basis every output has off-diagonal entries of at most
+        ``tol``. Raises NotClassical when no such basis is found.
+        """
+        v = self._diagonalizing_basis(tol, attempts)
+        if v is None:
+            raise NotClassical(f"channel outputs have no common eigenbasis within {tol:g}")
+        return v
+
+    def _diagonalizing_basis(self, tol: float, attempts: int = 8) -> np.ndarray | None:
+        """The basis of ``common_eigenbasis``, or None.
 
         Uses the generic trick of diagonalizing a random positive
         combination; retries with fresh weights break accidental
-        degeneracies. Raises NotClassical for non-commuting outputs.
+        degeneracies. Outputs within ``tol`` of diagonal in one basis have
+        commutators with entries of at most 2 d tol (1 + d tol), so pairs
+        above that are rejected before any decomposition.
         """
-        if not self.is_classical():
-            raise NotClassical("channel outputs do not commute")
+        d, k = self.dim, self.size
+        bound = 2 * d * tol * (1 + d * tol)
+        for i in range(k):
+            for j in range(i + 1, k):
+                comm = self.outputs[i] @ self.outputs[j] - self.outputs[j] @ self.outputs[i]
+                if float(np.abs(comm).max()) > bound:
+                    return None
         rng = np.random.default_rng(20240)
         for _ in range(attempts):
-            weights = rng.uniform(0.5, 1.5, size=self.size)
+            weights = rng.uniform(0.5, 1.5, size=k)
             combo = hermitize(np.einsum("m,mij->ij", weights, self.outputs))
             _, v = np.linalg.eigh(combo)
-            ok = True
-            for rho in self.outputs:
-                rot = v.conj().T @ rho @ v
-                off = rot - np.diag(np.diag(rot))
-                if float(np.abs(off).max()) > tol:
-                    ok = False
-                    break
-            if ok:
+            rotated = v.conj().T @ self.outputs @ v
+            off = rotated - rotated * np.eye(d)
+            if float(np.abs(off).max()) <= tol:
                 return v
-        raise NumericalInstability("failed to find a common eigenbasis")
+        return None
 
-    def induced_stochastic_matrix(self, tol: float = 1e-8) -> np.ndarray:
+    def induced_stochastic_matrix(self, tol: float = CLASSICAL_TOL) -> np.ndarray:
         """Classical transition matrix W[x, y] in the common eigenbasis."""
         v = self.common_eigenbasis(tol=tol)
         w = np.empty((self.size, self.dim), dtype=float)

@@ -4,23 +4,26 @@ Codebooks are drawn at random (i.i.d. or constant-composition), decoded
 with the pretty-good (square-root) measurement, and every error
 probability is exact: no Monte-Carlo sampling of outcomes.
 
-``estimate_exponent`` evaluates the PGM error on one of three paths, chosen
-by the channel's structure:
+``estimate_exponent`` draws all codebooks of one blocklength into one
+(B, M, n) letter array and evaluates the PGM error on one of three paths,
+chosen by the channel's structure:
 
-* **diagonal**, for commuting letters: one (M, d^n) table of output-sequence
-  probabilities per codebook gives both the PGM error and the exact
-  maximum-likelihood error;
-* **Gram**, for pure letters rho_x = |psi_x><psi_x| while M <= d^n: the
-  M x M Gram matrix of the codeword vectors replaces the d^n x d^n
-  codeword states;
+* **diagonal**, for commuting letters: a stack of (M, d^n) tables of
+  output-sequence probabilities, one per codebook, gives both the PGM
+  error and the exact maximum-likelihood error;
+* **Gram**, for pure letters rho_x = |psi_x><psi_x| while M <= d^n: a stack
+  of M x M Gram matrices of the codeword vectors, decomposed by one batched
+  ``eigh``, replaces the d^n x d^n codeword states;
 * **dense**, for every other channel, and for pure letters when M > d^n:
-  codeword states of dimension d^n.
+  codeword states of dimension d^n, one codebook at a time.
 
-``pgm_decoder``/``average_error`` build the measurement itself and stay the
-reference that every fast path is checked against. The resource cap
-``RunConfig.max_sim_dim`` bounds the dimension of the matrix that is
-decomposed: M on the Gram path, d^n on the other two, so for pure letters
-it caps min(M, d^n).
+The stacked paths run in chunks of at most ``CHUNK_ENTRIES`` table or Gram
+entries, so memory stays that of a few small codebooks; a codebook larger
+than that is a chunk of its own. ``pgm_decoder``/``average_error`` build the
+measurement itself and stay the reference that every fast path is checked
+against. The resource cap ``RunConfig.max_sim_dim`` bounds the dimension of
+the matrix that is decomposed: M on the Gram path, d^n on the other two, so
+for pure letters it caps min(M, d^n).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 from .channel import CQChannel
 from .config import DEFAULT_CONFIG, LN_BASE, RunConfig, SUPPORT_CUTOFF
 from .errors import DimensionError, NotClassical, TooLarge
-from .linalg import herm_eig, hermitize, mat_power, tensor_all
+from .linalg import herm_eig, hermitize, tensor_all
 from .typeclasses import TypeClass, nearest_type
 
 
@@ -131,19 +134,27 @@ class ExponentEstimate:
     implied_exponent: float
 
 
-def generate_codebook(alphabet_size: int, n: int, size: int, mode, seed) -> Codebook:
-    """Random codebook, deterministic given the seed; duplicates allowed."""
+# Most table or Gram-matrix entries a stacked evaluation holds at once.
+CHUNK_ENTRIES = 2 ** 16
+
+
+def _draw_words(alphabet_size: int, n: int, size: int, mode, seeds) -> np.ndarray:
+    """(len(seeds), size, n) letters: one random codebook per seed, each from its own stream."""
     if size < 1 or n < 1:
         raise ValueError("need size >= 1 and n >= 1")
-    rng = np.random.default_rng(seed if isinstance(seed, (int, np.integer)) else list(seed))
+    streams = [
+        np.random.default_rng(seed if isinstance(seed, (int, np.integer)) else list(seed))
+        for seed in seeds
+    ]
+    words = np.empty((len(streams), size, n), dtype=np.intp)
     if isinstance(mode, IID):
         prior = np.asarray(mode.prior, dtype=float)
         if prior.shape != (alphabet_size,):
             raise DimensionError(f"prior length {prior.shape} != alphabet {alphabet_size}")
         prior = np.clip(prior, 0.0, None)
         prior = prior / prior.sum()
-        draws = rng.choice(alphabet_size, size=(size, n), p=prior)
-        words = tuple(tuple(int(x) for x in row) for row in draws)
+        for book, rng in zip(words, streams):
+            book[:] = rng.choice(alphabet_size, size=(size, n), p=prior)
     elif isinstance(mode, ConstantComposition):
         t = mode.composition
         if t.n != n:
@@ -151,10 +162,21 @@ def generate_codebook(alphabet_size: int, n: int, size: int, mode, seed) -> Code
         if t.alphabet_size != alphabet_size:
             raise DimensionError("composition alphabet does not match")
         base = np.repeat(np.arange(alphabet_size), t.counts)
-        words = tuple(tuple(int(x) for x in rng.permutation(base)) for _ in range(size))
+        for book, rng in zip(words, streams):
+            for word in book:
+                word[:] = rng.permutation(base)
     else:
         raise TypeError(f"unknown codebook mode {mode!r}")
-    return Codebook(n=n, codewords=words)
+    return words
+
+
+def _as_codebook(words: np.ndarray) -> Codebook:
+    return Codebook(n=words.shape[1], codewords=tuple(map(tuple, words.tolist())))
+
+
+def generate_codebook(alphabet_size: int, n: int, size: int, mode, seed) -> Codebook:
+    """Random codebook, deterministic given the seed; duplicates allowed."""
+    return _as_codebook(_draw_words(alphabet_size, n, size, mode, [seed])[0])
 
 
 def codeword_state(channel: CQChannel, codeword: Sequence[int]) -> np.ndarray:
@@ -246,70 +268,97 @@ def pure_letter_overlaps(channel: CQChannel) -> np.ndarray | None:
     return overlaps
 
 
-def codeword_gram(overlaps: np.ndarray, words: Sequence[Sequence[int]]) -> np.ndarray:
-    """Gram matrix G[m, m'] = prod_i O[w_m,i, w_m',i] of pure product vectors."""
-    words = np.asarray(words)
-    g = np.ones((len(words), len(words)), dtype=complex)
-    for col in words.T:
-        g *= overlaps[np.ix_(col, col)]
+def _gram_stack(overlaps: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """(B, M, M) Gram matrices G[b, m, m'] = prod_i O[w_bm,i, w_bm',i] of a (B, M, n) letter stack."""
+    books, size, n = words.shape
+    g = np.ones((books, size, size), dtype=complex)
+    for i in range(n):
+        col = words[:, :, i]
+        g *= overlaps[col[:, :, None], col[:, None, :]]
     return g
 
 
-def _pgm_error_gram(overlaps: np.ndarray, codebook: Codebook) -> float:
-    """PGM error for pure letters from the M x M Gram matrix of the codewords.
+def codeword_gram(overlaps: np.ndarray, words: Sequence[Sequence[int]]) -> np.ndarray:
+    """Gram matrix G[m, m'] = prod_i O[w_m,i, w_m',i] of pure product vectors."""
+    return _gram_stack(overlaps, np.asarray(words)[None])[0]
+
+
+def _gram_errors(overlaps: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """PGM errors of a (B, M, n) stack of pure-letter codebooks, one per Gram matrix.
 
     With Psi the matrix of codeword vectors, Psi^dagger S^(-1/2) Psi is
     (Psi^dagger Psi)^(1/2) = G^(1/2), so message m is decoded with
     probability ((G^(1/2))_mm)^2 (Hausladen, Jozsa, Schumacher, Westmoreland
     and Wootters, PRA 54, 1869, 1996). G and S share their nonzero spectrum,
-    so the root on supp(G) cuts what S^(-1/2) cuts on the dense path; this
-    holds for duplicate codewords (singular G) too.
+    so the root on supp(G), cut per matrix as ``mat_power`` cuts, drops what
+    S^(-1/2) drops on the dense path; this holds for duplicate codewords
+    (singular G) too. Only the diagonal (G^(1/2))_mm = sum_k |V_mk|^2
+    sqrt(lambda_k) is formed, from one batched ``eigh`` of the stack.
     """
-    root = mat_power(codeword_gram(overlaps, codebook.codewords), 0.5)
-    success = float((np.diag(root).real ** 2).mean())
-    return min(max(1.0 - success, 0.0), 1.0)
+    lam, vec = np.linalg.eigh(_gram_stack(overlaps, words))
+    cut = SUPPORT_CUTOFF * np.maximum(lam[:, -1:], 0.0)
+    root = np.sqrt(np.where(lam > cut, lam, 0.0))
+    diag = ((vec.real ** 2 + vec.imag ** 2) * root[:, None, :]).sum(axis=2)
+    return np.clip(1.0 - (diag ** 2).mean(axis=1), 0.0, 1.0)
 
 
-def _sequence_distributions(w: np.ndarray, codebook: Codebook) -> np.ndarray:
-    """(M, d^n) table of output-sequence probabilities, one row per codeword.
+def _pgm_error_gram(overlaps: np.ndarray, codebook: Codebook) -> float:
+    """PGM error for pure letters from the M x M Gram matrix of one codebook."""
+    return float(_gram_errors(overlaps, np.asarray(codebook.codewords)[None])[0])
 
-    Row m is the Kronecker product of the rows w[x] of the codeword's
-    letters, built one position at a time for all codewords at once.
+
+def _sequence_table(w: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """(B, M, d^n) output-sequence probabilities of a (B, M, n) letter stack.
+
+    Row (b, m) is the Kronecker product of the rows w[x] of codeword m of
+    codebook b, built one position at a time for the whole stack at once.
     """
-    words = np.asarray(codebook.codewords)
-    q = w[words[:, 0]]
-    for col in words.T[1:]:
-        q = (q[:, :, None] * w[col][:, None, :]).reshape(len(words), -1)
+    books, size, n = words.shape
+    q = w[words[:, :, 0]]
+    for i in range(1, n):
+        q = (q[:, :, :, None] * w[words[:, :, i]][:, :, None, :]).reshape(books, size, -1)
     return q
 
 
-def _pgm_error_from_table(q: np.ndarray) -> float:
-    """PGM error on a commuting channel, from its sequence-probability table."""
-    s = q.sum(axis=0)
-    on = s > 0
-    success = (q[:, on] ** 2 / s[on]).sum(axis=1)
-    return min(max(1.0 - float(success.mean()), 0.0), 1.0)
+def _table_errors(q: np.ndarray) -> np.ndarray:
+    """(2, B) PGM errors, then ML errors, of a (B, M, d^n) table stack; squares ``q`` in place."""
+    size = q.shape[1]
+    ml = 1.0 - q.max(axis=1).sum(axis=1) / size
+    s = q.sum(axis=1, keepdims=True)
+    s[s == 0] = 1.0  # every q is 0 where its column sums to 0
+    q *= q
+    q /= s
+    pgm = 1.0 - q.sum(axis=2).mean(axis=1)
+    return np.clip(np.stack((pgm, ml)), 0.0, 1.0)
 
 
-def _ml_error_from_table(q: np.ndarray) -> float:
-    """Maximum-likelihood error on a commuting channel, from the same table."""
-    return min(max(1.0 - float(q.max(axis=0).sum()) / len(q), 0.0), 1.0)
+def _sequence_distributions(w: np.ndarray, codebook: Codebook) -> np.ndarray:
+    """(M, d^n) table of output-sequence probabilities, one row per codeword."""
+    return _sequence_table(w, np.asarray(codebook.codewords)[None])[0]
 
 
 def _pgm_error_diagonal(w: np.ndarray, codebook: Codebook) -> float:
     """PGM error on a commuting channel, evaluated in the common eigenbasis."""
-    return _pgm_error_from_table(_sequence_distributions(w, codebook))
+    return float(_table_errors(_sequence_distributions(w, codebook)[None])[0, 0])
 
 
 def ml_error_classical(
     channel: CQChannel, codebook: Codebook, config: RunConfig = DEFAULT_CONFIG
 ) -> float:
     """Exact minimum average error for commuting outputs (ML decoding)."""
-    if not channel.is_classical():
-        raise NotClassical("maximum-likelihood baseline needs commuting outputs")
+    w = channel.induced_stochastic_matrix()
     _check_sim_dim(channel.dim ** codebook.n, config)
-    q = _sequence_distributions(channel.induced_stochastic_matrix(), codebook)
-    return _ml_error_from_table(q)
+    return float(_table_errors(_sequence_distributions(w, codebook)[None])[1, 0])
+
+
+def _in_chunks(kernel, words: np.ndarray, entries_per_book: int) -> np.ndarray:
+    """``kernel`` over a (B, M, n) letter stack, at most ``CHUNK_ENTRIES`` entries at a time.
+
+    ``kernel`` maps a slice of the stack to an array whose last axis runs
+    over its codebooks; the pieces are joined in stack order.
+    """
+    step = max(1, CHUNK_ENTRIES // entries_per_book)
+    return np.concatenate([kernel(words[i:i + step]) for i in range(0, len(words), step)], axis=-1)
 
 
 def estimate_exponent(
@@ -329,10 +378,12 @@ def estimate_exponent(
     this rate, and constant-composition at the nearest type. The reported
     statistic is the minimum exact PGM error over all draws, mirroring the
     infimum over codes; the mean is kept for diagnostics. Each trial derives
-    its RNG stream from (seed, n, trial, mode). Errors come from the
-    diagonal, Gram or dense path of the module docstring, chosen per
-    blocklength, and ``config.max_sim_dim`` caps M on the Gram path and d^n
-    on the others.
+    its RNG stream from (seed, n, trial, mode). All 2 x ``trials_per_n``
+    codebooks of one blocklength are drawn into one letter stack and
+    evaluated together on the diagonal or Gram path of the module docstring,
+    in chunks of at most ``CHUNK_ENTRIES`` entries; the dense path takes them
+    one codebook at a time. The path is chosen per blocklength, and
+    ``config.max_sim_dim`` caps M on the Gram path and d^n on the others.
 
     Returns a list of :class:`ExponentEstimate`; with ``return_trials`` a
     second list of :class:`TrialRecord` (including exact ML errors on
@@ -346,29 +397,25 @@ def estimate_exponent(
         analysis = ChannelAnalysis(channel, config)
     low = analysis.lower_bound(rate)
     prior = analysis.mutual_info(low.alpha).prior
-    classical = channel.is_classical()
-    w = channel.induced_stochastic_matrix() if classical else None
-    overlaps = None if classical else pure_letter_overlaps(channel)
+    try:
+        w = channel.induced_stochastic_matrix()
+    except NotClassical:
+        w = None
+    overlaps = None if w is not None else pure_letter_overlaps(channel)
+    names = ("iid", "cc")
 
-    def errors(book: Codebook, gram: bool) -> tuple[float, float | None]:
-        """(PGM error, ML error or None) on the path the channel's structure allows."""
-        if classical:
-            q = _sequence_distributions(w, book)
-            return _pgm_error_from_table(q), _ml_error_from_table(q)
+    def errors(words: np.ndarray, gram: bool) -> tuple[list[float], list[float | None]]:
+        """PGM and ML errors (None off the diagonal path) of a (B, M, n) letter stack."""
+        books, size, n = words.shape
+        if w is not None:
+            pe, ml = _in_chunks(
+                lambda part: _table_errors(_sequence_table(w, part)), words, size * w.shape[1] ** n
+            )
+            return pe.tolist(), ml.tolist()
         if gram:
-            return _pgm_error_gram(overlaps, book), None
-        return _pgm_error_dense(channel, book, config), None
-
-    def one_trial(n: int, trial: int, gram: bool) -> list[TrialRecord]:
-        records = []
-        size = int(round(2.0 ** (n * rate)))
-        for mode_idx, (name, mode) in enumerate(
-            (("iid", IID(prior=prior)), ("cc", ConstantComposition(nearest_type(prior, n))))
-        ):
-            book = generate_codebook(channel.size, n, size, mode, seed=[seed, n, trial, mode_idx])
-            pe, ml = errors(book, gram)
-            records.append(TrialRecord(n=n, trial=trial, mode=name, pe=pe, ml_pe=ml))
-        return records
+            pe = _in_chunks(lambda part: _gram_errors(overlaps, part), words, size * size)
+            return pe.tolist(), [None] * books
+        return [_pgm_error_dense(channel, _as_codebook(book), config) for book in words], [None] * books
 
     estimates: list[ExponentEstimate] = []
     all_records: list[TrialRecord] = []
@@ -384,9 +431,22 @@ def estimate_exponent(
                 ExponentEstimate(n=n, size=size, best_pe=0.0, mean_pe=0.0, implied_exponent=math.inf)
             )
             continue
-        records = [rec for trial in range(trials_per_n) for rec in one_trial(n, trial, gram)]
-        all_records.extend(records)
-        pes = [rec.pe for rec in records]
+        modes = (IID(prior=prior), ConstantComposition(nearest_type(prior, n)))
+        # (trials, mode, M, n), flattened so that codebook b is trial b // 2 in mode b % 2.
+        words = np.stack(
+            [
+                _draw_words(
+                    channel.size, n, size, mode, [[seed, n, trial, mode_idx] for trial in range(trials_per_n)]
+                )
+                for mode_idx, mode in enumerate(modes)
+            ],
+            axis=1,
+        ).reshape(-1, size, n)
+        pes, mls = errors(words, gram)
+        all_records.extend(
+            TrialRecord(n=n, trial=b // 2, mode=names[b % 2], pe=pe, ml_pe=ml)
+            for b, (pe, ml) in enumerate(zip(pes, mls))
+        )
         best = min(pes)
         implied = math.inf if best <= 0.0 else -math.log(best) / (n * LN_BASE)
         estimates.append(

@@ -23,6 +23,11 @@ PSD_TOL = 1e-10
 # Relative cutoff used when testing supp(rho) <= supp(sigma).
 SUPPORT_CONTAINMENT_TOL = 1e-10
 
+# Outputs count as commuting (a classical channel) when one unitary brings
+# every one of them to diagonal form up to off-diagonal entries this small;
+# the diagonal coding path drops those entries.
+CLASSICAL_TOL = 1e-10
+
 # Default cap on the dimension of a Kronecker chain (``linalg.tensor_all``).
 MAX_TENSOR_DIM = 2 ** 14
 

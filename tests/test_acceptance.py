@@ -2,6 +2,7 @@
 printed PASS line (run with ``pytest tests/test_acceptance.py -v -s``)."""
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cqexp import (
     enumerate_types,
     estimate_exponent,
     holevo_information,
+    load_channel,
     petz_divergence,
     renyi_mi_channel,
     renyi_mi_channel_prior,
@@ -214,6 +216,28 @@ def test_criterion_7_coding_band(bsc_session):
         7,
         f"implied exponents {summaries} inside band around [{lower:.4f}, {upper:.4f}], "
         f"PGM >= ML on all {len(records)} trials, {elapsed:.1f}s",
+    )
+
+
+def test_criterion_7_coding_band_pure_pair():
+    """Pure letters past n = 8: the Gram path's best-of-trials exponents sit in the band too."""
+    channel = load_channel(Path(__file__).resolve().parent.parent / "channels" / "pure_pair.json")
+    session = ChannelAnalysis(channel)
+    rate = 0.3
+    start = time.perf_counter()
+    lower = session.lower_bound(rate).value
+    upper = session.upper_bound(rate).value
+    rows = estimate_exponent(channel, rate, [4, 8, 12, 16, 20, 24], 50, seed=1234, analysis=session)
+    summaries = []
+    for row in rows:
+        slack = (2 * np.log2(row.n + 1) + 2) / row.n
+        assert lower - slack <= row.implied_exponent <= upper + slack
+        summaries.append(f"n={row.n} (M={row.size}): {row.implied_exponent:.3f}")
+    elapsed = time.perf_counter() - start
+    report(
+        7,
+        f"pure_pair implied exponents {summaries} inside band around [{lower:.4f}, {upper:.4f}], "
+        f"{elapsed:.1f}s",
     )
 
 

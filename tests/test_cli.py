@@ -192,6 +192,37 @@ class TestSimulate:
         assert rows[0][:2] == ["12", "12"]
         assert runner.invoke(main, args + ["--max-dim", "8"]).exit_code == 4
 
+    def test_nearly_commuting_letters_exit_0(self, runner, tmp_path):
+        # I/2 + 5e-6 sigma_z and I/2 + 5e-6 sigma_x: the commutator is 5e-11,
+        # but no basis makes both diagonal, so the dense path runs.
+        from cqexp import ChannelAnalysis, ConstantComposition, IID, estimate_exponent, generate_codebook
+        from cqexp import load_channel, nearest_type
+        from cqexp.coding import _pgm_error_dense
+        from cqexp.config import DEFAULT_CONFIG
+
+        eps = 5e-6
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"cqspec": 1, "dim": 2, "outputs": [
+            [[[0.5 + eps, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5 - eps, 0.0]]],
+            [[[0.5, 0.0], [eps, 0.0]], [[eps, 0.0], [0.5, 0.0]]],
+        ]}), encoding="utf-8")
+        args = ["simulate", str(path), "--rate", "0.3", "--n-list", "2,4", "--trials", "2", "--seed", "1"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0
+        channel = load_channel(path)
+        assert not channel.is_classical()
+        rows, records = estimate_exponent(channel, 0.3, [2, 4], 2, 1, return_trials=True)
+        session = ChannelAnalysis(channel)
+        prior = session.mutual_info(session.lower_bound(0.3).alpha).prior
+        for rec in records:
+            mode_idx = ("iid", "cc").index(rec.mode)
+            mode = IID(prior=prior) if mode_idx == 0 else ConstantComposition(nearest_type(prior, rec.n))
+            book = generate_codebook(2, rec.n, 2, mode, seed=[1, rec.n, rec.trial, mode_idx])
+            assert rec.ml_pe is None
+            assert rec.pe == _pgm_error_dense(channel, book, DEFAULT_CONFIG)
+        _, printed = rows_of(res.output)
+        assert [float(r[2]) for r in printed] == [float(f"{row.best_pe:.9g}") for row in rows]
+
 
 class TestBestType:
     def test_first_row_is_vertex_value(self, runner):
@@ -285,6 +316,15 @@ n,M,best_pe,mean_pe,implied_exponent,lower_bound,upper_bound
 8,5,0.0425961574,0.101100927,0.569141612,0.115037499,0.115043006
 """
 
+# The README's simulate command on bsc01, on the diagonal path.
+GOLDEN_SIMULATE_BSC01 = """\
+n,M,best_pe,mean_pe,implied_exponent,lower_bound,upper_bound
+2,2,0.109756098,0.281834146,1.5938135,0.0520626224,0.0520626224
+4,2,0.0316121646,0.148132427,1.24584409,0.0520626224,0.0520626224
+6,3,0.0562454593,0.149639416,0.692019926,0.0520626224,0.0520626224
+8,5,0.0682262675,0.151155684,0.484191112,0.0520626224,0.0520626224
+"""
+
 GOLDEN_BESTTYPE_PURE_PAIR = """\
 n,best_type,value_per_use,I_alpha_target
 1,1|0,0,0.415037499
@@ -305,6 +345,13 @@ class TestGoldenOutputs:
         ])
         assert res.exit_code == 0
         assert res.stdout == GOLDEN_SIMULATE_PURE_PAIR
+
+    def test_simulate_bsc01(self, runner):
+        res = runner.invoke(main, [
+            "simulate", BSC, "--rate", "0.3", "--n-list", "2,4,6,8", "--trials", "200", "--seed", "1",
+        ])
+        assert res.exit_code == 0
+        assert res.stdout == GOLDEN_SIMULATE_BSC01
 
     def test_besttype_pure_pair(self, runner):
         res = runner.invoke(main, ["besttype", PURE_PAIR, "--alpha", "0.5", "--nmax", "8"])

@@ -1,12 +1,14 @@
 import dataclasses
 import math
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cqexp import (
     CQChannel,
+    ChannelAnalysis,
     Codebook,
     ConstantComposition,
     IID,
@@ -15,6 +17,7 @@ from cqexp import (
     average_error,
     estimate_exponent,
     generate_codebook,
+    load_channel,
     ml_error_classical,
     nearest_type,
     pgm_decoder,
@@ -24,7 +27,6 @@ from cqexp import coding
 from cqexp.coding import (
     _pgm_error_dense,
     _pgm_error_diagonal,
-    _pgm_error_from_table,
     _pgm_error_gram,
     _sequence_distributions,
     codeword_gram,
@@ -37,6 +39,29 @@ from conftest import pure_channels, random_channel
 from oracles import classical_ml_error
 
 W_BSC = np.array([[0.9, 0.1], [0.1, 0.9]])
+
+
+def _check_against_references(channel, rate, seed, records):
+    """Every trial record against its codebook, drawn again from the record's stream.
+
+    ``pe`` must match the dense PGM error of that one codebook within the
+    fast-path tolerance. On a commuting channel ``ml_pe`` must equal the
+    one-codebook ML error and match the loop-based oracle.
+    """
+    session = ChannelAnalysis(channel)
+    prior = session.mutual_info(session.lower_bound(rate).alpha).prior
+    w = channel.induced_stochastic_matrix() if channel.is_classical() else None
+    for rec in records:
+        size = int(round(2.0 ** (rec.n * rate)))
+        mode_idx = ("iid", "cc").index(rec.mode)
+        mode = IID(prior=prior) if mode_idx == 0 else ConstantComposition(nearest_type(prior, rec.n))
+        book = generate_codebook(channel.size, rec.n, size, mode, seed=[seed, rec.n, rec.trial, mode_idx])
+        assert rec.pe == pytest.approx(_pgm_error_dense(channel, book, DEFAULT_CONFIG), abs=1e-12)
+        if w is None:
+            assert rec.ml_pe is None
+        else:
+            assert rec.ml_pe == ml_error_classical(channel, book)
+            assert rec.ml_pe == pytest.approx(classical_ml_error(w, book.codewords), abs=1e-12)
 
 
 class TestGenerateCodebook:
@@ -276,12 +301,13 @@ class TestPackingLimit:
         # At n = 1, M = 2 = 2^n takes the Gram path; at n = 2, 3 the M x M
         # Gram matrix would exceed the 2^n-dimensional states, so the dense
         # path runs, and the same packing floor holds.
-        gram = TestPathSelection._spy(monkeypatch, "_pgm_error_gram")
+        gram = TestPathSelection._spy(monkeypatch, "_gram_errors")
         dense = TestPathSelection._spy(monkeypatch, "_pgm_error_dense")
         rows, records = estimate_exponent(pure_pair, 1.2, [1, 2, 3], 5, seed=4, return_trials=True)
         assert [row.size for row in rows] == [2, 5, 12]
-        assert [out for _, out in gram] == [rec.pe for rec in records if rec.n == 1]
-        assert [out for _, out in dense] == [rec.pe for rec in records if rec.n > 1]
+        assert [args[1].shape[2] for args, _ in gram] == [1]
+        assert len(dense) == sum(rec.n > 1 for rec in records)
+        _check_against_references(pure_pair, 1.2, 4, records)
         for row in rows[1:]:
             assert row.best_pe >= 1.0 - (2 ** row.n) / row.size - 1e-12
             assert row.best_pe > 0.0
@@ -376,11 +402,11 @@ class TestPathSelection:
 
     def test_pure_channel_takes_gram_path(self, monkeypatch, pure_pair):
         dense = self._spy(monkeypatch, "_pgm_error_dense")
-        gram = self._spy(monkeypatch, "_pgm_error_gram")
+        gram = self._spy(monkeypatch, "_gram_errors")
         _, records = estimate_exponent(pure_pair, 0.3, [2, 4], 3, seed=5, return_trials=True)
         assert not dense
-        assert [out for _, out in gram] == [rec.pe for rec in records]
-        assert all(rec.ml_pe is None for rec in records)
+        assert sum(len(out) for _, out in gram) == len(records)
+        _check_against_references(pure_pair, 0.3, 5, records)
 
     def test_near_pure_letter_takes_dense_path(self, monkeypatch):
         # Second eigenvalue 1e-9 is above SUPPORT_CUTOFF: the letter is mixed.
@@ -417,12 +443,127 @@ class TestSequenceTable:
                 assert np.array_equal(table, self._kron_rows(w, book))
 
     def test_one_table_per_codebook(self, monkeypatch, bsc_channel):
-        tables = TestPathSelection._spy(monkeypatch, "_sequence_distributions")
+        tables = TestPathSelection._spy(monkeypatch, "_sequence_table")
         _, records = estimate_exponent(bsc_channel, 0.3, [4, 6], 4, seed=2, return_trials=True)
-        built = list(tables)
-        assert len(built) == len(records)
-        for (args, q), rec in zip(built, records):
-            book = args[1]
-            assert rec.pe == _pgm_error_from_table(q) == _pgm_error_diagonal(W_BSC, book)
-            assert rec.ml_pe == ml_error_classical(bsc_channel, book)
-            assert rec.ml_pe == pytest.approx(classical_ml_error(W_BSC, book.codewords), abs=1e-12)
+        assert sum(len(q) for _, q in tables) == len(records)
+        _check_against_references(bsc_channel, 0.3, 2, records)
+
+
+CHANNELS_DIR = Path(__file__).resolve().parent.parent / "channels"
+
+
+def _rotated_classical(rng) -> CQChannel:
+    """Commuting outputs that are not diagonal in the computational basis."""
+    from conftest import random_unitary
+
+    u = random_unitary(2, rng)
+    w = np.array([[0.8, 0.2], [0.3, 0.7]])
+    return CQChannel.from_states([u @ np.diag(row.astype(complex)) @ u.conj().T for row in w])
+
+
+class TestBatching:
+    @pytest.mark.parametrize("name, kernel", [("bsc01", "_sequence_table"), ("pure_pair", "_gram_errors")])
+    def test_chunks_of_one_match_default(self, monkeypatch, name, kernel):
+        channel = load_channel(CHANNELS_DIR / f"{name}.json")
+        rows, records = estimate_exponent(channel, 0.3, [2, 4, 6, 8], 6, seed=8, return_trials=True)
+        monkeypatch.setattr(coding, "CHUNK_ENTRIES", 1)
+        calls = TestPathSelection._spy(monkeypatch, kernel)
+        chunked_rows, chunked = estimate_exponent(channel, 0.3, [2, 4, 6, 8], 6, seed=8, return_trials=True)
+        assert len(calls) == len(records)  # every codebook a chunk of its own
+        assert [(r.n, r.trial, r.mode) for r in chunked] == [(r.n, r.trial, r.mode) for r in records]
+        for a, b in zip(chunked, records):
+            assert a.pe == pytest.approx(b.pe, abs=1e-14)
+            assert a.ml_pe == (None if b.ml_pe is None else pytest.approx(b.ml_pe, abs=1e-14))
+        assert [r.size for r in chunked_rows] == [r.size for r in rows]
+
+    def test_default_chunks_hold_at_most_the_bound(self, monkeypatch, bsc_channel):
+        tables = TestPathSelection._spy(monkeypatch, "_sequence_table")
+        _, records = estimate_exponent(bsc_channel, 0.3, [8], 100, seed=3, return_trials=True)
+        sizes = [q.size for _, q in tables]
+        assert len(sizes) > 1 and max(sizes) <= coding.CHUNK_ENTRIES
+        assert sum(len(q) for _, q in tables) == len(records) == 200
+
+    def test_singular_gram_inside_a_batch(self, pure_pair):
+        overlaps = pure_letter_overlaps(pure_pair)
+        duplicate = Codebook(n=3, codewords=((0, 1, 0), (0, 1, 0), (1, 1, 0), (1, 0, 1)))
+        regular = [
+            generate_codebook(2, 3, 4, IID(prior=np.array([0.5, 0.5])), seed=[31, k]) for k in range(3)
+        ]
+        books = [regular[0], duplicate, regular[1], regular[2]]
+        stacked = coding._gram_errors(overlaps, np.asarray([b.codewords for b in books]))
+        for book, pe in zip(books, stacked):
+            assert pe == pytest.approx(_pgm_error_dense(pure_pair, book, DEFAULT_CONFIG), abs=1e-12)
+            assert pe == pytest.approx(average_error(pure_pair, book, pgm_decoder(pure_pair, book)).pe, abs=1e-12)
+        assert stacked[1] >= 0.25 - 1e-12
+
+    def test_support_cut_is_per_matrix(self):
+        # Letters 0 and 1 overlap in c = 1 - 1e-11, all others are orthogonal.
+        # Book A (letters 0..11) has eigenvalues 1 +- c and 1: its own cut,
+        # 1e-12 * (1 + c), keeps 1 - c = 1e-11. Book B (letter 2 twelve
+        # times) has largest eigenvalue 12, and a cut taken over the stack
+        # (1.2e-11) would drop that eigenvalue from A.
+        c = 1.0 - 1e-11
+        overlaps = np.eye(12, dtype=complex)
+        overlaps[0, 1] = overlaps[1, 0] = c
+        a = np.arange(12)[:, None]
+        b = np.full((12, 1), 2)
+        pe = coding._gram_errors(overlaps, np.stack([a, b]))
+        diag = (np.sqrt(1 + c) + np.sqrt(1 - c)) / 2
+        assert pe[0] == pytest.approx(1 - (10 + 2 * diag ** 2) / 12, abs=1e-9)
+        assert pe[1] == pytest.approx(11 / 12, abs=1e-12)
+        for words, got in zip((a, b), pe):
+            assert got == coding._gram_errors(overlaps, words[None])[0]
+
+    def test_zero_columns_inside_a_batch(self, monkeypatch):
+        # noiseless_bit has W = I: most output sequences have probability 0
+        # under every codeword of a book, so s = 0 columns sit in the stack.
+        channel = load_channel(CHANNELS_DIR / "noiseless_bit.json")
+        tables = TestPathSelection._spy(monkeypatch, "_sequence_table")
+        rows, records = estimate_exponent(channel, 0.5, [2, 4, 6], 10, seed=12, return_trials=True)
+        monkeypatch.undo()
+        assert any((q.sum(axis=1) == 0).any() for _, q in tables)
+        for rec in records:
+            assert np.isfinite(rec.pe) and np.isfinite(rec.ml_pe)
+        _check_against_references(channel, 0.5, 12, records)
+
+
+class TestClassicalDetection:
+    @pytest.mark.parametrize("name", ["bsc01", "noiseless_bit", "rotated"])
+    def test_commuting_channels_take_diagonal_path(self, monkeypatch, rng, name):
+        channel = _rotated_classical(rng) if name == "rotated" else load_channel(CHANNELS_DIR / f"{name}.json")
+        assert channel.is_classical()
+        tables = TestPathSelection._spy(monkeypatch, "_sequence_table")
+        dense = TestPathSelection._spy(monkeypatch, "_pgm_error_dense")
+        _, records = estimate_exponent(channel, 0.3, [2, 4], 3, seed=6, return_trials=True)
+        assert not dense
+        assert sum(len(q) for _, q in tables) == len(records)
+        assert all(rec.ml_pe is not None for rec in records)
+
+    def test_nearly_commuting_letters_take_dense_path(self, monkeypatch):
+        # The commutator (5e-11) is tiny, but in any basis one letter keeps
+        # off-diagonal entries near 5e-6: no common eigenbasis, so dense.
+        eps = 5e-6
+        sz = np.diag([eps, -eps]).astype(complex)
+        sx = np.array([[0, eps], [eps, 0]], dtype=complex)
+        channel = CQChannel.from_states([np.eye(2) / 2 + sz, np.eye(2) / 2 + sx])
+        comm = channel.outputs[0] @ channel.outputs[1] - channel.outputs[1] @ channel.outputs[0]
+        assert 0 < np.abs(comm).max() < 1e-10
+        assert not channel.is_classical()
+        with pytest.raises(NotClassical):
+            channel.common_eigenbasis()
+        tables = TestPathSelection._spy(monkeypatch, "_sequence_table")
+        dense = TestPathSelection._spy(monkeypatch, "_pgm_error_dense")
+        _, records = estimate_exponent(channel, 0.3, [2, 4], 3, seed=6, return_trials=True)
+        assert not tables
+        assert [out for _, out in dense] == [rec.pe for rec in records]
+
+    def test_commutator_screen_rejects_without_decomposition(self, monkeypatch, pure_pair):
+        # Entries of [rho, sigma] above 2 d tol (1 + d tol) rule out a basis
+        # within tol, so pure_pair is rejected before any eigh.
+        real = np.linalg.eigh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or real(a))
+        assert not pure_pair.is_classical()
+        with pytest.raises(NotClassical):
+            pure_pair.common_eigenbasis()
+        assert not calls
