@@ -21,10 +21,10 @@ import numpy as np
 from .channel import CQChannel
 from .coding import codeword_gram, pure_letter_overlaps
 from .config import DEFAULT_CONFIG, LN_BASE, RunConfig
-from .divergences import check_alpha, letter_powers, mi_values_from_powers
+from .divergences import check_alpha, letter_powers
 from .errors import InvalidGrid, NumericalInstability, RateAboveCapacity, TooLarge
 from .linalg import log_base_psd, mat_power, tensor_all, von_neumann_entropy
-from .simplex_opt import SimplexMaximum, maximize_on_simplex
+from .simplex_opt import ConvexSurrogate, SimplexMaximum, maximize_on_simplex
 from .typeclasses import TypeClass, enumerate_sequences, enumerate_types
 
 
@@ -93,54 +93,109 @@ class ExponentCurve:
 
 
 # ---------------------------------------------------------------------------
-# Batched objective evaluations over priors.
+# Convex surrogates of the prior objectives.
 
 
-def _renyi_value_batch(priors: np.ndarray, powers: np.ndarray, alpha: float) -> np.ndarray:
-    return mi_values_from_powers(powers, priors, alpha)
+def _mix(prior: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """sum_x p_x M_x."""
+    return np.einsum("km,mij->kij", prior[None, :], mats)[0]
 
 
-def _renyi_value_grad_batch(
-    priors: np.ndarray, powers: np.ndarray, alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
-    priors = np.atleast_2d(priors)
-    avg = np.einsum("km,mij->kij", priors, powers)
-    lam, vec = np.linalg.eigh(avg)
-    lam = np.clip(lam, 0.0, None)
-    total = (lam ** (1.0 / alpha)).sum(axis=-1)
-    vals = alpha / (alpha - 1.0) * np.log(total) / LN_BASE
-    mu = lam ** ((1.0 - alpha) / alpha)  # exponent > 0 for alpha < 1, so 0 -> 0
-    traces = np.einsum("kai,xab,kbi,ki->kx", vec.conj(), powers, vec, mu).real
-    grads = traces / ((alpha - 1.0) * LN_BASE * total[:, None])
-    return vals, grads
+def _divided_differences(lam: np.ndarray, fn, dfn) -> np.ndarray:
+    """Gamma_ij = (fn(l_i) - fn(l_j)) / (l_i - l_j) on supp(A), zero off it.
+
+    The support is cut at the eigensolver's noise floor, d eps lambda_max:
+    fn has a singular derivative at 0, and a letter of tiny weight
+    contributes eigenvalues far below the relative cutoff of the matrix
+    powers whose curvature the Newton step needs. Where two eigenvalues agree
+    to about sqrt(eps) the quotient loses its digits, so dfn at their
+    midpoint stands in for it.
+    """
+    top = lam.max()
+    on = lam > len(lam) * np.finfo(float).eps * top
+    lam = np.where(on, lam, top)
+    diff = lam[:, None] - lam[None, :]
+    close = np.abs(diff) <= 1e-8 * top
+    values = fn(lam)
+    gamma = np.divide(values[:, None] - values[None, :], diff, out=np.zeros_like(diff), where=~close)
+    gamma[close] = dfn((lam[:, None] + lam[None, :])[close] / 2)
+    return np.where(on[:, None] & on[None, :], gamma, 0.0)
 
 
-def _holevo_batches(channel: CQChannel):
+def _letter_derivatives(mats: np.ndarray, vec: np.ndarray, weights: np.ndarray, gamma, scale: float):
+    """Gradient sum_i (P_x)_ii w_i, P_x = V^dagger M_x V, and the Hessian of
+    the spectral function it differentiates (Daleckii-Krein; Bhatia, Matrix
+    Analysis, V.3): scale * Re sum_ij Gamma_ij (P_x)_ij (P_y)_ji.
+
+    Only the diagonals of P_x enter the gradient; the full P_x is formed
+    when the Hessian is asked for.
+    """
+    rotated = mats @ vec
+    grad = np.einsum("ai,xai->xi", vec.conj(), rotated).real @ weights
+
+    def hessian() -> np.ndarray:
+        flat = (vec.conj().T @ rotated).reshape(len(mats), -1)
+        return scale * ((gamma().ravel() * flat) @ flat.conj().T).real
+
+    return grad, hessian
+
+
+def _renyi_surrogate(powers: np.ndarray, alpha: float) -> ConvexSurrogate:
+    """f(p) = tr[A^b], A = sum_x p_x rho_x^a, b = 1/a; I_a = a/(a-1) log2 f."""
+    beta = 1.0 / alpha
+
+    def value(prior: np.ndarray) -> float:
+        lam = np.clip(np.linalg.eigvalsh(_mix(prior, powers)), 0.0, None)
+        return float((lam ** beta).sum())
+
+    def derivatives(prior: np.ndarray):
+        lam, vec = np.linalg.eigh(_mix(prior, powers))
+        lam = np.clip(lam, 0.0, None)
+        mu = lam ** (beta - 1.0)  # exponent > 0 for alpha < 1, so 0 -> 0
+        grad, hessian = _letter_derivatives(
+            powers, vec, beta * mu,
+            lambda: _divided_differences(
+                lam, lambda t: t ** (beta - 1.0), lambda t: (beta - 1.0) * t ** (beta - 2.0)
+            ),
+            beta,
+        )
+        return float((lam ** beta).sum()), grad, hessian
+
+    def maximand(f: float) -> tuple[float, float]:
+        return (
+            float(alpha / (alpha - 1.0) * np.log(f) / LN_BASE),
+            alpha / ((1.0 - alpha) * LN_BASE * f),
+        )
+
+    return ConvexSurrogate(value, derivatives, maximand)
+
+
+def _holevo_surrogate(channel: CQChannel) -> ConvexSurrogate:
+    """f(p) = -chi(p) = sum_x p_x S(rho_x) - S(A), A = sum_x p_x rho_x, in bits."""
     outputs = channel.outputs
     letter_entropy = np.asarray([von_neumann_entropy(rho) for rho in outputs])
 
-    def value(priors: np.ndarray) -> np.ndarray:
-        priors = np.atleast_2d(priors)
-        avg = np.einsum("km,mij->kij", priors, outputs)
-        lam = np.clip(np.linalg.eigvalsh(avg), 0.0, None)
+    def entropy(lam: np.ndarray) -> float:
         plogp = np.where(lam > 0, lam * np.log(np.maximum(lam, 1e-300)), 0.0)
-        mix = -plogp.sum(axis=-1) / LN_BASE
-        return mix - priors @ letter_entropy
+        return -plogp.sum() / LN_BASE
 
-    def value_grad(priors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        priors = np.atleast_2d(priors)
-        avg = np.einsum("km,mij->kij", priors, outputs)
-        lam, vec = np.linalg.eigh(avg)
+    def value(prior: np.ndarray) -> float:
+        lam = np.clip(np.linalg.eigvalsh(_mix(prior, outputs)), 0.0, None)
+        return -float(entropy(lam) - prior @ letter_entropy)
+
+    def derivatives(prior: np.ndarray):
+        lam, vec = np.linalg.eigh(_mix(prior, outputs))
         lam = np.clip(lam, 0.0, None)
-        plogp = np.where(lam > 0, lam * np.log(np.maximum(lam, 1e-300)), 0.0)
-        mix = -plogp.sum(axis=-1) / LN_BASE
-        vals = mix - priors @ letter_entropy
         loglam = np.where(lam > 0, np.log(np.maximum(lam, 1e-300)) / LN_BASE, 0.0)
-        traces = np.einsum("kai,xab,kbi,ki->kx", vec.conj(), outputs, vec, loglam).real
-        grads = -traces - 1.0 / LN_BASE - letter_entropy[None, :]
-        return vals, grads
+        traces, hessian = _letter_derivatives(
+            outputs, vec, loglam,
+            lambda: _divided_differences(lam, np.log, np.reciprocal),
+            1.0 / LN_BASE,
+        )
+        f = -float(entropy(lam) - prior @ letter_entropy)
+        return f, traces + 1.0 / LN_BASE + letter_entropy, hessian
 
-    return value, value_grad
+    return ConvexSurrogate(value, derivatives)
 
 
 def _report(result: SimplexMaximum, alpha: float = 1.0) -> OptimizationReport:
@@ -173,13 +228,8 @@ def holevo_capacity(
     """Classical capacity: maximize the Holevo quantity over input priors."""
     if channel.size > config.max_opt_alphabet:
         raise TooLarge(f"alphabet {channel.size} exceeds optimization cap {config.max_opt_alphabet}")
-    value, value_grad = _holevo_batches(channel)
     result = maximize_on_simplex(
-        value,
-        value_grad,
-        channel.size,
-        config,
-        warm_starts=warm_starts,
+        _holevo_surrogate(channel), channel.size, config, warm_starts=warm_starts
     )
     return _report(result)
 
@@ -201,11 +251,7 @@ def renyi_mi_channel(
         raise TooLarge(f"alphabet {channel.size} exceeds optimization cap {config.max_opt_alphabet}")
     powers = letter_powers(channel.outputs, alpha)
     result = maximize_on_simplex(
-        lambda priors: _renyi_value_batch(priors, powers, alpha),
-        lambda priors: _renyi_value_grad_batch(priors, powers, alpha),
-        channel.size,
-        config,
-        warm_starts=warm_starts,
+        _renyi_surrogate(powers, alpha), channel.size, config, warm_starts=warm_starts
     )
     return _report(result, alpha)
 

@@ -8,7 +8,8 @@ bit-valued outputs to nats on emission only. ``--seed`` (simulate) seeds
 the codebooks; ``--max-dim`` (simulate, besttype) overrides the cap on
 the dimension of the matrix decomposed at blocklength n: for pure letters
 the codebook or type-class size while it is at most d^n, the state
-dimension d^n otherwise.
+dimension d^n otherwise. The dense d^n path has a fixed ceiling,
+``config.MAX_TENSOR_DIM`` = 2^14, that ``--max-dim`` does not raise.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .analysis import ChannelAnalysis, best_type_up_to, holevo_capacity, renyi_mi_channel
 from .channel_io import load_channel
 from .coding import estimate_exponent
-from .config import DEFAULT_CONFIG, LN_BASE
+from .config import DEFAULT_CONFIG, LN_BASE, MAX_TENSOR_DIM
 from .divergences import renyi_mi_channel_prior
 from .errors import (
     CqexpError,
@@ -55,6 +56,13 @@ def _guard(fn):
             _fail(VALIDATION_EXIT, exc)
 
     return wrapper
+
+
+MAX_DIM_HELP = (
+    "Cap on the dimension of the matrix decomposed at blocklength n (default "
+    f"{DEFAULT_CONFIG.max_sim_dim}). Values above {MAX_TENSOR_DIM} (2^14) do not "
+    "raise the ceiling of the d^n x d^n states, which exit 4 past it."
+)
 
 
 def _config(max_dim: int | None):
@@ -226,7 +234,7 @@ def exponent(channel_file, rmin, rmax, steps, json_mode, nats) -> None:
 @click.option("--n-list", "n_list_raw", type=str, required=True)
 @click.option("--trials", type=int, required=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--max-dim", type=int, default=None)
+@click.option("--max-dim", type=int, default=None, help=MAX_DIM_HELP)
 @click.option("--json", "json_mode", is_flag=True)
 @click.option("--nats", is_flag=True)
 @_guard
@@ -258,7 +266,7 @@ def simulate(channel_file, rate, n_list_raw, trials, seed, max_dim, json_mode, n
 @click.argument("channel_file", type=click.Path())
 @click.option("--alpha", type=float, required=True)
 @click.option("--nmax", type=int, required=True)
-@click.option("--max-dim", type=int, default=None)
+@click.option("--max-dim", type=int, default=None, help=MAX_DIM_HELP)
 @click.option("--json", "json_mode", is_flag=True)
 @click.option("--nats", is_flag=True)
 @_guard

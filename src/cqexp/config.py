@@ -40,8 +40,10 @@ class RunConfig:
     tolerance can be overridden per call.
     """
 
-    # Simplex maximization: exponentiated gradient from one start, stopped
-    # when the Frank-Wolfe gap reaches eg_grad_tol.
+    # Prior solves: active-set Newton iterations from one start (the names
+    # are kept from the exponentiated-gradient solver this replaced).
+    # eg_max_iters caps the Newton iterations; the run stops when the
+    # Frank-Wolfe gap, in bits, reaches eg_grad_tol or its rounding floor.
     eg_max_iters: int = 10_000
     eg_grad_tol: float = 1e-9
 

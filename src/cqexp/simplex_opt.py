@@ -1,44 +1,78 @@
-"""Maximization of smooth objectives over the probability simplex.
+"""Maximization over the probability simplex through a convex surrogate.
 
-The workhorse is exponentiated-gradient (mirror) ascent with a monotone
-line search, run once from a single start. The objectives maximized here
-have no spurious stationary points: the Holevo quantity is concave in the
-prior, and the Renyi information is a decreasing transform of a convex
-function of it. So the run stops on the Frank-Wolfe gap
-max_x g_x - p.g, which vanishes only at the optimum and, for a concave
-objective, bounds the distance to it (Jaggi, "Revisiting Frank-Wolfe",
-ICML 2013).
+Every prior problem here maximizes phi(f(p)) with f convex on the simplex
+and phi strictly decreasing: the Holevo quantity is -f for the convex
+f = -chi, and the Renyi information is a/(a-1) log2 f for the convex
+f(p) = tr[(sum_x p_x rho_x^a)^(1/a)]. So the solver minimizes f, once,
+from one start, by an active-set Newton method:
+
+* each iteration takes f, its gradient and its Hessian at the current
+  prior, and minimizes the quadratic model of f, regularized by
+  delta = the Frank-Wolfe gap of f, over the whole simplex. That inner
+  problem is solved by a primal active-set loop: an equality-constrained
+  Newton step on the current support, capped by a ratio test at the
+  simplex boundary, and a letter is admitted only when its multiplier in
+  the model is negative. The model is fixed while the support changes,
+  and it is strictly convex, so each change lowers it and no support
+  repeats: the loop cannot cycle;
+* the step to the model's minimizer is backtracked on f with value-only
+  evaluations. Near the optimum the decrease it predicts falls below the
+  rounding of f itself, so a step may raise f by that rounding level.
+
+The run stops on the Frank-Wolfe gap of the maximand,
+max_x g_x - p.g for g = grad phi(f(p)), which vanishes only at the optimum
+and, for a concave objective, bounds the distance to it (Jaggi,
+"Revisiting Frank-Wolfe", ICML 2013). The gap cannot be resolved below
+the rounding of the gradient it is taken from, so that level is a floor
+under the tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .config import RunConfig
 
-ValueFn = Callable[[np.ndarray], np.ndarray]
-ValueGradFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+Derivatives = tuple[float, np.ndarray, Callable[[], np.ndarray]]
 
-_STEP_GROW = 1.25
-_STEP_MIN = 1e-14
-_MAX_HALVINGS = 12
-# Weight of the uniform prior mixed into a warm start. The multiplicative
-# update cannot revive an exactly zero coordinate, so without it a stale
-# warm start would pin the run to a face of the simplex.
-_WARM_MIX = 1e-9
+_EPS = float(np.finfo(float).eps)
+# Multiple of machine epsilon, times the magnitude of a quantity, taken as
+# that quantity's rounding level (the gap floor, the slack of the descent
+# test and the multiplier test of the inner loop).
+_ROUNDING = 64.0
+# Armijo fraction of the predicted decrease a step must achieve.
+_ARMIJO = 1e-4
+
+
+def _negate(f: float) -> tuple[float, float]:
+    return -f, 1.0
+
+
+@dataclass(frozen=True)
+class ConvexSurrogate:
+    """A maximand phi(f(p)), given through the convex f and the decreasing phi.
+
+    ``value(p)`` is f(p). ``derivatives(p)`` is f(p), its gradient and a
+    function forming its Hessian, called only when a Newton step is taken.
+    ``maximand(f)`` is (phi(f), -phi'(f)); the default is phi(f) = -f.
+    """
+
+    value: Callable[[np.ndarray], float]
+    derivatives: Callable[[np.ndarray], Derivatives]
+    maximand: Callable[[float], tuple[float, float]] = _negate
 
 
 @dataclass(frozen=True)
 class SimplexMaximum:
     """Outcome of a simplex maximization.
 
-    ``gap`` is the Frank-Wolfe gap of the objective at ``point``.
-    ``converged`` means the run stopped on the gap tolerance or on a
-    line-search stall, not at the iteration cap. ``start_count`` is
-    always 1.
+    ``value`` is phi(f) at ``point`` and ``gap`` is the Frank-Wolfe gap of
+    phi(f) there. ``converged`` means the gap met the tolerance, or the
+    rounding floor under it; the iteration cap and a failed descent leave
+    it False. ``start_count`` is always 1.
     """
 
     value: float
@@ -49,79 +83,152 @@ class SimplexMaximum:
     gap: float
 
 
-def _frank_wolfe_gap(point: np.ndarray, grad: np.ndarray) -> float:
-    """max_x g_x - p.g: zero exactly at the simplex-constrained optima."""
-    return max(float(grad.max() - point @ grad), 0.0)
+def _model_minimizer(point: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """Minimizer over the simplex of grad.(q - p) + (q - p).hess.(q - p)/2.
 
-
-def _line_search(
-    value_fn: ValueFn, point: np.ndarray, value: float, direction: np.ndarray, eta: float
-) -> tuple[np.ndarray | None, float]:
-    """Halve eta until the EG step improves the value; None if no step does."""
-    for _ in range(_MAX_HALVINGS):
-        trial = point * np.exp(eta * direction)
-        trial /= trial.sum()
-        if float(value_fn(trial[None, :])[0]) > value + 1e-15:
-            return trial, eta
-        eta *= 0.5
-        if eta < _STEP_MIN:
+    ``hess`` is positive definite. The working set W holds the letters fixed
+    at 0, first those with p_x = 0. Each pass solves the bordered system of
+    the equality-constrained step on the free letters; a step that leaves
+    the simplex is cut at the first coordinate to reach 0, which joins W,
+    and a step that stays inside releases the letter of W with the most
+    negative multiplier, if any.
+    """
+    q = point.copy()
+    fixed = q <= 0.0
+    dim = len(q)
+    # Each pass fixes or releases one letter, and a strictly convex model
+    # ends this in a few passes; the cap only bounds rounding effects.
+    for _ in range(4 * dim + 4):
+        model_grad = grad + hess @ (q - point)
+        free = np.flatnonzero(~fixed)
+        m = len(free)
+        kkt = np.zeros((m + 1, m + 1))
+        kkt[:m, :m] = hess[free][:, free]
+        kkt[:m, m] = kkt[m, :m] = 1.0
+        rhs = np.append(-model_grad[free], 0.0)
+        step = np.linalg.solve(kkt, rhs)[:m]
+        shrinking = step < 0.0
+        ratios = np.full(m, np.inf)
+        ratios[shrinking] = q[free][shrinking] / -step[shrinking]
+        block = int(np.argmin(ratios))
+        if ratios[block] < 1.0:
+            q[free] += ratios[block] * step
+            q[free[block]] = 0.0
+            fixed[free[block]] = True
+            continue
+        q[free] += step
+        if not fixed.any():
             break
-    return None, eta
+        model_grad = grad + hess @ (q - point)
+        multipliers = model_grad - model_grad[free].mean()
+        scale = _ROUNDING * _EPS * float(np.abs(model_grad).max())
+        candidates = np.flatnonzero(fixed & (multipliers < -scale))
+        if candidates.size == 0:
+            break
+        fixed[candidates[np.argmin(multipliers[candidates])]] = False
+    q = np.clip(q, 0.0, None)
+    return q / q.sum()
+
+
+class _Iterate(NamedTuple):
+    """A prior with the derivatives of f there and its certificate."""
+
+    point: np.ndarray
+    f: float
+    grad: np.ndarray
+    hessian: Callable[[], np.ndarray]
+    value: float  # phi(f)
+    gap: float  # Frank-Wolfe gap of phi(f), in its units
+    floor: float  # rounding level of that gap
+    gap_f: float  # Frank-Wolfe gap of f
+
+
+def _rounding(f: float, point: np.ndarray, grad: np.ndarray) -> float:
+    """Rounding level of f, and of the Frank-Wolfe gap p.g - min g, in f's units."""
+    return _ROUNDING * _EPS * (abs(f) + abs(float(point @ grad)) + float(np.abs(grad).max()))
+
+
+def _iterate(surrogate: ConvexSurrogate, point: np.ndarray, derivatives: Derivatives) -> _Iterate:
+    f, grad, hessian = derivatives
+    value, slope = surrogate.maximand(f)
+    gap_f = max(float(point @ grad - grad.min()), 0.0)
+    floor = slope * _rounding(f, point, grad)
+    return _Iterate(point, f, grad, hessian, value, slope * gap_f, floor, gap_f)
+
+
+def _newton_step(surrogate: ConvexSurrogate, at: _Iterate) -> _Iterate | None:
+    """One backtracked step toward the minimizer of the model regularized by
+    delta = the Frank-Wolfe gap of f; None if no step makes progress.
+
+    A step makes progress when it lowers f by more than the rounding level
+    of f and by the Armijo fraction of the decrease the model predicts, or
+    when it keeps f within that rounding level and lowers the gap. The
+    second kind serves full Newton steps near the optimum, whose decrease
+    rounding hides, and the boundary where the gradient of f is nearly
+    discontinuous (t^(1/a - 1) at a near 1, for a letter that alone spans
+    an eigendirection of A): there f changes by no more than rounding over
+    the range of weights that certify the optimum. No step trades the
+    certificate for a change in f that rounding can produce, so the run
+    cannot cycle at rounding level.
+    """
+    hess = at.hessian()
+    delta = max(at.gap_f, _ROUNDING * _EPS * float(np.abs(hess).max()))
+    target = _model_minimizer(at.point, at.grad, hess + delta * np.eye(len(at.point)))
+    direction = target - at.point
+    predicted = float(at.grad @ direction)
+    slack = _rounding(at.f, at.point, at.grad)
+    # The full step is tried with derivatives, which it needs if taken.
+    full = _iterate(surrogate, target, surrogate.derivatives(target))
+    t = 1.0
+    # Halve until the step no longer moves the prior.
+    while t * float(np.abs(direction).max()) > _EPS:
+        point = full.point if t == 1.0 else at.point + t * direction
+        f_trial = full.f if t == 1.0 else surrogate.value(point)
+        descent = f_trial < at.f - slack and f_trial <= at.f + _ARMIJO * t * predicted
+        if descent or f_trial <= at.f + slack:
+            trial = full if t == 1.0 else _iterate(surrogate, point, surrogate.derivatives(point))
+            if descent or trial.gap < at.gap:
+                return trial
+        t *= 0.5
+    return None
 
 
 def maximize_on_simplex(
-    value_fn: ValueFn,
-    value_grad_fn: ValueGradFn,
+    surrogate: ConvexSurrogate,
     dim: int,
     config: RunConfig,
     *,
     warm_starts: Sequence[np.ndarray] = (),
 ) -> SimplexMaximum:
-    """EG ascent from the first warm start, or from the uniform prior.
+    """Active-set Newton descent on f from the first warm start, or from the
+    uniform prior.
 
-    The objective callbacks take a batch of priors, one per row. Steps are
-    multiplicative, p' = p * exp(eta * g) renormalized; eta is halved until
-    the value improves and grown gently on success. The run stops when the
-    Frank-Wolfe gap drops to ``config.eg_grad_tol``, when no step of any
-    usable size improves the value (numerically stationary), or after
-    ``config.eg_max_iters`` iterations.
+    The run stops when the Frank-Wolfe gap of phi(f) reaches
+    ``config.eg_grad_tol`` or its rounding floor, when no step along the
+    Newton direction makes progress, or after ``config.eg_max_iters``
+    iterations. The Hessian is formed only after the gap test has failed,
+    so a start that is already optimal costs one gradient.
     """
-    uniform = np.full(dim, 1.0 / dim)
-    point = uniform
+    point = np.full(dim, 1.0 / dim)
     if warm_starts:
         warm = np.asarray(warm_starts[0], dtype=float)
         if warm.shape != (dim,) or warm.min() < 0 or not warm.sum() > 0:
             raise ValueError(f"warm start must be a nonnegative nonzero vector of length {dim}")
-        point = (1.0 - _WARM_MIX) * warm / warm.sum() + _WARM_MIX * uniform
-    values, grads = value_grad_fn(point[None, :])
-    value, grad = float(values[0]), grads[0]
-    gap = _frank_wolfe_gap(point, grad)
-    # Scale-free initial step.
-    eta = 1.0 / (1.0 + np.ptp(grad))
+        point = warm / warm.sum()
+    at = _iterate(surrogate, point, surrogate.derivatives(point))
     iterations = 0
-    stalled = False
-
-    while gap > config.eg_grad_tol and iterations < config.eg_max_iters:
+    while at.gap > max(config.eg_grad_tol, at.floor) and iterations < config.eg_max_iters:
         iterations += 1
-        # Shift before exponentiating: the update is shift-invariant and
-        # unshifted gradients can overflow near alpha = 1.
-        trial, eta = _line_search(value_fn, point, value, grad - grad.max(), eta)
-        if trial is None:
-            # No usable step improves the value: the point sits at its
-            # numerical optimum.
-            stalled = True
+        stepped = _newton_step(surrogate, at)
+        if stepped is None:
             break
-        point = trial
-        eta *= _STEP_GROW
-        values, grads = value_grad_fn(point[None, :])
-        value, grad = float(values[0]), grads[0]
-        gap = _frank_wolfe_gap(point, grad)
+        at = stepped
 
     return SimplexMaximum(
-        value=value,
-        point=point.copy(),
+        value=at.value,
+        point=at.point.copy(),
         iterations=iterations,
-        converged=stalled or gap <= config.eg_grad_tol,
+        converged=at.gap <= max(config.eg_grad_tol, at.floor),
         start_count=1,
-        gap=gap,
+        gap=at.gap,
     )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,23 @@ def pure_channels() -> list[CQChannel]:
         random_pure_channel(k, d, np.random.default_rng([4242, i]))
         for i, (k, d) in enumerate(PURE_SHAPES)
     ]
+
+
+# (|X|, d) of the random channels of one prior-benchmark draw, in the order
+# its generator draws them.
+DRAW_SHAPES = ((3, 2), (8, 2), (4, 8), (8, 16), (6, 32))
+
+
+def draw_letters(draw: int) -> list[np.ndarray]:
+    """Letters of every DRAW_SHAPES channel of an independent prior-benchmark
+    draw: states G G^dagger / tr of rank ceil(d/2), G complex Gaussian."""
+    rng = np.random.default_rng([draw, 0x9E1])
+    letters = []
+    for k, d in DRAW_SHAPES:
+        g = rng.normal(size=(k, d, math.ceil(d / 2))) + 1j * rng.normal(size=(k, d, math.ceil(d / 2)))
+        rho = g @ g.conj().transpose(0, 2, 1)
+        letters.append(rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None])
+    return letters
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -4,6 +4,8 @@ Everything here works directly on probability vectors and stochastic
 matrices, sharing no code with the package paths under test.
 """
 
+import itertools
+
 import numpy as np
 
 LN2 = np.log(2.0)
@@ -145,3 +147,105 @@ def classical_ml_error(w, codewords) -> float:
         rows.append(vec)
     q = np.asarray(rows)
     return float(1.0 - q.max(axis=0).sum() / len(rows))
+
+
+# ---------------------------------------------------------------------------
+# Quantum references with their own derivations, on plain numpy arrays.
+
+
+def renyi_half_prior(states) -> np.ndarray:
+    """The prior maximizing I_{1/2}(N, p) for letters ``states``.
+
+    At alpha = 1/2 the maximand is -log2 of f(p) = tr[(sum_x p_x sqrt(rho_x))^2]
+    = p.Q.p with Q_xy = tr[sqrt(rho_x) sqrt(rho_y)], a quadratic. Its
+    minimizer over the simplex satisfies the KKT conditions on its support S:
+    Q_SS p_S = nu 1 and (Q p)_x >= nu off S. Every support is tried, and the
+    KKT point with the least f is kept; with a definite Q it is unique.
+    """
+    roots = []
+    for rho in states:
+        w, v = np.linalg.eigh(np.asarray(rho, dtype=complex))
+        # Roots act on the support: eigenvalues at rounding level are zeros.
+        w = np.where(w > 1e-12 * w.max(), w, 0.0)
+        roots.append((v * np.sqrt(w)) @ v.conj().T)
+    q = np.array([[np.trace(a @ b).real for b in roots] for a in roots])
+    k = len(roots)
+    best, best_f = None, np.inf
+    for mask in range(1, 2 ** k):
+        on = np.array([(mask >> x) & 1 == 1 for x in range(k)])
+        try:
+            sol = np.linalg.solve(q[np.ix_(on, on)], np.ones(on.sum()))
+        except np.linalg.LinAlgError:
+            continue
+        if sol.sum() <= 0 or sol.min() < 0:
+            continue
+        p = np.zeros(k)
+        p[on] = sol / sol.sum()
+        grad = q @ p
+        nu = p @ grad
+        if (grad[~on] >= nu - 1e-14).all() and p @ grad < best_f:
+            best, best_f = p, p @ grad
+    assert best is not None
+    return best
+
+
+def pure_state_e0(s: float, priors, overlaps) -> np.ndarray:
+    """Burnashev-Holevo E0(s, p) = -log2 tr[(sqrt(P) O sqrt(P))^(1+s)] per row of ``priors``.
+
+    For pure letters rho_x = |psi_x><psi_x| the average sum_x p_x rho_x^a does
+    not depend on a and shares its nonzero spectrum with sqrt(P) O sqrt(P),
+    O_xy = <psi_x|psi_y> (Burnashev and Holevo, Probl. Inf. Transm. 34(2),
+    1998).
+    """
+    root = np.sqrt(np.clip(np.atleast_2d(priors), 0.0, None))
+    mats = root[:, :, None] * np.asarray(overlaps)[None] * root[:, None, :]
+    mu = np.clip(np.linalg.eigvalsh(mats), 0.0, None)
+    return -np.log((mu ** (1.0 + s)).sum(axis=1)) / LN2
+
+
+def _simplex_lattice(k: int, n: int) -> np.ndarray:
+    """All priors on k letters with weights in multiples of 1/n."""
+    counts = [c for c in itertools.product(range(n + 1), repeat=k - 1) if sum(c) <= n]
+    counts = np.array(counts, dtype=float).reshape(-1, k - 1)
+    return np.hstack([counts, n - counts.sum(axis=1, keepdims=True)]) / n
+
+
+def pure_state_best_e0(s: float, overlaps, coarse: int = 24, zooms: int = 5) -> float:
+    """max_p E0(s, p) for pure letters: the best point of a simplex lattice,
+    refined by lattices 4x finer around the best point so far."""
+    k = len(overlaps)
+    priors = _simplex_lattice(k, coarse)
+    values = pure_state_e0(s, priors, overlaps)
+    best, best_value = priors[values.argmax()], float(values.max())
+    steps = np.stack(np.meshgrid(*[np.arange(-6, 7)] * (k - 1), indexing="ij"), -1).reshape(-1, k - 1)
+    steps = np.hstack([steps, -steps.sum(axis=1, keepdims=True)])
+    step = 1.0 / coarse
+    for _ in range(zooms):
+        step /= 4.0
+        local = best + step * steps
+        local = local[(local >= 0).all(axis=1)]
+        values = pure_state_e0(s, local, overlaps)
+        if values.max() > best_value:
+            best, best_value = local[values.argmax()], float(values.max())
+    return best_value
+
+
+def _max_over_s(objective, ss, tol: float = 1e-9) -> float:
+    """Max of ``objective`` over the grid ``ss``, golden-refined around the best point."""
+    vals = np.array([objective(s) for s in ss])
+    i = int(vals.argmax())
+    lo, hi = ss[max(i - 1, 0)], ss[min(i + 1, len(ss) - 1)]
+    _, best = _golden_max(objective, lo, hi, tol=tol)
+    return max(best, float(vals[i]))
+
+
+def pure_state_random_coding_exponent(overlaps, r: float) -> float:
+    """max over s in [0, 1] of max_p E0(s, p) - s r, for pure letters."""
+    return _max_over_s(lambda s: pure_state_best_e0(s, overlaps) - s * r, np.linspace(0.0, 1.0, 41))
+
+
+def pure_state_sphere_packing_exponent(overlaps, r: float, s_max: float = 99.0) -> float:
+    """sup over s in [0, s_max] of max_p E0(s, p) - s r, for pure letters; the
+    coarse points are even in alpha = 1/(1+s), as the bound's alpha grid is."""
+    ss = 1.0 / np.linspace(1.0 / (1.0 + s_max), 1.0, 64) - 1.0
+    return _max_over_s(lambda s: pure_state_best_e0(s, overlaps) - s * r, ss[::-1])

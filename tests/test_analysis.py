@@ -19,19 +19,23 @@ from cqexp import (
     renyi_mi_channel_prior,
 )
 from cqexp import analysis
-from cqexp.analysis import _e0_slope, _renyi_value_grad_batch
+from cqexp.analysis import _e0_slope, _renyi_surrogate
 from cqexp.channel_io import load_channel
 from cqexp.divergences import letter_powers
 from cqexp.errors import InvalidGrid, NumericalInstability, RateAboveCapacity, TooLarge
-from cqexp.simplex_opt import maximize_on_simplex
+from cqexp.simplex_opt import ConvexSurrogate, maximize_on_simplex
 
-from conftest import pure_channels, random_channel, random_unitary
+from cqexp.coding import pure_letter_overlaps
+from conftest import draw_letters, pure_channels, random_channel, random_unitary
 from oracles import (
     best_prior_e0,
     classical_channel_renyi_mi,
     classical_critical_rate,
     classical_random_coding_exponent,
     classical_sphere_packing_exponent,
+    pure_state_random_coding_exponent,
+    pure_state_sphere_packing_exponent,
+    renyi_half_prior,
 )
 
 W_BSC = np.array([[0.9, 0.1], [0.1, 0.9]])
@@ -108,17 +112,40 @@ class TestRenyiMIChannel:
     def test_gradient_matches_finite_differences(self, rng):
         ch = random_channel(3, 2, rng)
         alpha = 0.6
-        powers = letter_powers(ch.outputs, alpha)
+        surrogate = _renyi_surrogate(letter_powers(ch.outputs, alpha), alpha)
+
+        def mi(prior):
+            return surrogate.maximand(surrogate.value(prior))[0]
+
         p = rng.dirichlet(np.ones(3))
-        _, grad = _renyi_value_grad_batch(p[None, :], powers, alpha)
+        f, grad_f, _ = surrogate.derivatives(p)
+        grad = -surrogate.maximand(f)[1] * grad_f
         h = 1e-6
         for x in range(3):
             bump = np.zeros(3)
             bump[x] = h
-            fplus, _ = _renyi_value_grad_batch((p + bump)[None, :], powers, alpha)
-            fminus, _ = _renyi_value_grad_batch((p - bump)[None, :], powers, alpha)
-            fd = (fplus[0] - fminus[0]) / (2 * h)
-            assert grad[0, x] == pytest.approx(fd, abs=1e-5)
+            fd = (mi(p + bump) - mi(p - bump)) / (2 * h)
+            assert grad[x] == pytest.approx(fd, abs=1e-5)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0])
+    def test_surrogate_derivatives_match_finite_differences(self, rng, alpha):
+        ch = random_channel(4, 3, rng)
+        if alpha == 1.0:
+            surrogate = analysis._holevo_surrogate(ch)
+        else:
+            surrogate = _renyi_surrogate(letter_powers(ch.outputs, alpha), alpha)
+        p = rng.dirichlet(np.ones(4))
+        f, grad, hessian = surrogate.derivatives(p)
+        assert f == pytest.approx(surrogate.value(p), rel=1e-13)
+        hess = hessian()
+        np.testing.assert_allclose(hess, hess.T, atol=1e-12)
+        h = 1e-6
+        for y in range(4):
+            bump = np.zeros(4)
+            bump[y] = h
+            plus, minus = surrogate.derivatives(p + bump), surrogate.derivatives(p - bump)
+            assert grad[y] == pytest.approx((plus[0] - minus[0]) / (2 * h), rel=1e-7)
+            np.testing.assert_allclose(hess[:, y], (plus[1] - minus[1]) / (2 * h), rtol=1e-6)
 
 
 class TestHolevoCapacity:
@@ -180,7 +207,7 @@ def _mi_of_priors(channel: CQChannel, priors: np.ndarray, alpha: float) -> np.nd
 
 
 class TestPriorCertificate:
-    """Single-start EG solves certified by the Frank-Wolfe gap."""
+    """Single-start Newton solves certified by the Frank-Wolfe gap."""
 
     @pytest.mark.parametrize("case", range(20))
     def test_gap_bounds_every_probe(self, case):
@@ -223,16 +250,50 @@ class TestPriorCertificate:
     def test_one_start(self):
         target = np.array([0.1, 0.2, 0.3, 0.4])
 
-        def value_grad(points):
-            return -((points - target) ** 2).sum(axis=1), -2.0 * (points - target)
+        def value(point):
+            return float(((point - target) ** 2).sum())
 
-        result = maximize_on_simplex(
-            lambda points: value_grad(points)[0], value_grad, 4, DEFAULT_CONFIG
-        )
+        def derivatives(point):
+            return value(point), 2.0 * (point - target), lambda: 2.0 * np.eye(4)
+
+        result = maximize_on_simplex(ConvexSurrogate(value, derivatives), 4, DEFAULT_CONFIG)
         assert result.start_count == 1
         assert result.converged
         assert result.gap <= 1e-6
         np.testing.assert_allclose(result.point, target, atol=1e-6)
+
+
+def _seeded_channel(seed: int, case: int, full_rank: bool = False) -> CQChannel:
+    """|X| in 2..4 and d in 2..3 from default_rng([seed, case]); letters of
+    mixed rank, or full rank."""
+    rng = np.random.default_rng([seed, case])
+    k, d = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+    return random_channel(k, d, rng) if full_rank else _letters_of_mixed_rank(k, d, rng)
+
+
+class TestConvergenceRegressions:
+    """Channels on which exponentiated-gradient ascent stopped at its
+    iteration cap or on a line-search stall short of the tolerance."""
+
+    @pytest.mark.parametrize("draw", [34, 38])
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
+    def test_eight_letter_qubit_draws(self, draw, alpha):
+        channel = CQChannel.from_states(list(draw_letters(draw)[1]))
+        rep = renyi_mi_channel(channel, alpha)
+        assert rep.converged
+        assert rep.gap <= DEFAULT_CONFIG.eg_grad_tol
+
+    @pytest.mark.parametrize(
+        "seed, case", [(999, i) for i in range(25)] + [(555, i) for i in range(20)]
+    )
+    def test_full_session(self, seed, case):
+        session = ChannelAnalysis(_seeded_channel(seed, case, full_rank=seed == 555))
+        cap = session.capacity().value
+        # Raises NumericalInstability on any unconverged solve.
+        session.curve(np.linspace(0.1, 0.9, 4) * cap)
+        for rep in session._mi_cache.values():
+            assert rep.converged
+            assert rep.gap <= DEFAULT_CONFIG.eg_grad_tol
 
 
 class TestExponentObjective:
@@ -319,6 +380,26 @@ class TestExponentBounds:
                 assert len(session._mi_cache) - before <= 8
 
 
+class TestPureLetterBounds:
+    """Both bounds against the Burnashev-Holevo closed form of E0 for pure letters."""
+
+    @pytest.mark.parametrize(
+        "index", [i for i, ch in enumerate(pure_channels()) if ch.size <= 3]
+    )
+    @pytest.mark.parametrize("frac", [0.3, 0.7])
+    def test_against_burnashev_holevo(self, index, frac):
+        channel = pure_channels()[index]
+        overlaps = pure_letter_overlaps(channel)
+        session = ChannelAnalysis(channel)
+        r = frac * session.capacity().value
+        assert session.lower_bound(r).value == pytest.approx(
+            pure_state_random_coding_exponent(overlaps, r), abs=1e-5
+        )
+        assert session.upper_bound(r).value == pytest.approx(
+            pure_state_sphere_packing_exponent(overlaps, r), abs=1e-5
+        )
+
+
 class TestEnvelopeSlope:
     """E0'(s) at a fixed prior, from the closed form of the s-derivative."""
 
@@ -362,6 +443,16 @@ class TestCriticalRate:
         total = p**a + q**a
         slope = 1.0 - np.log2(total) + a * (p**a * np.log(p) + q**a * np.log(q)) / (total * np.log(2))
         assert bsc_session.critical_rate() == pytest.approx(slope, abs=1e-12)
+
+    def test_matches_slope_at_the_kkt_prior(self):
+        # A stalled solve leaves the prior off its KKT point, and r_c inherits
+        # that error to first order.
+        channel = _seeded_channel(777, 0)
+        assert channel.size == 4
+        prior = renyi_half_prior(channel.outputs)
+        assert ChannelAnalysis(channel).critical_rate() == pytest.approx(
+            _e0_slope(channel, prior, 0.5), abs=1e-11
+        )
 
     def test_below_capacity_on_random_channels(self, rng):
         for _ in range(2):

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from cqexp import cli
 from cqexp.cli import main
+from conftest import draw_letters
 
 CHANNELS_DIR = Path(__file__).resolve().parent.parent / "channels"
 BSC = str(CHANNELS_DIR / "bsc01.json")
@@ -87,6 +88,19 @@ class TestRenyi:
         assert res.exit_code == 0
         assert "renyi_mi: 1.000000" in res.output
         assert "prior:" in res.output
+
+    @pytest.mark.parametrize("draw", [34, 38])
+    def test_eight_letter_qubit_draws_exit_0(self, runner, tmp_path, draw):
+        letters = draw_letters(draw)[1]
+        path = tmp_path / f"draw{draw}.json"
+        path.write_text(json.dumps({
+            "cqspec": 1,
+            "dim": 2,
+            "outputs": [[[[z.real, z.imag] for z in row] for row in rho] for rho in letters],
+        }), encoding="utf-8")
+        for args in (["--alpha", "0.3"], ["--alpha", "0.7"], ["--alpha", "1.0"]):
+            assert runner.invoke(main, ["renyi", str(path), *args]).exit_code == 0
+        assert runner.invoke(main, ["capacity", str(path)]).exit_code == 0
 
     def test_wrong_prior_length_exit_2(self, runner):
         res = runner.invoke(main, ["renyi", BSC, "--alpha", "0.5", "--prior", "0.2,0.3,0.5"])
