@@ -17,7 +17,8 @@ from one start, by an active-set Newton method:
   repeats: the loop cannot cycle;
 * the step to the model's minimizer is backtracked on f with value-only
   evaluations. Near the optimum the decrease it predicts falls below the
-  rounding of f itself, so a step may raise f by that rounding level.
+  rounding of f itself, so there a step that keeps f within that rounding
+  level is taken when it lowers the gap.
 
 The run stops on the Frank-Wolfe gap of the maximand,
 max_x g_x - p.g for g = grad phi(f(p)), which vanishes only at the optimum
