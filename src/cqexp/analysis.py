@@ -122,20 +122,22 @@ def _divided_differences(lam: np.ndarray, fn, dfn) -> np.ndarray:
     return np.where(on[:, None] & on[None, :], gamma, 0.0)
 
 
-def _letter_derivatives(mats: np.ndarray, vec: np.ndarray, weights: np.ndarray, gamma, scale: float):
-    """Gradient sum_i (P_x)_ii w_i, P_x = V^dagger M_x V, and the Hessian of
-    the spectral function it differentiates (Daleckii-Krein; Bhatia, Matrix
-    Analysis, V.3): scale * Re sum_ij Gamma_ij (P_x)_ij (P_y)_ji.
+def _letter_derivatives(mats: np.ndarray, lam: np.ndarray, vec: np.ndarray, fn, dfn, scale: float):
+    """Gradient scale * sum_i (P_x)_ii fn(l_i), P_x = V^dagger M_x V, of
+    scale * tr[F(A)] with F' = fn, and its Hessian (Daleckii-Krein; Bhatia,
+    Matrix Analysis, V.3): scale * Re sum_ij Gamma_ij (P_x)_ij (P_y)_ji, with
+    Gamma the divided differences of fn.
 
     Only the diagonals of P_x enter the gradient; the full P_x is formed
     when the Hessian is asked for.
     """
     rotated = mats @ vec
-    grad = np.einsum("ai,xai->xi", vec.conj(), rotated).real @ weights
+    grad = scale * np.einsum("ai,xai->xi", vec.conj(), rotated).real @ fn(lam)
 
     def hessian() -> np.ndarray:
         flat = (vec.conj().T @ rotated).reshape(len(mats), -1)
-        return scale * ((gamma().ravel() * flat) @ flat.conj().T).real
+        gamma = _divided_differences(lam, fn, dfn)
+        return scale * ((gamma.ravel() * flat) @ flat.conj().T).real
 
     return grad, hessian
 
@@ -151,12 +153,10 @@ def _renyi_surrogate(powers: np.ndarray, alpha: float) -> ConvexSurrogate:
     def derivatives(prior: np.ndarray):
         lam, vec = np.linalg.eigh(_mix(prior, powers))
         lam = np.clip(lam, 0.0, None)
-        mu = lam ** (beta - 1.0)  # exponent > 0 for alpha < 1, so 0 -> 0
         grad, hessian = _letter_derivatives(
-            powers, vec, beta * mu,
-            lambda: _divided_differences(
-                lam, lambda t: t ** (beta - 1.0), lambda t: (beta - 1.0) * t ** (beta - 2.0)
-            ),
+            powers, lam, vec,
+            lambda t: t ** (beta - 1.0),  # exponent > 0 for alpha < 1, so 0 -> 0
+            lambda t: (beta - 1.0) * t ** (beta - 2.0),
             beta,
         )
         return float((lam ** beta).sum()), grad, hessian
@@ -186,10 +186,10 @@ def _holevo_surrogate(channel: CQChannel) -> ConvexSurrogate:
     def derivatives(prior: np.ndarray):
         lam, vec = np.linalg.eigh(_mix(prior, outputs))
         lam = np.clip(lam, 0.0, None)
-        loglam = np.where(lam > 0, np.log(np.maximum(lam, 1e-300)) / LN_BASE, 0.0)
         traces, hessian = _letter_derivatives(
-            outputs, vec, loglam,
-            lambda: _divided_differences(lam, np.log, np.reciprocal),
+            outputs, lam, vec,
+            lambda t: np.where(t > 0, np.log(np.maximum(t, 1e-300)), 0.0),
+            np.reciprocal,
             1.0 / LN_BASE,
         )
         f = -float(entropy(lam) - prior @ letter_entropy)
