@@ -98,21 +98,28 @@ class ExponentCurve:
 
 def _mix(prior: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """sum_x p_x M_x."""
-    return np.einsum("km,mij->kij", prior[None, :], mats)[0]
+    return np.tensordot(prior, mats, axes=1)
+
+
+def _noise_floor(lam: np.ndarray) -> float:
+    """The eigensolver's noise floor, d eps lambda_max, taken as the edge of supp(A).
+
+    The floor, not ``SUPPORT_CUTOFF``, is the cut: a letter of tiny weight
+    contributes eigenvalues far below the relative cutoff of the matrix
+    powers, and the Newton step needs their curvature.
+    """
+    return len(lam) * np.finfo(float).eps * float(lam.max())
 
 
 def _divided_differences(lam: np.ndarray, fn, dfn) -> np.ndarray:
     """Gamma_ij = (fn(l_i) - fn(l_j)) / (l_i - l_j) on supp(A), zero off it.
 
-    The support is cut at the eigensolver's noise floor, d eps lambda_max:
-    fn has a singular derivative at 0, and a letter of tiny weight
-    contributes eigenvalues far below the relative cutoff of the matrix
-    powers whose curvature the Newton step needs. Where two eigenvalues agree
-    to about sqrt(eps) the quotient loses its digits, so dfn at their
-    midpoint stands in for it.
+    fn has a singular derivative at 0, so Gamma is taken on supp(A) only.
+    Where two eigenvalues agree to about sqrt(eps) the quotient loses its
+    digits, so dfn at their midpoint stands in for it.
     """
     top = lam.max()
-    on = lam > len(lam) * np.finfo(float).eps * top
+    on = lam > _noise_floor(lam)
     lam = np.where(on, lam, top)
     diff = lam[:, None] - lam[None, :]
     close = np.abs(diff) <= 1e-8 * top
@@ -128,8 +135,9 @@ def _letter_derivatives(mats: np.ndarray, lam: np.ndarray, vec: np.ndarray, fn, 
     Matrix Analysis, V.3): scale * Re sum_ij Gamma_ij (P_x)_ij (P_y)_ji, with
     Gamma the divided differences of fn.
 
-    Only the diagonals of P_x enter the gradient; the full P_x is formed
-    when the Hessian is asked for.
+    fn is called on every eigenvalue, so it also sets the derivative off
+    supp(A). Only the diagonals of P_x enter the gradient; the full P_x is
+    formed when the Hessian is asked for.
     """
     rotated = mats @ vec
     grad = scale * np.einsum("ai,xai->xi", vec.conj(), rotated).real @ fn(lam)
@@ -146,20 +154,24 @@ def _renyi_surrogate(powers: np.ndarray, alpha: float) -> ConvexSurrogate:
     """f(p) = tr[A^b], A = sum_x p_x rho_x^a, b = 1/a; I_a = a/(a-1) log2 f."""
     beta = 1.0 / alpha
 
-    def value(prior: np.ndarray) -> float:
-        lam = np.clip(np.linalg.eigvalsh(_mix(prior, powers)), 0.0, None)
+    def f_of(lam: np.ndarray) -> float:
         return float((lam ** beta).sum())
+
+    def slope(lam: np.ndarray) -> np.ndarray:
+        # Off supp(A) the derivative is 0: an eigenvalue that grows from 0
+        # like t enters f like t^b, b > 1.
+        return np.where(lam > _noise_floor(lam), lam, 0.0) ** (beta - 1.0)
+
+    def value(prior: np.ndarray) -> float:
+        return f_of(np.clip(np.linalg.eigvalsh(_mix(prior, powers)), 0.0, None))
 
     def derivatives(prior: np.ndarray):
         lam, vec = np.linalg.eigh(_mix(prior, powers))
         lam = np.clip(lam, 0.0, None)
         grad, hessian = _letter_derivatives(
-            powers, lam, vec,
-            lambda t: t ** (beta - 1.0),  # exponent > 0 for alpha < 1, so 0 -> 0
-            lambda t: (beta - 1.0) * t ** (beta - 2.0),
-            beta,
+            powers, lam, vec, slope, lambda t: (beta - 1.0) * t ** (beta - 2.0), beta
         )
-        return float((lam ** beta).sum()), grad, hessian
+        return f_of(lam), grad, hessian
 
     def maximand(f: float) -> tuple[float, float]:
         return (
@@ -175,25 +187,26 @@ def _holevo_surrogate(channel: CQChannel) -> ConvexSurrogate:
     outputs = channel.outputs
     letter_entropy = np.asarray([von_neumann_entropy(rho) for rho in outputs])
 
-    def entropy(lam: np.ndarray) -> float:
+    def f_of(prior: np.ndarray, lam: np.ndarray) -> float:
         plogp = np.where(lam > 0, lam * np.log(np.maximum(lam, 1e-300)), 0.0)
-        return -plogp.sum() / LN_BASE
+        chi = -plogp.sum() / LN_BASE - prior @ letter_entropy
+        return -float(chi)  # chi = 0 gives f = -0.0 and a capacity of 0.0
+
+    def log(lam: np.ndarray) -> np.ndarray:
+        # Off supp(A) the derivative is -inf: a letter with weight there
+        # raises S(A) like -t ln t. The log of the noise floor stands in for
+        # it, far below every finite value, so the Frank-Wolfe gap and the
+        # multiplier test admit that letter.
+        return np.log(np.maximum(lam, _noise_floor(lam)))
 
     def value(prior: np.ndarray) -> float:
-        lam = np.clip(np.linalg.eigvalsh(_mix(prior, outputs)), 0.0, None)
-        return -float(entropy(lam) - prior @ letter_entropy)
+        return f_of(prior, np.clip(np.linalg.eigvalsh(_mix(prior, outputs)), 0.0, None))
 
     def derivatives(prior: np.ndarray):
         lam, vec = np.linalg.eigh(_mix(prior, outputs))
         lam = np.clip(lam, 0.0, None)
-        traces, hessian = _letter_derivatives(
-            outputs, lam, vec,
-            lambda t: np.where(t > 0, np.log(np.maximum(t, 1e-300)), 0.0),
-            np.reciprocal,
-            1.0 / LN_BASE,
-        )
-        f = -float(entropy(lam) - prior @ letter_entropy)
-        return f, traces + 1.0 / LN_BASE + letter_entropy, hessian
+        traces, hessian = _letter_derivatives(outputs, lam, vec, log, np.reciprocal, 1.0 / LN_BASE)
+        return f_of(prior, lam), traces + 1.0 / LN_BASE + letter_entropy, hessian
 
     return ConvexSurrogate(value, derivatives)
 

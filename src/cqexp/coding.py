@@ -269,15 +269,9 @@ def pure_letter_overlaps(channel: CQChannel) -> np.ndarray | None:
 
 
 def _gram_stack(overlaps: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """(B, M, M) Gram matrices G[b, m, m'] = prod_i O[w_bm,i, w_bm',i] of a (B, M, n) letter stack.
-
-    The stack is real when every overlap is, which halves the work of an
-    ``eigh`` on it.
-    """
-    if not overlaps.imag.any():
-        overlaps = overlaps.real
+    """(B, M, M) Gram matrices G[b, m, m'] = prod_i O[w_bm,i, w_bm',i] of a (B, M, n) letter stack."""
     books, size, n = words.shape
-    g = np.ones((books, size, size), dtype=overlaps.dtype)
+    g = np.ones((books, size, size), dtype=complex)
     for i in range(n):
         col = words[:, :, i]
         g *= overlaps[col[:, :, None], col[:, None, :]]

@@ -58,6 +58,8 @@ class ConvexSurrogate:
 
     ``value(p)`` is f(p). ``derivatives(p)`` is f(p), its gradient and a
     function forming its Hessian, called only when a Newton step is taken.
+    Where a one-sided derivative of f is -inf, on a face of the simplex,
+    the gradient must hold a large negative stand-in: the gap test reads it.
     ``maximand(f)`` is (phi(f), -phi'(f)); the default is phi(f) = -f.
     """
 

@@ -233,7 +233,38 @@ class TestPriorCertificate:
         assert warm.converged
         assert warm.value == pytest.approx(cold.value, abs=1e-9)
 
-    @pytest.mark.parametrize("bad", [np.zeros(3), np.array([0.5, 0.5]), np.array([1.5, -0.5, 0.0])])
+    @pytest.mark.parametrize("alpha", [0.3, 0.99, 1.0])
+    @pytest.mark.parametrize("vertex", [0, 1])
+    def test_vertex_start_with_a_letter_off_its_support(self, orthogonal_pair, pure_pair, alpha, vertex):
+        # At a vertex, A is one pure letter and the other letter has weight
+        # outside supp(A); at alpha = 1 its derivative there is -inf.
+        start = np.eye(2)[vertex]
+        for ch in (orthogonal_pair, pure_pair):
+            cold = renyi_mi_channel(ch, alpha)
+            warm = renyi_mi_channel(ch, alpha, warm_starts=(start,))
+            assert warm.converged
+            assert warm.gap <= DEFAULT_CONFIG.eg_grad_tol
+            assert warm.value == pytest.approx(cold.value, abs=1e-9)
+        if alpha == 1.0:
+            assert holevo_capacity(orthogonal_pair, warm_starts=(start,)).value == pytest.approx(1.0, abs=1e-9)
+            # Two pure states of overlap 1/2: chi = h((1 - 1/sqrt 2) / 2).
+            e = (1.0 - math.sqrt(0.5)) / 2.0
+            chi = -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
+            assert holevo_capacity(pure_pair, warm_starts=(start,)).value == pytest.approx(chi, abs=1e-9)
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_every_vertex_start_on_letters_of_mixed_rank(self, case):
+        rng = np.random.default_rng([4077, case])
+        k, d = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+        ch = _letters_of_mixed_rank(k, d, rng)
+        for alpha in (0.5, 1.0):
+            cold = renyi_mi_channel(ch, alpha)
+            for start in np.eye(k):
+                warm = renyi_mi_channel(ch, alpha, warm_starts=(start,))
+                assert warm.converged
+                assert warm.value == pytest.approx(cold.value, abs=cold.gap + warm.gap + 1e-12)
+
+    @pytest.mark.parametrize("bad",[np.zeros(3), np.array([0.5, 0.5]), np.array([1.5, -0.5, 0.0])])
     def test_malformed_warm_start_rejected(self, rng, bad):
         ch = random_channel(3, 2, rng)
         with pytest.raises(ValueError):

@@ -381,13 +381,6 @@ class TestGramPath:
                         np.trace(rho @ sigma).real, abs=1e-12
                     )
 
-    def test_stack_is_real_when_every_overlap_is(self, pure_pair):
-        # The errors of both kinds of stack are checked against the dense path
-        # above; pure_pair is the first of PURE_CHANNELS.
-        words = np.array([[(0, 1, 0), (1, 1, 0), (1, 0, 1)]])
-        assert coding._gram_stack(pure_letter_overlaps(pure_pair), words).dtype == np.float64
-        assert coding._gram_stack(pure_letter_overlaps(PURE_CHANNELS[1]), words).dtype == np.complex128
-
     def test_mixed_letters_have_no_overlap_table(self, bsc_channel, rng):
         assert pure_letter_overlaps(bsc_channel) is None
         assert pure_letter_overlaps(random_channel(2, 2, rng)) is None
