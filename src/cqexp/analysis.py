@@ -96,9 +96,12 @@ class ExponentCurve:
 # Convex surrogates of the prior objectives.
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 def _mix(prior: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """sum_x p_x M_x."""
-    return np.tensordot(prior, mats, axes=1)
+    return (prior @ mats.reshape(len(prior), -1)).reshape(mats.shape[1:])
 
 
 def _noise_floor(lam: np.ndarray) -> float:
@@ -108,7 +111,7 @@ def _noise_floor(lam: np.ndarray) -> float:
     contributes eigenvalues far below the relative cutoff of the matrix
     powers, and the Newton step needs their curvature.
     """
-    return len(lam) * np.finfo(float).eps * float(lam.max())
+    return len(lam) * _EPS * float(lam.max())
 
 
 def _divided_differences(lam: np.ndarray, fn, dfn) -> np.ndarray:
