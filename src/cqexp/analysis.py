@@ -23,7 +23,7 @@ from .coding import codeword_gram, pure_letter_overlaps
 from .config import DEFAULT_CONFIG, LN_BASE, RunConfig
 from .divergences import check_alpha, letter_powers
 from .errors import InvalidGrid, NumericalInstability, RateAboveCapacity, TooLarge
-from .linalg import log_base_psd, mat_power, tensor_all, von_neumann_entropy
+from .linalg import _support_clip, mat_power, spectral_entropy, spectral_map, tensor_all
 from .simplex_opt import ConvexSurrogate, SimplexMaximum, maximize_on_simplex
 from .typeclasses import TypeClass, enumerate_sequences, enumerate_types
 
@@ -188,7 +188,7 @@ def _renyi_surrogate(powers: np.ndarray, alpha: float) -> ConvexSurrogate:
 def _holevo_surrogate(channel: CQChannel) -> ConvexSurrogate:
     """f(p) = -chi(p) = sum_x p_x S(rho_x) - S(A), A = sum_x p_x rho_x, in bits."""
     outputs = channel.outputs
-    letter_entropy = np.asarray([von_neumann_entropy(rho) for rho in outputs])
+    letter_entropy = spectral_entropy(channel.spectra[0])
 
     def f_of(prior: np.ndarray, lam: np.ndarray) -> float:
         plogp = np.where(lam > 0, lam * np.log(np.maximum(lam, 1e-300)), 0.0)
@@ -265,7 +265,7 @@ def renyi_mi_channel(
         return holevo_capacity(channel, config, warm_starts=warm_starts)
     if channel.size > config.max_opt_alphabet:
         raise TooLarge(f"alphabet {channel.size} exceeds optimization cap {config.max_opt_alphabet}")
-    powers = letter_powers(channel.outputs, alpha)
+    powers = letter_powers(channel, alpha)
     result = maximize_on_simplex(
         _renyi_surrogate(powers, alpha), channel.size, config, warm_starts=warm_starts
     )
@@ -280,18 +280,20 @@ def _e0_slope(channel: CQChannel, prior: np.ndarray, alpha: float) -> float:
     """d/ds E0(s, p) in bits at s = 1/alpha - 1, for E0 = -log2 tr[A^(1+s)].
 
     A = sum_x p_x rho_x^alpha and A' = -alpha^2 sum_x p_x rho_x^alpha ln rho_x give
-    d/ds tr[A^(1+s)] = tr[A^(1+s) ln A] + (1+s) tr[A^s A'], here in log2 so
-    that the ln 2 of E0 cancels. At alpha = 1 it is the Holevo quantity of p.
+    d/ds tr[A^(1+s)] = sum mu^(1+s) ln mu + (1+s) sum mu^s (V^dagger A' V)_ii on
+    supp(A), from one ``eigh`` A = V diag(mu) V^dagger; here in log2 so that the
+    ln 2 of E0 cancels. At alpha = 1 it is the Holevo quantity of p.
     """
     s = 1.0 / alpha - 1.0
-    powers = letter_powers(channel.outputs, alpha)
-    a = sum(p * rho_a for p, rho_a in zip(prior, powers))
-    a_prime = -alpha**2 * sum(
-        p * rho_a @ log_base_psd(rho) for p, rho_a, rho in zip(prior, powers, channel.outputs)
-    )
-    a_pow = mat_power(a, 1.0 + s)
-    d_trace = np.trace(a_pow @ log_base_psd(a) + (1.0 + s) * mat_power(a, s) @ a_prime).real
-    return float(-d_trace / np.trace(a_pow).real)
+    power_logs = spectral_map(*channel.spectra, lambda w: w ** alpha * np.log(w) / LN_BASE)
+    a_prime = -alpha**2 * _mix(prior, power_logs)
+    mu, v = np.linalg.eigh(_mix(prior, letter_powers(channel, alpha)))
+    on = _support_clip(mu) > 0
+    mu, v = mu[on], v[:, on]
+    a_pow = mu ** (1.0 + s)
+    diag = np.einsum("ij,ij->j", v.conj(), a_prime @ v).real
+    d_trace = (a_pow * np.log(mu)).sum() / LN_BASE + (1.0 + s) * (mu ** s * diag).sum()
+    return float(-d_trace / a_pow.sum())
 
 
 class ChannelAnalysis:
@@ -511,7 +513,7 @@ def constant_composition_mi(
     else:
         if full_dim > config.max_sim_dim:
             raise TooLarge(f"dimension {full_dim} exceeds cap {config.max_sim_dim}")
-        powers = letter_powers(channel.outputs, alpha)
+        powers = letter_powers(channel, alpha)
         avg = np.zeros((full_dim, full_dim), dtype=complex)
         count = 0
         for seq in enumerate_sequences(t, cap=config.max_type_count):

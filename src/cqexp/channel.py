@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .config import CLASSICAL_TOL
 from .errors import DimensionError, NotClassical
-from .linalg import hermitize, validate_density_matrix
+from .linalg import _support_clip, hermitize, validate_density_matrix
 
 
 @dataclass(frozen=True)
@@ -18,6 +19,8 @@ class CQChannel:
     ``outputs`` has shape (alphabet size, d, d); every slice is validated
     as a density matrix at construction. Instances are treated as
     immutable; do not mutate the arrays after building one.
+    Every function of the letters is taken from ``spectra``, one cut
+    decomposition of all of them.
     """
 
     outputs: np.ndarray
@@ -55,6 +58,14 @@ class CQChannel:
         states = [np.diag(row.astype(complex)) for row in w]
         return cls.from_states(states, alphabet=alphabet)
 
+    @cached_property
+    def spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lambda, U), (k, d) and (k, d, d): descending eigenvalues of each letter,
+        cut by ``linalg._support_clip`` (so those above the -1e-8 validation
+        tolerance but below 0 become 0), and eigenvector columns; one ``eigh``."""
+        lam, vec = np.linalg.eigh(hermitize(self.outputs))
+        return _support_clip(lam[:, ::-1]), np.ascontiguousarray(vec[:, :, ::-1])
+
     @property
     def size(self) -> int:
         return self.outputs.shape[0]
@@ -81,31 +92,31 @@ class CQChannel:
             alphabet=[self.alphabet[i] for i in perm],
         )
 
-    def is_classical(self, tol: float = CLASSICAL_TOL) -> bool:
-        """Whether the outputs commute: ``common_eigenbasis`` finds a basis at ``tol``."""
-        return self._diagonalizing_basis(tol) is not None
+    def is_classical(self) -> bool:
+        """Whether the outputs commute: ``common_eigenbasis`` finds a basis."""
+        return self._diagonalizing_basis() is not None
 
-    def common_eigenbasis(self, tol: float = CLASSICAL_TOL, attempts: int = 8) -> np.ndarray:
+    def common_eigenbasis(self) -> np.ndarray:
         """Unitary whose columns simultaneously diagonalize all outputs.
 
         In that basis every output has off-diagonal entries of at most
-        ``tol``. Raises NotClassical when no such basis is found.
+        ``CLASSICAL_TOL``. Raises NotClassical when no such basis is found.
         """
-        v = self._diagonalizing_basis(tol, attempts)
+        v = self._diagonalizing_basis()
         if v is None:
-            raise NotClassical(f"channel outputs have no common eigenbasis within {tol:g}")
+            raise NotClassical(f"channel outputs have no common eigenbasis within {CLASSICAL_TOL:g}")
         return v
 
-    def _diagonalizing_basis(self, tol: float, attempts: int = 8) -> np.ndarray | None:
+    def _diagonalizing_basis(self) -> np.ndarray | None:
         """The basis of ``common_eigenbasis``, or None.
 
         Uses the generic trick of diagonalizing a random positive
-        combination; retries with fresh weights break accidental
-        degeneracies. Outputs within ``tol`` of diagonal in one basis have
+        combination; 8 tries with fresh weights break accidental degeneracies.
+        Outputs within tol = ``CLASSICAL_TOL`` of diagonal in one basis have
         commutators with entries of at most 2 d tol (1 + d tol), so pairs
         above that are rejected before any decomposition.
         """
-        d, k = self.dim, self.size
+        d, k, tol = self.dim, self.size, CLASSICAL_TOL
         bound = 2 * d * tol * (1 + d * tol)
         for i in range(k):
             for j in range(i + 1, k):
@@ -113,7 +124,7 @@ class CQChannel:
                 if float(np.abs(comm).max()) > bound:
                     return None
         rng = np.random.default_rng(20240)
-        for _ in range(attempts):
+        for _ in range(8):
             weights = rng.uniform(0.5, 1.5, size=k)
             combo = hermitize(np.einsum("m,mij->ij", weights, self.outputs))
             _, v = np.linalg.eigh(combo)
@@ -123,9 +134,9 @@ class CQChannel:
                 return v
         return None
 
-    def induced_stochastic_matrix(self, tol: float = CLASSICAL_TOL) -> np.ndarray:
+    def induced_stochastic_matrix(self) -> np.ndarray:
         """Classical transition matrix W[x, y] in the common eigenbasis."""
-        v = self.common_eigenbasis(tol=tol)
+        v = self.common_eigenbasis()
         w = np.empty((self.size, self.dim), dtype=float)
         for x, rho in enumerate(self.outputs):
             w[x] = np.clip(np.real(np.diag(v.conj().T @ rho @ v)), 0.0, None)

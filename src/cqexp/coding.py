@@ -36,9 +36,9 @@ from typing import Sequence
 import numpy as np
 
 from .channel import CQChannel
-from .config import DEFAULT_CONFIG, LN_BASE, RunConfig, SUPPORT_CUTOFF
+from .config import DEFAULT_CONFIG, LN_BASE, RunConfig
 from .errors import DimensionError, NotClassical, TooLarge
-from .linalg import herm_eig, hermitize, tensor_all
+from .linalg import _support_clip, herm_eig, hermitize, spectral_map, tensor_all
 from .typeclasses import TypeClass, nearest_type
 
 
@@ -202,14 +202,11 @@ def pgm_decoder(channel: CQChannel, codebook: Codebook, config: RunConfig = DEFA
     states = [codeword_state(channel, cw) for cw in codebook.codewords]
     total = hermitize(reduce(np.add, states, np.zeros((dim, dim), dtype=complex)))
     w, v = herm_eig(total)
-    cut = SUPPORT_CUTOFF * max(float(w.max()), 0.0)
-    on = w > cut
-    inv_root = np.zeros_like(w)
-    inv_root[on] = w[on] ** -0.5
-    half = (v * inv_root) @ v.conj().T
+    w = _support_clip(w)
+    half = spectral_map(w, v, lambda x: x ** -0.5)
     elements = [hermitize(half @ rho @ half) for rho in states]
-    if (~on).any():
-        vk = v[:, ~on]
+    if (w == 0).any():
+        vk = v[:, w == 0]
         elements[0] = hermitize(elements[0] + vk @ vk.conj().T)
     return POVM(elements=tuple(elements))
 
@@ -237,11 +234,7 @@ def _pgm_error_dense(channel: CQChannel, codebook: Codebook, config: RunConfig) 
     states = [codeword_state(channel, cw) for cw in codebook.codewords]
     total = hermitize(reduce(np.add, states, np.zeros((dim, dim), dtype=complex)))
     w, v = herm_eig(total)
-    cut = SUPPORT_CUTOFF * max(float(w.max()), 0.0)
-    on = w > cut
-    inv_root = np.zeros_like(w)
-    inv_root[on] = w[on] ** -0.5
-    half = (v * inv_root) @ v.conj().T
+    half = spectral_map(_support_clip(w), v, lambda x: x ** -0.5)
     success = 0.0
     for rho in states:
         x = half @ rho
@@ -252,17 +245,14 @@ def _pgm_error_dense(channel: CQChannel, codebook: Codebook, config: RunConfig) 
 def pure_letter_overlaps(channel: CQChannel) -> np.ndarray | None:
     """Overlap table O[a, b] = <psi_a|psi_b> when every letter is pure, else None.
 
-    A letter rho_x counts as pure, rho_x = |psi_x><psi_x|, when its second
-    eigenvalue is at most ``SUPPORT_CUTOFF`` times its largest, the cutoff
-    ``mat_power`` applies. The diagonal is set to exactly 1 (unit trace).
+    Both come from ``channel.spectra``: rho_x = |psi_x><psi_x| counts as pure
+    when the support cut there keeps one eigenvalue (the second is at most
+    ``SUPPORT_CUTOFF`` times the largest). The diagonal is set to exactly 1.
     """
-    vectors = []
-    for rho in channel.outputs:
-        w, v = herm_eig(rho)
-        if w.size > 1 and float(w[1]) > SUPPORT_CUTOFF * float(w[0]):
-            return None
-        vectors.append(v[:, 0])
-    psi = np.asarray(vectors)
+    lam, vec = channel.spectra
+    if (lam[:, 1:] > 0).any():
+        return None
+    psi = vec[:, :, 0]
     overlaps = psi.conj() @ psi.T
     np.fill_diagonal(overlaps, 1.0)
     return overlaps
@@ -296,8 +286,7 @@ def _gram_errors(overlaps: np.ndarray, words: np.ndarray) -> np.ndarray:
     sqrt(lambda_k) is formed, from one batched ``eigh`` of the stack.
     """
     lam, vec = np.linalg.eigh(_gram_stack(overlaps, words))
-    cut = SUPPORT_CUTOFF * np.maximum(lam[:, -1:], 0.0)
-    root = np.sqrt(np.where(lam > cut, lam, 0.0))
+    root = np.sqrt(_support_clip(lam))
     diag = ((vec.real ** 2 + vec.imag ** 2) * root[:, None, :]).sum(axis=2)
     return np.clip(1.0 - (diag ** 2).mean(axis=1), 0.0, 1.0)
 

@@ -26,6 +26,8 @@ from .linalg import (
     log_base_psd,
     mat_power,
     partial_trace,
+    spectral_entropy,
+    spectral_map,
     tensor,
     validate_prior,
     von_neumann_entropy,
@@ -160,22 +162,9 @@ def conditional_renyi_up(rho_ab, alpha: float, dims=None) -> float:
     return alpha / (1.0 - alpha) * math.log(total) / LN_BASE
 
 
-def letter_powers(outputs: np.ndarray, alpha: float) -> np.ndarray:
-    """Stack of rho_x^alpha for every channel letter."""
-    return np.stack([mat_power(rho, alpha) for rho in outputs])
-
-
-def mi_values_from_powers(powers: np.ndarray, priors: np.ndarray, alpha: float) -> np.ndarray:
-    """Batched closed-form channel Renyi information for rows of ``priors``.
-
-    ``powers`` holds rho_x^alpha; each value is
-    (a/(a-1)) log2 tr[(sum_x p_x rho_x^a)^(1/a)].
-    """
-    priors = np.atleast_2d(np.asarray(priors, dtype=float))
-    avg = np.einsum("km,mij->kij", priors, powers)
-    lam = np.clip(np.linalg.eigvalsh(avg), 0.0, None)
-    total = (lam ** (1.0 / alpha)).sum(axis=-1)
-    return alpha / (alpha - 1.0) * np.log(total) / LN_BASE
+def letter_powers(channel, alpha: float) -> np.ndarray:
+    """Stack of rho_x^alpha, on each letter's support, from ``channel.spectra``."""
+    return spectral_map(*channel.spectra, lambda w: w ** alpha)
 
 
 def holevo_information(channel, prior) -> float:
@@ -183,7 +172,7 @@ def holevo_information(channel, prior) -> float:
     p = validate_prior(prior, size=channel.size)
     avg = hermitize(np.einsum("m,mij->ij", p, channel.outputs))
     mix = von_neumann_entropy(avg)
-    return mix - float(sum(px * von_neumann_entropy(rho) for px, rho in zip(p, channel.outputs)))
+    return mix - float(p @ spectral_entropy(channel.spectra[0]))
 
 
 def renyi_mi_channel_prior(channel, prior, alpha: float) -> float:
@@ -198,5 +187,6 @@ def renyi_mi_channel_prior(channel, prior, alpha: float) -> float:
     p = validate_prior(prior, size=channel.size)
     if alpha == 1.0:
         return holevo_information(channel, p)
-    powers = letter_powers(channel.outputs, alpha)
-    return float(mi_values_from_powers(powers, p[None, :], alpha)[0])
+    avg = np.einsum("m,mij->ij", p, letter_powers(channel, alpha))
+    total = (np.clip(np.linalg.eigvalsh(avg), 0.0, None) ** (1.0 / alpha)).sum()
+    return float(alpha / (alpha - 1.0) * np.log(total) / LN_BASE)

@@ -6,6 +6,10 @@ the operations everything else is built from: eigendecompositions,
 fractional powers on supports, tensor products, partial traces and
 classical-quantum state assembly.
 
+Functions of a PSD matrix act on the support that ``_support_clip`` cuts,
+through ``spectral_map``; both take stacks, so a channel's letters are
+decomposed and cut once (``CQChannel.spectra``).
+
 Every function is pure; composite results are re-Hermitized to suppress
 floating-point drift.
 """
@@ -22,8 +26,8 @@ from .errors import DimensionError, InvalidOperator, NotPSD, TooLarge
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A^dagger)/2."""
-    return (a + a.conj().T) / 2
+    """Hermitian part (A + A^dagger)/2 of a matrix or of each matrix of a stack."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
@@ -48,11 +52,18 @@ def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _support_clip(w: np.ndarray) -> np.ndarray:
-    """Zero out spectrum below the relative support cutoff."""
-    top = float(w.max()) if w.size else 0.0
-    cut = SUPPORT_CUTOFF * max(top, 0.0)
-    out = np.where(w > cut, w, 0.0)
-    return out
+    """Zero eigenvalues (last axis) at or below SUPPORT_CUTOFF times the largest, and negative ones."""
+    cut = SUPPORT_CUTOFF * np.max(w, axis=-1, keepdims=True, initial=0.0)
+    return np.where(w > cut, w, 0.0)
+
+
+def spectral_map(w: np.ndarray, v: np.ndarray, fn) -> np.ndarray:
+    """U f(lambda) U^dagger of cut eigenvalues ``w`` and eigenvectors ``v`` (or
+    stacks of them), with ``fn`` applied on the support w > 0 and 0 elsewhere."""
+    fw = np.zeros_like(w)
+    on = w > 0
+    fw[on] = fn(w[on])
+    return hermitize((v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def mat_power(a: np.ndarray, t: float) -> np.ndarray:
@@ -66,11 +77,7 @@ def mat_power(a: np.ndarray, t: float) -> np.ndarray:
     scale = max(1.0, float(w.max())) if w.size else 1.0
     if w.size and float(w.min()) < -PSD_TOL * scale:
         raise NotPSD(f"matrix has eigenvalue {w.min():.3e} below tolerance")
-    w = _support_clip(w)
-    pw = np.zeros_like(w)
-    on = w > 0
-    pw[on] = w[on] ** t
-    return hermitize((v * pw) @ v.conj().T)
+    return spectral_map(_support_clip(w), v, lambda x: x ** t)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -78,17 +85,17 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def tensor_all(mats: Sequence[np.ndarray], cap: int = MAX_TENSOR_DIM) -> np.ndarray:
+def tensor_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker chain over a nonempty sequence of matrices.
 
-    The result dimension is capped because chained products grow
-    exponentially.
+    The result dimension is capped at ``MAX_TENSOR_DIM`` because chained
+    products grow exponentially.
     """
     total = 1
     for m in mats:
         total *= np.asarray(m).shape[0]
-    if total > cap:
-        raise TooLarge(f"tensor chain dimension {total} exceeds cap {cap}")
+    if total > MAX_TENSOR_DIM:
+        raise TooLarge(f"tensor chain dimension {total} exceeds cap {MAX_TENSOR_DIM}")
     out = np.asarray(mats[0], dtype=complex)
     for m in mats[1:]:
         out = np.kron(out, m)
@@ -215,20 +222,19 @@ def cq_state(channel, prior) -> CQState:
     return CQState(prior=p, states=tuple(channel.outputs))
 
 
+def spectral_entropy(w: np.ndarray) -> np.ndarray:
+    """Entropy in bits of cut spectra (last axis), clamped to [0, log2 d]."""
+    h = -(w * np.log(np.where(w > 0, w, 1.0))).sum(axis=-1) / LN_BASE
+    return np.clip(h, 0.0, np.log(w.shape[-1]) / LN_BASE)
+
+
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy -sum lambda log2 lambda in bits, with 0 log 0 = 0."""
     w = np.linalg.eigvalsh(hermitize(np.asarray(rho, dtype=complex)))
-    w = _support_clip(np.clip(w, 0.0, None))
-    on = w > 0
-    h = float(-(w[on] * np.log(w[on])).sum() / LN_BASE)
-    return min(max(h, 0.0), np.log(len(w)) / LN_BASE)
+    return float(spectral_entropy(_support_clip(w)))
 
 
 def log_base_psd(a: np.ndarray) -> np.ndarray:
     """Matrix log (base LOG_BASE) of a PSD matrix, restricted to its support."""
     w, v = herm_eig(a)
-    w = _support_clip(np.clip(w, 0.0, None))
-    lw = np.zeros_like(w)
-    on = w > 0
-    lw[on] = np.log(w[on]) / LN_BASE
-    return hermitize((v * lw) @ v.conj().T)
+    return spectral_map(_support_clip(w), v, lambda x: np.log(x) / LN_BASE)

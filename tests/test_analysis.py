@@ -21,8 +21,10 @@ from cqexp import (
 from cqexp import analysis
 from cqexp.analysis import _e0_slope, _renyi_surrogate
 from cqexp.channel_io import load_channel
+from cqexp.config import LN_BASE
 from cqexp.divergences import letter_powers
 from cqexp.errors import InvalidGrid, NumericalInstability, RateAboveCapacity, TooLarge
+from cqexp.linalg import log_base_psd, mat_power, spectral_map
 from cqexp.simplex_opt import ConvexSurrogate, maximize_on_simplex
 
 from cqexp.coding import pure_letter_overlaps
@@ -112,7 +114,7 @@ class TestRenyiMIChannel:
     def test_gradient_matches_finite_differences(self, rng):
         ch = random_channel(3, 2, rng)
         alpha = 0.6
-        surrogate = _renyi_surrogate(letter_powers(ch.outputs, alpha), alpha)
+        surrogate = _renyi_surrogate(letter_powers(ch, alpha), alpha)
 
         def mi(prior):
             return surrogate.maximand(surrogate.value(prior))[0]
@@ -133,7 +135,7 @@ class TestRenyiMIChannel:
         if alpha == 1.0:
             surrogate = analysis._holevo_surrogate(ch)
         else:
-            surrogate = _renyi_surrogate(letter_powers(ch.outputs, alpha), alpha)
+            surrogate = _renyi_surrogate(letter_powers(ch, alpha), alpha)
         p = rng.dirichlet(np.ones(4))
         f, grad, hessian = surrogate.derivatives(p)
         assert f == pytest.approx(surrogate.value(p), rel=1e-13)
@@ -455,6 +457,69 @@ class TestEnvelopeSlope:
         assert _e0_slope(ch, prior, 1.0) == pytest.approx(
             renyi_mi_channel_prior(ch, prior, 1.0), abs=1e-12
         )
+
+
+class TestLetterSpectra:
+    """Letter functions from the one cached decomposition of the channel
+    against per-letter matrix functions."""
+
+    @staticmethod
+    def _channel() -> CQChannel:
+        # Ranks 1, 2 and 3 on C^3, and a letter with an eigenvalue of 1e-14
+        # (relative), below the support cutoff, next to one of 1e-9 above it.
+        rng = np.random.default_rng(2718)
+        spectra = ([1.0, 0.0, 0.0], [0.6, 0.4, 0.0], [0.5, 0.3, 0.2], [1.0 - 1e-9 - 1e-14, 1e-9, 1e-14])
+        states = []
+        for lam in spectra:
+            u = random_unitary(3, rng)
+            states.append((u * np.asarray(lam)) @ u.conj().T)
+        return CQChannel.from_states(states)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.3, 0.99])
+    def test_powers_and_power_logs_match_per_letter(self, alpha):
+        ch = self._channel()
+        per_letter = np.stack([mat_power(rho, alpha) for rho in ch.outputs])
+        np.testing.assert_allclose(letter_powers(ch, alpha), per_letter, rtol=0, atol=1e-13)
+        power_logs = spectral_map(*ch.spectra, lambda w: w ** alpha * np.log(w) / LN_BASE)
+        per_letter = np.stack([mat_power(rho, alpha) @ log_base_psd(rho) for rho in ch.outputs])
+        np.testing.assert_allclose(power_logs, per_letter, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.3, 0.99])
+    def test_e0_slope_matches_per_letter_formula(self, alpha):
+        ch = self._channel()
+        prior = np.random.default_rng(31).dirichlet(np.ones(ch.size))
+        s = 1.0 / alpha - 1.0
+        powers = [mat_power(rho, alpha) for rho in ch.outputs]
+        a = sum(p * rho_a for p, rho_a in zip(prior, powers))
+        a_prime = -alpha**2 * sum(
+            p * rho_a @ log_base_psd(rho) for p, rho_a, rho in zip(prior, powers, ch.outputs)
+        )
+        a_pow = mat_power(a, 1.0 + s)
+        d_trace = np.trace(a_pow @ log_base_psd(a) + (1.0 + s) * mat_power(a, s) @ a_prime).real
+        expected = -d_trace / np.trace(a_pow).real
+        assert _e0_slope(ch, prior, alpha) == pytest.approx(expected, rel=1e-11, abs=1e-11)
+
+    def test_curve_decomposes_each_matrix_once(self, monkeypatch):
+        # One eigh for the letters, then one per inner solve (bsc01 is
+        # symmetric: the uniform start is optimal, so no Newton step) and
+        # one per E0' evaluation.
+        counts = {"eigh": 0, "solves": 0, "slopes": 0}
+
+        def counting(fn, key):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        session = ChannelAnalysis(load_channel(CHANNELS_DIR / "bsc01.json"))
+        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, "eigh"))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh, "eigh"))
+        monkeypatch.setattr(analysis, "maximize_on_simplex", counting(analysis.maximize_on_simplex, "solves"))
+        monkeypatch.setattr(analysis, "_e0_slope", counting(analysis._e0_slope, "slopes"))
+        session.curve(np.linspace(0.05, 0.5, 10))
+        assert counts["solves"] > 0 and counts["slopes"] > 0
+        assert counts["eigh"] <= 1 + counts["solves"] + counts["slopes"]
 
 
 class TestCriticalRate:

@@ -102,6 +102,37 @@ class TestRenyi:
             assert runner.invoke(main, ["renyi", str(path), *args]).exit_code == 0
         assert runner.invoke(main, ["capacity", str(path)]).exit_code == 0
 
+    def test_letter_with_eigenvalue_inside_load_tolerance(self, runner, tmp_path):
+        # diag(1 + 5e-9, -5e-9) passes the 1e-8 load check; its negative
+        # eigenvalue is cut to 0 once, in the channel's spectra, so every
+        # command runs and renyi matches the letter with that eigenvalue at 0.
+        def spec(low):
+            letters = [[[1.0 + 5e-9, 0.0], [0.0, low]], [[0.5, 0.5], [0.5, 0.5]]]
+            path = tmp_path / f"letters{low}.json"
+            path.write_text(json.dumps({
+                "cqspec": 1,
+                "dim": 2,
+                "outputs": [[[[x, 0.0] for x in row] for row in rho] for rho in letters],
+            }), encoding="utf-8")
+            return str(path)
+
+        near, clipped = spec(-5e-9), spec(0.0)
+        for args in (
+            ["capacity"],
+            ["renyi", "--alpha", "0.3"],
+            ["exponent", "--rmin", "0.05", "--rmax", "0.5", "--steps", "3"],
+            ["simulate", "--rate", "0.3", "--n-list", "2,4", "--trials", "2", "--seed", "1"],
+            ["besttype", "--alpha", "0.5", "--nmax", "3"],
+        ):
+            res = runner.invoke(main, [args[0], near, *args[1:]])
+            assert res.exit_code == 0, (args, res.output)
+
+        def renyi(path):
+            res = runner.invoke(main, ["renyi", path, "--alpha", "0.3", "--json"])
+            return json.loads(res.output.strip().splitlines()[-1])["renyi_mi"]
+
+        assert renyi(near) == pytest.approx(renyi(clipped), abs=1e-7)
+
     def test_wrong_prior_length_exit_2(self, runner):
         res = runner.invoke(main, ["renyi", BSC, "--alpha", "0.5", "--prior", "0.2,0.3,0.5"])
         assert res.exit_code == 2
