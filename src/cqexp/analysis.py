@@ -3,10 +3,11 @@ the error-exponent bounds built from them.
 
 The alpha-parametrized objective ((1-a)/a) * (I_a(N) - r) is maximized
 over two ranges: [1/2, 1] for the achievability (lower) bound and
-(alpha_min, 1] for the sphere-packing (upper) bound. With s = (1-a)/a it
-is E0(s) - s r, E0(s) = s I_{1/(1+s)}(N); the critical rate E0'(1) and the
-root of E0'(s) = r that refines each bound come from the closed-form slope
-at the optimal prior (Danskin's theorem). Each evaluation of I_a(N) is
+[0.01, 1] for the sphere-packing (upper) bound, whose supremum over (0, 1]
+is truncated there. With s = (1-a)/a it is E0(s) - s r, E0(s) =
+s I_{1/(1+s)}(N); the critical rate E0'(1) and the root of E0'(s) = r that
+refines each bound come from the closed-form slope at the optimal prior
+(Danskin's theorem). Each evaluation of I_a(N) is
 itself a maximization over priors, so a :class:`ChannelAnalysis` session
 caches those inner optimizations and warm-starts nearby ones.
 """
@@ -19,13 +20,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import CQChannel
-from .coding import codeword_gram, pure_letter_overlaps
+from .coding import _check_state_dim, codeword_gram, pure_letter_overlaps
 from .config import DEFAULT_CONFIG, LN_BASE, RunConfig
 from .divergences import check_alpha, letter_powers
 from .errors import InvalidGrid, NumericalInstability, RateAboveCapacity, TooLarge
 from .linalg import _support_clip, mat_power, spectral_entropy, spectral_map, tensor_all
 from .simplex_opt import ConvexSurrogate, SimplexMaximum, maximize_on_simplex
 from .typeclasses import TypeClass, enumerate_sequences, enumerate_types
+
+# Largest input alphabet that a prior optimization takes.
+MAX_OPT_ALPHABET = 8
+# The paper's alpha floors: achievability maximizes over s in [0, 1], alpha in
+# [1/2, 1]; the sphere-packing supremum over (0, 1] is cut off at 0.01 (warned).
+ACHIEVABILITY_ALPHA_MIN = 0.5
+SPHERE_PACKING_ALPHA_MIN = 0.01
+# Points of each alpha grid, and the alpha bracket that ends a root search.
+ALPHA_GRID_POINTS = 64
+ALPHA_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -238,21 +249,19 @@ def _report(result: SimplexMaximum, alpha: float = 1.0) -> OptimizationReport:
     )
 
 
-def holevo_capacity(
-    channel: CQChannel, config: RunConfig = DEFAULT_CONFIG, *, warm_starts=()
-) -> OptimizationReport:
+def _check_alphabet(channel: CQChannel) -> None:
+    if channel.size > MAX_OPT_ALPHABET:
+        raise TooLarge(f"alphabet {channel.size} exceeds optimization cap {MAX_OPT_ALPHABET}")
+
+
+def holevo_capacity(channel: CQChannel, *, warm_starts=()) -> OptimizationReport:
     """Classical capacity: maximize the Holevo quantity over input priors."""
-    if channel.size > config.max_opt_alphabet:
-        raise TooLarge(f"alphabet {channel.size} exceeds optimization cap {config.max_opt_alphabet}")
-    result = maximize_on_simplex(
-        _holevo_surrogate(channel), channel.size, config, warm_starts=warm_starts
-    )
+    _check_alphabet(channel)
+    result = maximize_on_simplex(_holevo_surrogate(channel), channel.size, warm_starts=warm_starts)
     return _report(result)
 
 
-def renyi_mi_channel(
-    channel: CQChannel, alpha: float, config: RunConfig = DEFAULT_CONFIG, *, warm_starts=()
-) -> OptimizationReport:
+def renyi_mi_channel(channel: CQChannel, alpha: float, *, warm_starts=()) -> OptimizationReport:
     """I_alpha(N): maximize the channel Renyi information over priors.
 
     Requires alpha in (0, 1]; alpha = 1 dispatches to the capacity
@@ -262,14 +271,10 @@ def renyi_mi_channel(
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     if alpha == 1.0:
-        return holevo_capacity(channel, config, warm_starts=warm_starts)
-    if channel.size > config.max_opt_alphabet:
-        raise TooLarge(f"alphabet {channel.size} exceeds optimization cap {config.max_opt_alphabet}")
-    powers = letter_powers(channel, alpha)
-    result = maximize_on_simplex(
-        _renyi_surrogate(powers, alpha), channel.size, config, warm_starts=warm_starts
-    )
-    return _report(result, alpha)
+        return holevo_capacity(channel, warm_starts=warm_starts)
+    _check_alphabet(channel)
+    surrogate = _renyi_surrogate(letter_powers(channel, alpha), alpha)
+    return _report(maximize_on_simplex(surrogate, channel.size, warm_starts=warm_starts), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -299,31 +304,25 @@ def _e0_slope(channel: CQChannel, prior: np.ndarray, alpha: float) -> float:
 class ChannelAnalysis:
     """Session object caching the inner prior optimizations of one channel.
 
-    All methods are deterministic for a fixed (channel, config) and call
-    order. Warm starts for off-grid alpha values are taken from the fixed
-    alpha grids only, never from other refinement results. Another call
-    order moves a cached value by no more than its reported gap.
+    All methods are deterministic for a fixed channel and call order. Warm
+    starts for off-grid alpha values are taken from the fixed alpha grids
+    only, never from other refinement results. Another call order moves a
+    cached value by no more than its reported gap.
     """
 
-    def __init__(self, channel: CQChannel, config: RunConfig | None = None):
+    def __init__(self, channel: CQChannel):
         self.channel = channel
-        self.config = config or DEFAULT_CONFIG
         self._mi_cache: dict[float, OptimizationReport] = {}
         self._grids: dict[str, tuple[np.ndarray, list[OptimizationReport]]] = {}
 
     # -- inner optimizations -------------------------------------------------
 
-    def _alpha_range(self, kind: str) -> tuple[float, float]:
-        if kind == "lower":
-            return self.config.achievability_alpha_min, 1.0
-        return self.config.sphere_packing_alpha_min, 1.0
-
     def _grid(self, kind: str) -> tuple[np.ndarray, list[OptimizationReport]]:
         cached = self._grids.get(kind)
         if cached is not None:
             return cached
-        lo, hi = self._alpha_range(kind)
-        alphas = np.linspace(lo, hi, self.config.alpha_grid_points)
+        lo = ACHIEVABILITY_ALPHA_MIN if kind == "lower" else SPHERE_PACKING_ALPHA_MIN
+        alphas = np.linspace(lo, 1.0, ALPHA_GRID_POINTS)
         reports: list[OptimizationReport] = []
         warm: tuple = ()
         for alpha in alphas:
@@ -337,7 +336,7 @@ class ChannelAnalysis:
         key = float(alpha)
         rep = self._mi_cache.get(key)
         if rep is None:
-            rep = renyi_mi_channel(self.channel, key, self.config, warm_starts=warm_starts)
+            rep = renyi_mi_channel(self.channel, key, warm_starts=warm_starts)
             if not rep.converged:
                 raise NumericalInstability(f"prior optimization did not converge at alpha={key}")
             self._mi_cache[key] = rep
@@ -371,9 +370,10 @@ class ChannelAnalysis:
         The sign of E0' - r at the grid maximum picks the neighbouring cell
         (the objective rises toward larger s where E0' > r). If the sign
         changes across it, the Illinois method (regula falsi halving the stale
-        end) shrinks that alpha bracket to alpha_tol, one solve per probe.
+        end) shrinks that alpha bracket to ``ALPHA_TOL``, one solve per probe.
+        The sphere-packing bound is saturated when its alpha ends within
+        10 ``ALPHA_TOL`` of the grid floor.
         """
-        lo, _ = self._alpha_range(kind)
         alphas, reports = self._grid(kind)
         mis = np.asarray([rep.value for rep in reports])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -390,7 +390,7 @@ class ChannelAnalysis:
         if ga != 0.0 and 0 <= other < len(alphas):
             b = float(alphas[other])
             gb = excess(b, reports[other])
-        while ga * gb < 0.0 and abs(b - a) > self.config.alpha_tol:
+        while ga * gb < 0.0 and abs(b - a) > ALPHA_TOL:
             c = (a * gb - b * ga) / (gb - ga)
             rep = self._mi_point(c, warm_starts=self._grid_warm(kind, c))
             val = (1.0 - c) / c * (rep.value - r)
@@ -402,10 +402,7 @@ class ChannelAnalysis:
             else:
                 ga /= 2.0
             b, gb = c, gc
-        saturated = (
-            math.isclose(lo, self.config.sphere_packing_alpha_min)
-            and alpha_star <= lo + max(self.config.alpha_tol * 10, 1e-9)
-        )
+        saturated = kind == "upper" and alpha_star <= SPHERE_PACKING_ALPHA_MIN + ALPHA_TOL * 10
         return BoundResult(value=float(val_star), alpha=float(alpha_star), saturated=saturated)
 
     def lower_bound(self, r: float) -> BoundResult:
@@ -433,15 +430,24 @@ class ChannelAnalysis:
         c = self.capacity().value
         if r >= c:
             raise RateAboveCapacity(f"rate {r} is not below capacity {c}")
+        row = self._row(r, self.critical_rate())
+        kind = "exact" if row.equal else "interval"
+        return ReliabilityResult(kind=kind, lower=row.lower, upper=row.upper)
+
+    def _row(self, r: float, rc: float) -> ExponentRow:
+        """Both bounds at r; at or above the critical rate rc they must agree
+        within 1e-7, and the row is exact."""
         low = self.lower_bound(r)
         up = self.upper_bound(r)
-        if r >= self.critical_rate() - 1e-9:
-            if abs(low.value - up.value) > 1e-7:
-                raise NumericalInstability(
-                    f"bounds differ above the critical rate: {low.value} vs {up.value}"
-                )
-            return ReliabilityResult(kind="exact", lower=low.value, upper=low.value)
-        return ReliabilityResult(kind="interval", lower=low.value, upper=up.value)
+        equal = r >= rc - 1e-9
+        if equal and abs(low.value - up.value) > 1e-7:
+            raise NumericalInstability(
+                f"bounds differ above the critical rate at r={r}: {low.value} vs {up.value}"
+            )
+        return ExponentRow(
+            rate=float(r), lower=low.value, upper=low.value if equal else up.value, equal=equal,
+            alpha_lower=low.alpha, alpha_upper=up.alpha, upper_saturated=up.saturated,
+        )
 
     def curve(self, rates) -> ExponentCurve:
         """Exponent bounds on a strictly increasing rate grid inside (0, C)."""
@@ -454,28 +460,7 @@ class ChannelAnalysis:
         if rates[0] <= 0 or rates[-1] >= c:
             raise InvalidGrid(f"rates must lie strictly inside (0, {c:.6g})")
         rc = self.critical_rate()
-
-        def row(r: float) -> ExponentRow:
-            low = self.lower_bound(r)
-            up = self.upper_bound(r)
-            equal = r >= rc - 1e-9
-            if equal:
-                if abs(low.value - up.value) > 1e-7:
-                    raise NumericalInstability(
-                        f"bounds differ above the critical rate at r={r}"
-                    )
-                return ExponentRow(
-                    rate=float(r), lower=low.value, upper=low.value, equal=True,
-                    alpha_lower=low.alpha, alpha_upper=up.alpha,
-                    upper_saturated=up.saturated,
-                )
-            return ExponentRow(
-                rate=float(r), lower=low.value, upper=up.value, equal=False,
-                alpha_lower=low.alpha, alpha_upper=up.alpha,
-                upper_saturated=up.saturated,
-            )
-
-        rows = tuple(row(r) for r in rates)
+        rows = tuple(self._row(r, rc) for r in rates)
         return ExponentCurve(rows=rows, critical_rate=rc, capacity=c)
 
 
@@ -494,7 +479,8 @@ def constant_composition_mi(
     spectrum of G_T/|T|, G_T the Gram matrix of the class's sequence
     vectors. While |T| <= d^n the |T| x |T| matrix replaces the d^n x d^n
     one, and ``config.max_sim_dim`` caps |T| instead of d^n; so for pure
-    letters it caps min(|T|, d^n).
+    letters it caps min(|T|, d^n). A d^n x d^n average is also held to
+    ``MAX_TENSOR_DIM``, before any of it is built.
     """
     alpha = check_alpha(alpha, allow_one=False)
     if alpha <= 0.0:
@@ -508,15 +494,14 @@ def constant_composition_mi(
     if overlaps is not None and count <= full_dim:
         if count > config.max_sim_dim:
             raise TooLarge(f"type class size {count} exceeds cap {config.max_sim_dim}")
-        avg = codeword_gram(overlaps, list(enumerate_sequences(t, cap=config.max_type_count)))
+        avg = codeword_gram(overlaps, list(enumerate_sequences(t)))
         avg /= count
     else:
-        if full_dim > config.max_sim_dim:
-            raise TooLarge(f"dimension {full_dim} exceeds cap {config.max_sim_dim}")
+        _check_state_dim(full_dim, config)
         powers = letter_powers(channel, alpha)
         avg = np.zeros((full_dim, full_dim), dtype=complex)
         count = 0
-        for seq in enumerate_sequences(t, cap=config.max_type_count):
+        for seq in enumerate_sequences(t):
             avg += tensor_all([powers[x] for x in seq])
             count += 1
         avg /= count
@@ -531,7 +516,7 @@ def best_type(
     """Type of blocklength n maximizing the constant-composition information."""
     best_t: TypeClass | None = None
     best_v = -math.inf
-    for t in enumerate_types(n, channel.size, cap=config.max_type_count):
+    for t in enumerate_types(n, channel.size):
         v = constant_composition_mi(channel, t, alpha, config)
         if v > best_v:
             best_t, best_v = t, v

@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import CLASSICAL_TOL
+from .config import CLASSICAL_TOL, LOAD_TOL
 from .errors import DimensionError, NotClassical
 from .linalg import _support_clip, hermitize, validate_density_matrix
 
@@ -33,7 +33,7 @@ class CQChannel:
         if outs.shape[0] < 1:
             raise DimensionError("channel needs at least one letter")
         for rho in outs:
-            validate_density_matrix(rho, tol=1e-8)
+            validate_density_matrix(rho, tol=LOAD_TOL)
         object.__setattr__(self, "outputs", outs)
         labels = tuple(str(a) for a in self.alphabet)
         if len(labels) != outs.shape[0]:
@@ -61,8 +61,8 @@ class CQChannel:
     @cached_property
     def spectra(self) -> tuple[np.ndarray, np.ndarray]:
         """(lambda, U), (k, d) and (k, d, d): descending eigenvalues of each letter,
-        cut by ``linalg._support_clip`` (so those above the -1e-8 validation
-        tolerance but below 0 become 0), and eigenvector columns; one ``eigh``."""
+        cut by ``linalg._support_clip`` (so those in [-``LOAD_TOL``, 0), inside
+        the validation tolerance, become 0), and eigenvector columns; one ``eigh``."""
         lam, vec = np.linalg.eigh(hermitize(self.outputs))
         return _support_clip(lam[:, ::-1]), np.ascontiguousarray(vec[:, :, ::-1])
 

@@ -9,8 +9,8 @@ Schema (version field ``"cqspec": 1``):
 * optional ``alphabet``: letter labels (defaults to "0", "1", ...).
 
 Structural requirements (Hermiticity, positivity, unit trace) are checked
-at load with tolerance 1e-8; inputs inside the tolerance are symmetrized
-and trace-renormalized so downstream invariants hold exactly.
+at load with tolerance ``LOAD_TOL`` (1e-8); inputs inside the tolerance are
+symmetrized and trace-renormalized so downstream invariants hold exactly.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .channel import CQChannel
+from .config import LOAD_TOL
 from .errors import InvalidChannelSpec
 from .linalg import hermitize
 
 SCHEMA_VERSION = 1
-LOAD_TOL = 1e-8
 
 
 def _parse_matrix(raw, dim: int, letter: int) -> np.ndarray:

@@ -8,13 +8,12 @@ bit-valued outputs to nats on emission only. ``--seed`` (simulate) seeds
 the codebooks; ``--max-dim`` (simulate, besttype) overrides the cap on
 the dimension of the matrix decomposed at blocklength n: for pure letters
 the codebook or type-class size while it is at most d^n, the state
-dimension d^n otherwise. The dense d^n path has a fixed ceiling,
-``config.MAX_TENSOR_DIM`` = 2^14, that ``--max-dim`` does not raise.
+dimension d^n otherwise. The d^n x d^n states have a fixed ceiling,
+``config.MAX_TENSOR_DIM``, that ``--max-dim`` does not raise.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json as _json
 import sys
@@ -25,7 +24,7 @@ import numpy as np
 from .analysis import ChannelAnalysis, best_type_up_to, holevo_capacity, renyi_mi_channel
 from .channel_io import load_channel
 from .coding import estimate_exponent
-from .config import DEFAULT_CONFIG, LN_BASE, MAX_TENSOR_DIM
+from .config import DEFAULT_CONFIG, LN_BASE, MAX_TENSOR_DIM, RunConfig
 from .divergences import renyi_mi_channel_prior
 from .errors import (
     CqexpError,
@@ -60,15 +59,15 @@ def _guard(fn):
 
 MAX_DIM_HELP = (
     "Cap on the dimension of the matrix decomposed at blocklength n (default "
-    f"{DEFAULT_CONFIG.max_sim_dim}). Values above {MAX_TENSOR_DIM} (2^14) do not "
-    "raise the ceiling of the d^n x d^n states, which exit 4 past it."
+    f"{DEFAULT_CONFIG.max_sim_dim}). Values above {MAX_TENSOR_DIM} "
+    f"(2^{MAX_TENSOR_DIM.bit_length() - 1}) do not raise the ceiling of the "
+    "d^n x d^n states, which exit 4 past it."
 )
 
 
-def _config(max_dim: int | None):
-    if max_dim is None:
-        return DEFAULT_CONFIG
-    return dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=max_dim)
+def _config(max_dim: int | None) -> RunConfig:
+    """The run setting; RunConfig rejects a --max-dim below 1 (exit 2)."""
+    return DEFAULT_CONFIG if max_dim is None else RunConfig(max_sim_dim=max_dim)
 
 
 def _conv(x: float, nats: bool) -> float:
@@ -245,7 +244,7 @@ def simulate(channel_file, rate, n_list_raw, trials, seed, max_dim, json_mode, n
     n_list = _parse_n_list(n_list_raw)
     channel = load_channel(channel_file)
     config = _config(max_dim)
-    session = ChannelAnalysis(channel, config)
+    session = ChannelAnalysis(channel)
     lower = session.lower_bound(rate).value
     upper = session.upper_bound(rate).value
     estimates = estimate_exponent(
@@ -283,7 +282,7 @@ def besttype(channel_file, alpha, nmax, max_dim, json_mode, nats) -> None:
         raise ValueError("nmax must be >= 1")
     channel = load_channel(channel_file)
     config = _config(max_dim)
-    report = renyi_mi_channel(channel, alpha, config)
+    report = renyi_mi_channel(channel, alpha)
     if not report.converged:
         _fail(NUMERICAL_EXIT, "prior optimization did not converge")
     header = ["n", "best_type", "value_per_use", "I_alpha_target"]

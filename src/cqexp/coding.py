@@ -23,7 +23,8 @@ than that is a chunk of its own. ``pgm_decoder``/``average_error`` build the
 measurement itself and stay the reference that every fast path is checked
 against. The resource cap ``RunConfig.max_sim_dim`` bounds the dimension of
 the matrix that is decomposed: M on the Gram path, d^n on the other two, so
-for pure letters it caps min(M, d^n).
+for pure letters it caps min(M, d^n). The dense path also holds d^n to
+``MAX_TENSOR_DIM``, before the codebooks of a blocklength are drawn.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import CQChannel
-from .config import DEFAULT_CONFIG, LN_BASE, RunConfig
+from .config import DEFAULT_CONFIG, LN_BASE, MAX_TENSOR_DIM, RunConfig
 from .errors import DimensionError, NotClassical, TooLarge
 from .linalg import _support_clip, herm_eig, hermitize, spectral_map, tensor_all
 from .typeclasses import TypeClass, nearest_type
@@ -190,6 +191,12 @@ def _check_sim_dim(dim: int, config: RunConfig) -> int:
     return dim
 
 
+def _check_state_dim(dim: int, config: RunConfig) -> int:
+    """``_check_sim_dim`` for the d^n of d^n x d^n states, whose cap is
+    ``MAX_TENSOR_DIM`` where ``config.max_sim_dim`` is larger."""
+    return _check_sim_dim(dim, RunConfig(min(config.max_sim_dim, MAX_TENSOR_DIM)))
+
+
 def pgm_decoder(channel: CQChannel, codebook: Codebook, config: RunConfig = DEFAULT_CONFIG) -> POVM:
     """Pretty-good measurement for the codeword states.
 
@@ -198,7 +205,7 @@ def pgm_decoder(channel: CQChannel, codebook: Codebook, config: RunConfig = DEFA
     added to the first element so the POVM is complete; codeword states
     carry no weight there, so per-message errors are unaffected.
     """
-    dim = _check_sim_dim(channel.dim ** codebook.n, config)
+    dim = _check_state_dim(channel.dim ** codebook.n, config)
     states = [codeword_state(channel, cw) for cw in codebook.codewords]
     total = hermitize(reduce(np.add, states, np.zeros((dim, dim), dtype=complex)))
     w, v = herm_eig(total)
@@ -230,7 +237,7 @@ def average_error(channel: CQChannel, codebook: Codebook, povm: POVM) -> ErrorRe
 
 def _pgm_error_dense(channel: CQChannel, codebook: Codebook, config: RunConfig) -> float:
     """PGM average error without materializing the POVM."""
-    dim = _check_sim_dim(channel.dim ** codebook.n, config)
+    dim = _check_state_dim(channel.dim ** codebook.n, config)
     states = [codeword_state(channel, cw) for cw in codebook.codewords]
     total = hermitize(reduce(np.add, states, np.zeros((dim, dim), dtype=complex)))
     w, v = herm_eig(total)
@@ -372,7 +379,8 @@ def estimate_exponent(
     evaluated together on the diagonal or Gram path of the module docstring,
     in chunks of at most ``CHUNK_ENTRIES`` entries; the dense path takes them
     one codebook at a time. The path is chosen per blocklength, and
-    ``config.max_sim_dim`` caps M on the Gram path and d^n on the others.
+    ``config.max_sim_dim`` caps M on the Gram path and d^n on the others;
+    ``MAX_TENSOR_DIM`` caps d^n on the dense path too.
 
     Returns a list of :class:`ExponentEstimate`; with ``return_trials`` a
     second list of :class:`TrialRecord` (including exact ML errors on
@@ -383,7 +391,7 @@ def estimate_exponent(
     if trials_per_n < 1:
         raise ValueError("trials_per_n must be >= 1")
     if analysis is None:
-        analysis = ChannelAnalysis(channel, config)
+        analysis = ChannelAnalysis(channel)
     low = analysis.lower_bound(rate)
     prior = analysis.mutual_info(low.alpha).prior
     try:
@@ -413,7 +421,8 @@ def estimate_exponent(
         size = int(round(2.0 ** (n * rate)))
         # The Gram matrix is the smaller one only while M <= d^n.
         gram = overlaps is not None and size <= channel.dim ** n
-        _check_sim_dim(size if gram else channel.dim ** n, config)
+        check = _check_sim_dim if gram or w is not None else _check_state_dim
+        check(size if gram else channel.dim ** n, config)
         if size < 2:
             # A single message is always decoded correctly.
             estimates.append(

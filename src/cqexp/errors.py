@@ -38,7 +38,7 @@ class NotClassical(CqexpError):
 
 
 class NumericalInstability(CqexpError):
-    """A numerical verification step (e.g. Richardson check) failed."""
+    """A numerical check failed: an unconverged prior solve, or inconsistent exponent bounds."""
 
 
 class RateAboveCapacity(CqexpError):

@@ -35,8 +35,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import RunConfig
-
 Derivatives = tuple[float, np.ndarray, Callable[[], np.ndarray]]
 
 _EPS = float(np.finfo(float).eps)
@@ -46,6 +44,10 @@ _EPS = float(np.finfo(float).eps)
 _ROUNDING = 64.0
 # Armijo fraction of the predicted decrease a step must achieve.
 _ARMIJO = 1e-4
+# Stopping rule of a run: the Frank-Wolfe gap of the maximand, in its units
+# (bits for the channel quantities), and the Newton iteration cap.
+GAP_TOL = 1e-9
+MAX_ITERATIONS = 10_000
 
 
 def _negate(f: float) -> tuple[float, float]:
@@ -199,18 +201,17 @@ def _newton_step(surrogate: ConvexSurrogate, at: _Iterate) -> _Iterate | None:
 def maximize_on_simplex(
     surrogate: ConvexSurrogate,
     dim: int,
-    config: RunConfig,
     *,
     warm_starts: Sequence[np.ndarray] = (),
 ) -> SimplexMaximum:
     """Active-set Newton descent on f from the first warm start, or from the
     uniform prior.
 
-    The run stops when the Frank-Wolfe gap of phi(f) reaches
-    ``config.eg_grad_tol`` or its rounding floor, when no step along the
-    Newton direction makes progress, or after ``config.eg_max_iters``
-    iterations. The Hessian is formed only after the gap test has failed,
-    so a start that is already optimal costs one gradient.
+    The run stops when the Frank-Wolfe gap of phi(f) reaches ``GAP_TOL``
+    or its rounding floor, when no step along the Newton direction makes
+    progress, or after ``MAX_ITERATIONS`` iterations. The Hessian is formed
+    only after the gap test has failed, so a start that is already optimal
+    costs one gradient.
     """
     point = np.full(dim, 1.0 / dim)
     if warm_starts:
@@ -220,7 +221,7 @@ def maximize_on_simplex(
         point = warm / warm.sum()
     at = _iterate(surrogate, point, surrogate.derivatives(point))
     iterations = 0
-    while at.gap > max(config.eg_grad_tol, at.floor) and iterations < config.eg_max_iters:
+    while at.gap > max(GAP_TOL, at.floor) and iterations < MAX_ITERATIONS:
         iterations += 1
         stepped = _newton_step(surrogate, at)
         if stepped is None:
@@ -231,7 +232,7 @@ def maximize_on_simplex(
         value=at.value,
         point=at.point.copy(),
         iterations=iterations,
-        converged=at.gap <= max(config.eg_grad_tol, at.floor),
+        converged=at.gap <= max(GAP_TOL, at.floor),
         start_count=1,
         gap=at.gap,
     )

@@ -26,7 +26,6 @@ from cqexp import (
     type_probability,
 )
 from cqexp.cli import main as cli_main
-from cqexp.config import DEFAULT_CONFIG
 
 from conftest import random_channel, random_density_matrix
 from oracles import (
@@ -178,14 +177,13 @@ def test_criterion_5_type_restriction_trend():
 def test_criterion_6_channel_additivity():
     """Joint-prior optimization over a product channel splits into the sum."""
     rng = np.random.default_rng(606)
-    config = DEFAULT_CONFIG
     worst = 0.0
     ch1 = random_channel(2, 2, rng)
     ch2 = random_channel(2, 2, rng)
     product = ch1.tensor(ch2)
     for alpha in (0.5, 0.75):
         single = renyi_mi_channel(ch1, alpha).value + renyi_mi_channel(ch2, alpha).value
-        joint = renyi_mi_channel(product, alpha, config).value
+        joint = renyi_mi_channel(product, alpha).value
         worst = max(worst, abs(joint - single))
         assert abs(joint - single) <= 1e-3
     report(6, f"worst |I(N1xN2) - I(N1) - I(N2)| = {worst:.2e} at alpha in {{0.5, 0.75}}")

@@ -25,7 +25,7 @@ from cqexp.config import LN_BASE
 from cqexp.divergences import letter_powers
 from cqexp.errors import InvalidGrid, NumericalInstability, RateAboveCapacity, TooLarge
 from cqexp.linalg import log_base_psd, mat_power, spectral_map
-from cqexp.simplex_opt import ConvexSurrogate, maximize_on_simplex
+from cqexp.simplex_opt import GAP_TOL, ConvexSurrogate, maximize_on_simplex
 
 from cqexp.coding import pure_letter_overlaps
 from conftest import draw_letters, pure_channels, random_channel, random_unitary
@@ -245,7 +245,7 @@ class TestPriorCertificate:
             cold = renyi_mi_channel(ch, alpha)
             warm = renyi_mi_channel(ch, alpha, warm_starts=(start,))
             assert warm.converged
-            assert warm.gap <= DEFAULT_CONFIG.eg_grad_tol
+            assert warm.gap <= GAP_TOL
             assert warm.value == pytest.approx(cold.value, abs=1e-9)
         if alpha == 1.0:
             assert holevo_capacity(orthogonal_pair, warm_starts=(start,)).value == pytest.approx(1.0, abs=1e-9)
@@ -272,13 +272,13 @@ class TestPriorCertificate:
         with pytest.raises(ValueError):
             renyi_mi_channel(ch, 0.5, warm_starts=(bad,))
 
-    def test_iteration_cap_is_not_convergence(self, rng):
+    def test_iteration_cap_is_not_convergence(self, rng, monkeypatch):
         ch = random_channel(4, 2, rng)
-        capped = dataclasses.replace(DEFAULT_CONFIG, eg_max_iters=1)
-        rep = renyi_mi_channel(ch, 0.5, capped)
+        monkeypatch.setattr("cqexp.simplex_opt.MAX_ITERATIONS", 1)
+        rep = renyi_mi_channel(ch, 0.5)
         assert rep.iterations == 1
         assert not rep.converged
-        assert rep.gap > capped.eg_grad_tol
+        assert rep.gap > GAP_TOL
 
     def test_one_start(self):
         target = np.array([0.1, 0.2, 0.3, 0.4])
@@ -289,7 +289,7 @@ class TestPriorCertificate:
         def derivatives(point):
             return value(point), 2.0 * (point - target), lambda: 2.0 * np.eye(4)
 
-        result = maximize_on_simplex(ConvexSurrogate(value, derivatives), 4, DEFAULT_CONFIG)
+        result = maximize_on_simplex(ConvexSurrogate(value, derivatives), 4)
         assert result.start_count == 1
         assert result.converged
         assert result.gap <= 1e-6
@@ -314,7 +314,7 @@ class TestConvergenceRegressions:
         channel = CQChannel.from_states(list(draw_letters(draw)[1]))
         rep = renyi_mi_channel(channel, alpha)
         assert rep.converged
-        assert rep.gap <= DEFAULT_CONFIG.eg_grad_tol
+        assert rep.gap <= GAP_TOL
 
     @pytest.mark.parametrize(
         "seed, case", [(999, i) for i in range(25)] + [(555, i) for i in range(20)]
@@ -326,7 +326,7 @@ class TestConvergenceRegressions:
         session.curve(np.linspace(0.1, 0.9, 4) * cap)
         for rep in session._mi_cache.values():
             assert rep.converged
-            assert rep.gap <= DEFAULT_CONFIG.eg_grad_tol
+            assert rep.gap <= GAP_TOL
 
 
 class TestExponentObjective:
@@ -386,9 +386,9 @@ class TestExponentBounds:
                     <= session.upper_bound(r).value + 1e-8
                 )
 
-    def test_unconverged_solve_raises(self, rng):
-        capped = dataclasses.replace(DEFAULT_CONFIG, eg_max_iters=1)
-        session = ChannelAnalysis(random_channel(4, 2, rng), capped)
+    def test_unconverged_solve_raises(self, rng, monkeypatch):
+        monkeypatch.setattr("cqexp.simplex_opt.MAX_ITERATIONS", 1)
+        session = ChannelAnalysis(random_channel(4, 2, rng))
         with pytest.raises(NumericalInstability, match="did not converge"):
             session.lower_bound(0.1)
         assert not session._mi_cache
@@ -760,6 +760,5 @@ class TestAdditivity:
         alpha = 0.5
         single = renyi_mi_channel(ch, alpha).value
         product = ch.tensor(orthogonal_pair)
-        config = DEFAULT_CONFIG
-        joint = renyi_mi_channel(product, alpha, config).value
+        joint = renyi_mi_channel(product, alpha).value
         assert joint == pytest.approx(single + 1.0, abs=1e-3)

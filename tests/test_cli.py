@@ -269,6 +269,18 @@ class TestSimulate:
         assert [float(r[2]) for r in printed] == [float(f"{row.best_pe:.9g}") for row in rows]
 
 
+class TestMaxDim:
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["simulate", BSC, "--rate", "0.3", "--n-list", "2", "--trials", "1", "--seed", "1"],
+        ["besttype", PURE_PAIR, "--alpha", "0.5", "--nmax", "2"],
+    ])
+    def test_below_one_exit_2(self, runner, command, value):
+        res = runner.invoke(main, command + ["--max-dim", value])
+        assert res.exit_code == 2
+        assert "max_sim_dim must be >= 1" in res.output
+
+
 class TestBestType:
     def test_first_row_is_vertex_value(self, runner):
         res = runner.invoke(main, ["besttype", PURE_PAIR, "--alpha", "0.5", "--nmax", "2"])

@@ -15,6 +15,7 @@ from cqexp import (
     POVM,
     TypeClass,
     average_error,
+    constant_composition_mi,
     estimate_exponent,
     generate_codebook,
     load_channel,
@@ -23,8 +24,9 @@ from cqexp import (
     pgm_decoder,
     type_of,
 )
-from cqexp import coding
+from cqexp import analysis, coding, linalg
 from cqexp.coding import (
+    _check_state_dim,
     _pgm_error_dense,
     _pgm_error_diagonal,
     _pgm_error_gram,
@@ -32,7 +34,7 @@ from cqexp.coding import (
     codeword_gram,
     pure_letter_overlaps,
 )
-from cqexp.config import DEFAULT_CONFIG
+from cqexp.config import DEFAULT_CONFIG, MAX_TENSOR_DIM, RunConfig
 from cqexp.errors import DimensionError, NotClassical, TooLarge
 
 from conftest import pure_channels, random_channel
@@ -322,6 +324,51 @@ class TestPackingLimit:
         assert estimate_exponent(pure_pair, 1.2, [7], 1, seed=4, config=at_dim) == rows
         with pytest.raises(TooLarge):
             estimate_exponent(pure_pair, 1.2, [7], 1, seed=4, config=dataclasses.replace(at_dim, max_sim_dim=127))
+
+
+class TestStateCeiling:
+    """d^n x d^n states stay within MAX_TENSOR_DIM whatever --max-dim is,
+    and the cap fires before any of them is built."""
+
+    WIDE = RunConfig(max_sim_dim=40000)
+
+    @staticmethod
+    def _forbid_tensor_all(monkeypatch) -> list:
+        calls = []
+
+        def spy(mats):
+            calls.append(len(mats))
+            raise AssertionError("tensor_all called past the state ceiling")
+
+        for module in (linalg, coding, analysis):
+            monkeypatch.setattr(module, "tensor_all", spy)
+        return calls
+
+    @pytest.fixture
+    def mixed_pair(self) -> CQChannel:
+        ch = random_channel(2, 2, np.random.default_rng(13))
+        assert pure_letter_overlaps(ch) is None and not ch.is_classical()
+        return ch
+
+    def test_ceiling_is_max_tensor_dim(self):
+        assert MAX_TENSOR_DIM == 2 ** 12
+        assert _check_state_dim(MAX_TENSOR_DIM, self.WIDE) == MAX_TENSOR_DIM
+        with pytest.raises(TooLarge):
+            _check_state_dim(MAX_TENSOR_DIM + 1, self.WIDE)
+        with pytest.raises(TooLarge):
+            _check_state_dim(257, DEFAULT_CONFIG)
+
+    def test_type_class_average(self, monkeypatch, mixed_pair):
+        calls = self._forbid_tensor_all(monkeypatch)
+        with pytest.raises(TooLarge):
+            constant_composition_mi(mixed_pair, TypeClass(13, (7, 6)), 0.5, self.WIDE)
+        assert not calls
+
+    def test_dense_codebooks(self, monkeypatch, mixed_pair):
+        calls = self._forbid_tensor_all(monkeypatch)
+        with pytest.raises(TooLarge):
+            estimate_exponent(mixed_pair, 0.3, [13], 1, seed=1, config=self.WIDE)
+        assert not calls
 
 
 PURE_CHANNELS = pure_channels()
