@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CQChannel
-from .coding import _check_state_dim, codeword_gram, pure_letter_overlaps
+from .channel import CQChannel, pure_letter_overlaps
 from .config import DEFAULT_CONFIG, LN_BASE, RunConfig
 from .divergences import check_alpha, letter_powers
 from .errors import InvalidGrid, NumericalInstability, RateAboveCapacity, TooLarge
-from .linalg import _support_clip, mat_power, spectral_entropy, spectral_map, tensor_all
+from .linalg import _support_clip, gram_stack, mat_power, spectral_entropy, spectral_map, tensor_all
 from .simplex_opt import ConvexSurrogate, SimplexMaximum, maximize_on_simplex
 from .typeclasses import TypeClass, enumerate_sequences, enumerate_types
 
@@ -478,8 +477,8 @@ def constant_composition_mi(
     For pure letters rho^a = rho, and the class average has the nonzero
     spectrum of G_T/|T|, G_T the Gram matrix of the class's sequence
     vectors. While |T| <= d^n the |T| x |T| matrix replaces the d^n x d^n
-    one, and ``config.max_sim_dim`` caps |T| instead of d^n; so for pure
-    letters it caps min(|T|, d^n). A d^n x d^n average is also held to
+    one, and ``config.check`` caps |T| instead of d^n; so for pure letters
+    ``max_sim_dim`` caps min(|T|, d^n). Either matrix is also held to
     ``MAX_TENSOR_DIM``, before any of it is built.
     """
     alpha = check_alpha(alpha, allow_one=False)
@@ -492,12 +491,11 @@ def constant_composition_mi(
     count = t.sequence_count()
     overlaps = pure_letter_overlaps(channel)
     if overlaps is not None and count <= full_dim:
-        if count > config.max_sim_dim:
-            raise TooLarge(f"type class size {count} exceeds cap {config.max_sim_dim}")
-        avg = codeword_gram(overlaps, list(enumerate_sequences(t)))
+        config.check(count)
+        avg = gram_stack(overlaps, np.asarray(list(enumerate_sequences(t)))[None])[0]
         avg /= count
     else:
-        _check_state_dim(full_dim, config)
+        config.check(full_dim)
         powers = letter_powers(channel, alpha)
         avg = np.zeros((full_dim, full_dim), dtype=complex)
         count = 0

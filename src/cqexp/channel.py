@@ -141,3 +141,19 @@ class CQChannel:
         for x, rho in enumerate(self.outputs):
             w[x] = np.clip(np.real(np.diag(v.conj().T @ rho @ v)), 0.0, None)
         return w
+
+
+def pure_letter_overlaps(channel: CQChannel) -> np.ndarray | None:
+    """Overlap table O[a, b] = <psi_a|psi_b> when every letter is pure, else None.
+
+    Both come from ``channel.spectra``: rho_x = |psi_x><psi_x| counts as pure
+    when the support cut there keeps one eigenvalue (the second is at most
+    ``SUPPORT_CUTOFF`` times the largest). The diagonal is set to exactly 1.
+    """
+    lam, vec = channel.spectra
+    if (lam[:, 1:] > 0).any():
+        return None
+    psi = vec[:, :, 0]
+    overlaps = psi.conj() @ psi.T
+    np.fill_diagonal(overlaps, 1.0)
+    return overlaps

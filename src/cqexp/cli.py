@@ -8,8 +8,9 @@ bit-valued outputs to nats on emission only. ``--seed`` (simulate) seeds
 the codebooks; ``--max-dim`` (simulate, besttype) overrides the cap on
 the dimension of the matrix decomposed at blocklength n: for pure letters
 the codebook or type-class size while it is at most d^n, the state
-dimension d^n otherwise. The d^n x d^n states have a fixed ceiling,
-``config.MAX_TENSOR_DIM``, that ``--max-dim`` does not raise.
+dimension d^n otherwise. Every decomposed matrix (d^n x d^n states and
+Gram matrices) has a fixed ceiling, ``config.MAX_TENSOR_DIM``, that
+``--max-dim`` does not raise.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ MAX_DIM_HELP = (
     "Cap on the dimension of the matrix decomposed at blocklength n (default "
     f"{DEFAULT_CONFIG.max_sim_dim}). Values above {MAX_TENSOR_DIM} "
     f"(2^{MAX_TENSOR_DIM.bit_length() - 1}) do not raise the ceiling of the "
-    "d^n x d^n states, which exit 4 past it."
+    "d^n x d^n states and Gram matrices, which exit 4 past it."
 )
 
 

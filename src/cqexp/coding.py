@@ -21,10 +21,10 @@ The stacked paths run in chunks of at most ``CHUNK_ENTRIES`` table or Gram
 entries, so memory stays that of a few small codebooks; a codebook larger
 than that is a chunk of its own. ``pgm_decoder``/``average_error`` build the
 measurement itself and stay the reference that every fast path is checked
-against. The resource cap ``RunConfig.max_sim_dim`` bounds the dimension of
-the matrix that is decomposed: M on the Gram path, d^n on the other two, so
-for pure letters it caps min(M, d^n). The dense path also holds d^n to
-``MAX_TENSOR_DIM``, before the codebooks of a blocklength are drawn.
+against. ``RunConfig.check`` holds each blocklength to its caps before the
+codebooks are drawn: ``max_sim_dim`` bounds the matrix that is decomposed,
+M on the Gram path and d^n on the other two (so min(M, d^n) for pure
+letters), and ``MAX_TENSOR_DIM`` bounds it too on the Gram and dense paths.
 """
 
 from __future__ import annotations
@@ -36,10 +36,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import CQChannel
-from .config import DEFAULT_CONFIG, LN_BASE, MAX_TENSOR_DIM, RunConfig
-from .errors import DimensionError, NotClassical, TooLarge
-from .linalg import _support_clip, herm_eig, hermitize, spectral_map, tensor_all
+from .analysis import ChannelAnalysis
+from .channel import CQChannel, pure_letter_overlaps
+from .config import DEFAULT_CONFIG, LN_BASE, RunConfig
+from .errors import DimensionError, NotClassical
+from .linalg import _support_clip, gram_stack, herm_eig, hermitize, spectral_map, tensor_all
 from .typeclasses import TypeClass, nearest_type
 
 
@@ -185,18 +186,6 @@ def codeword_state(channel: CQChannel, codeword: Sequence[int]) -> np.ndarray:
     return tensor_all([channel.outputs[x] for x in codeword])
 
 
-def _check_sim_dim(dim: int, config: RunConfig) -> int:
-    if dim > config.max_sim_dim:
-        raise TooLarge(f"dimension {dim} exceeds simulation cap {config.max_sim_dim}")
-    return dim
-
-
-def _check_state_dim(dim: int, config: RunConfig) -> int:
-    """``_check_sim_dim`` for the d^n of d^n x d^n states, whose cap is
-    ``MAX_TENSOR_DIM`` where ``config.max_sim_dim`` is larger."""
-    return _check_sim_dim(dim, RunConfig(min(config.max_sim_dim, MAX_TENSOR_DIM)))
-
-
 def pgm_decoder(channel: CQChannel, codebook: Codebook, config: RunConfig = DEFAULT_CONFIG) -> POVM:
     """Pretty-good measurement for the codeword states.
 
@@ -205,7 +194,7 @@ def pgm_decoder(channel: CQChannel, codebook: Codebook, config: RunConfig = DEFA
     added to the first element so the POVM is complete; codeword states
     carry no weight there, so per-message errors are unaffected.
     """
-    dim = _check_state_dim(channel.dim ** codebook.n, config)
+    dim = config.check(channel.dim ** codebook.n)
     states = [codeword_state(channel, cw) for cw in codebook.codewords]
     total = hermitize(reduce(np.add, states, np.zeros((dim, dim), dtype=complex)))
     w, v = herm_eig(total)
@@ -237,7 +226,7 @@ def average_error(channel: CQChannel, codebook: Codebook, povm: POVM) -> ErrorRe
 
 def _pgm_error_dense(channel: CQChannel, codebook: Codebook, config: RunConfig) -> float:
     """PGM average error without materializing the POVM."""
-    dim = _check_state_dim(channel.dim ** codebook.n, config)
+    dim = config.check(channel.dim ** codebook.n)
     states = [codeword_state(channel, cw) for cw in codebook.codewords]
     total = hermitize(reduce(np.add, states, np.zeros((dim, dim), dtype=complex)))
     w, v = herm_eig(total)
@@ -247,37 +236,6 @@ def _pgm_error_dense(channel: CQChannel, codebook: Codebook, config: RunConfig) 
         x = half @ rho
         success += float((x * x.T).sum().real)  # tr[(S^-1/2 rho)^2]
     return min(max(1.0 - success / len(states), 0.0), 1.0)
-
-
-def pure_letter_overlaps(channel: CQChannel) -> np.ndarray | None:
-    """Overlap table O[a, b] = <psi_a|psi_b> when every letter is pure, else None.
-
-    Both come from ``channel.spectra``: rho_x = |psi_x><psi_x| counts as pure
-    when the support cut there keeps one eigenvalue (the second is at most
-    ``SUPPORT_CUTOFF`` times the largest). The diagonal is set to exactly 1.
-    """
-    lam, vec = channel.spectra
-    if (lam[:, 1:] > 0).any():
-        return None
-    psi = vec[:, :, 0]
-    overlaps = psi.conj() @ psi.T
-    np.fill_diagonal(overlaps, 1.0)
-    return overlaps
-
-
-def _gram_stack(overlaps: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """(B, M, M) Gram matrices G[b, m, m'] = prod_i O[w_bm,i, w_bm',i] of a (B, M, n) letter stack."""
-    books, size, n = words.shape
-    g = np.ones((books, size, size), dtype=complex)
-    for i in range(n):
-        col = words[:, :, i]
-        g *= overlaps[col[:, :, None], col[:, None, :]]
-    return g
-
-
-def codeword_gram(overlaps: np.ndarray, words: Sequence[Sequence[int]]) -> np.ndarray:
-    """Gram matrix G[m, m'] = prod_i O[w_m,i, w_m',i] of pure product vectors."""
-    return _gram_stack(overlaps, np.asarray(words)[None])[0]
 
 
 def _gram_errors(overlaps: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -292,15 +250,10 @@ def _gram_errors(overlaps: np.ndarray, words: np.ndarray) -> np.ndarray:
     (singular G) too. Only the diagonal (G^(1/2))_mm = sum_k |V_mk|^2
     sqrt(lambda_k) is formed, from one batched ``eigh`` of the stack.
     """
-    lam, vec = np.linalg.eigh(_gram_stack(overlaps, words))
+    lam, vec = np.linalg.eigh(gram_stack(overlaps, words))
     root = np.sqrt(_support_clip(lam))
     diag = ((vec.real ** 2 + vec.imag ** 2) * root[:, None, :]).sum(axis=2)
     return np.clip(1.0 - (diag ** 2).mean(axis=1), 0.0, 1.0)
-
-
-def _pgm_error_gram(overlaps: np.ndarray, codebook: Codebook) -> float:
-    """PGM error for pure letters from the M x M Gram matrix of one codebook."""
-    return float(_gram_errors(overlaps, np.asarray(codebook.codewords)[None])[0])
 
 
 def _sequence_table(w: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -328,23 +281,13 @@ def _table_errors(q: np.ndarray) -> np.ndarray:
     return np.clip(np.stack((pgm, ml)), 0.0, 1.0)
 
 
-def _sequence_distributions(w: np.ndarray, codebook: Codebook) -> np.ndarray:
-    """(M, d^n) table of output-sequence probabilities, one row per codeword."""
-    return _sequence_table(w, np.asarray(codebook.codewords)[None])[0]
-
-
-def _pgm_error_diagonal(w: np.ndarray, codebook: Codebook) -> float:
-    """PGM error on a commuting channel, evaluated in the common eigenbasis."""
-    return float(_table_errors(_sequence_distributions(w, codebook)[None])[0, 0])
-
-
 def ml_error_classical(
     channel: CQChannel, codebook: Codebook, config: RunConfig = DEFAULT_CONFIG
 ) -> float:
     """Exact minimum average error for commuting outputs (ML decoding)."""
     w = channel.induced_stochastic_matrix()
-    _check_sim_dim(channel.dim ** codebook.n, config)
-    return float(_table_errors(_sequence_distributions(w, codebook)[None])[1, 0])
+    config.check(channel.dim ** codebook.n, table=True)
+    return float(_table_errors(_sequence_table(w, np.asarray(codebook.codewords)[None]))[1, 0])
 
 
 def _in_chunks(kernel, words: np.ndarray, entries_per_book: int) -> np.ndarray:
@@ -379,15 +322,13 @@ def estimate_exponent(
     evaluated together on the diagonal or Gram path of the module docstring,
     in chunks of at most ``CHUNK_ENTRIES`` entries; the dense path takes them
     one codebook at a time. The path is chosen per blocklength, and
-    ``config.max_sim_dim`` caps M on the Gram path and d^n on the others;
-    ``MAX_TENSOR_DIM`` caps d^n on the dense path too.
+    ``config.check`` holds M on the Gram path and d^n on the others to the
+    caps of the module docstring.
 
     Returns a list of :class:`ExponentEstimate`; with ``return_trials`` a
     second list of :class:`TrialRecord` (including exact ML errors on
     commuting channels) is returned as well.
     """
-    from .analysis import ChannelAnalysis  # local import to avoid a cycle
-
     if trials_per_n < 1:
         raise ValueError("trials_per_n must be >= 1")
     if analysis is None:
@@ -418,11 +359,11 @@ def estimate_exponent(
     all_records: list[TrialRecord] = []
     for n in n_list:
         n = int(n)
-        size = int(round(2.0 ** (n * rate)))
+        # 2^(nR) overflows a float from nR = 1024 on, far past every cap.
+        size = int(round(2.0 ** (n * rate))) if n * rate < 1024 else math.inf
         # The Gram matrix is the smaller one only while M <= d^n.
         gram = overlaps is not None and size <= channel.dim ** n
-        check = _check_sim_dim if gram or w is not None else _check_state_dim
-        check(size if gram else channel.dim ** n, config)
+        config.check(size if gram else channel.dim ** n, table=w is not None)
         if size < 2:
             # A single message is always decoded correctly.
             estimates.append(

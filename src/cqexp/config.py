@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import TooLarge
+
 # Logarithm base used everywhere; 2.0 means bits.
 LOG_BASE = 2.0
 LN_BASE = math.log(LOG_BASE)
@@ -35,8 +37,8 @@ CLASSICAL_TOL = 1e-10
 LOAD_TOL = 1e-8
 
 # Ceiling on the dimension of a Kronecker chain (``linalg.tensor_all``), and
-# so on d^n for every d^n x d^n state: one 4096 x 4096 complex matrix is
-# 256 MiB.
+# so on every matrix decomposed at blocklength n, d^n x d^n states and Gram
+# matrices alike: one 4096 x 4096 complex matrix is 256 MiB.
 MAX_TENSOR_DIM = 2 ** 12
 
 
@@ -45,8 +47,8 @@ class RunConfig:
     """The cap on the matrix decomposed at blocklength n (``--max-dim``).
 
     ``max_sim_dim`` bounds M codewords or |T| sequences for pure letters
-    while that is at most d^n, d^n otherwise; d^n x d^n states stay within
-    ``MAX_TENSOR_DIM`` whatever it is.
+    while that is at most d^n, d^n otherwise; every decomposed matrix stays
+    within ``MAX_TENSOR_DIM`` whatever it is. ``check`` applies both.
     """
 
     max_sim_dim: int = 256
@@ -54,6 +56,15 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.max_sim_dim < 1:
             raise ValueError(f"max_sim_dim must be >= 1, got {self.max_sim_dim}")
+
+    def check(self, dim: int, *, table: bool = False) -> int:
+        """``dim``, the side of the matrix built at blocklength n (M or |T| on the Gram
+        paths, d^n otherwise), or TooLarge past ``max_sim_dim``, or past
+        ``MAX_TENSOR_DIM`` unless it is a ``table`` (the diagonal path: never decomposed)."""
+        cap = self.max_sim_dim if table else min(self.max_sim_dim, MAX_TENSOR_DIM)
+        if dim > cap:
+            raise TooLarge(f"dimension {dim} exceeds simulation cap {cap}")
+        return dim
 
 
 DEFAULT_CONFIG = RunConfig()

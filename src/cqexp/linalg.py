@@ -102,6 +102,17 @@ def tensor_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def gram_stack(overlaps: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """(B, M, M) Gram matrices G[b, m, m'] = prod_i O[w_bm,i, w_bm',i] of a (B, M, n) letter
+    stack, O the overlap table of pure letters (``channel.pure_letter_overlaps``)."""
+    books, size, n = words.shape
+    g = np.ones((books, size, size), dtype=complex)
+    for i in range(n):
+        col = words[:, :, i]
+        g *= overlaps[col[:, :, None], col[:, None, :]]
+    return g
+
+
 def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Trace out all tensor factors not listed in ``keep``.
 

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from cqexp.errors import InvalidGrid, NumericalInstability, RateAboveCapacity, T
 from cqexp.linalg import log_base_psd, mat_power, spectral_map
 from cqexp.simplex_opt import GAP_TOL, ConvexSurrogate, maximize_on_simplex
 
-from cqexp.coding import pure_letter_overlaps
+from cqexp.channel import pure_letter_overlaps
 from conftest import draw_letters, pure_channels, random_channel, random_unitary
 from oracles import (
     best_prior_e0,
@@ -703,7 +705,7 @@ class TestConstantCompositionGram:
         t = TypeClass(8, (3, 3, 2))
         assert t.sequence_count() == 560
         with monkeypatch.context() as m:
-            m.setattr(analysis, "codeword_gram", None)  # any Gram call fails
+            m.setattr(analysis, "gram_stack", None)  # any Gram call fails
             at_dim = dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=256)
             value = constant_composition_mi(ch, t, 0.5, at_dim)
             with pytest.raises(TooLarge):
@@ -762,3 +764,17 @@ class TestAdditivity:
         product = ch.tensor(orthogonal_pair)
         joint = renyi_mi_channel(product, alpha).value
         assert joint == pytest.approx(single + 1.0, abs=1e-3)
+
+
+def test_analysis_does_not_import_coding():
+    # The package __init__ re-exports every module, so a fresh interpreter
+    # imports analysis under a bare cqexp package to see what it loads itself.
+    code = (
+        "import sys, types\n"
+        f"package = types.ModuleType('cqexp'); package.__path__ = [{str(Path(analysis.__file__).parent)!r}]\n"
+        "sys.modules['cqexp'] = package\n"
+        "import cqexp.analysis\n"
+        "print(sorted(name for name in sys.modules if name.startswith('cqexp.')))\n"
+    )
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert "'cqexp.analysis'" in loaded and "'cqexp.coding'" not in loaded

@@ -226,6 +226,14 @@ class TestSimulate:
         ])
         assert res.exit_code == 4
 
+    @pytest.mark.parametrize("channel", [BSC, PURE_PAIR])
+    def test_codebook_size_past_float_range_exit_4(self, runner, channel):
+        # n R = 1200: M = 2^1200 does not fit in a float, and exceeds every cap.
+        res = runner.invoke(main, [
+            "simulate", channel, "--rate", "0.3", "--n-list", "4000", "--trials", "1", "--seed", "1",
+        ])
+        assert res.exit_code == 4
+        assert res.stderr.startswith("error: ")
 
     def test_gram_path_passes_the_state_cap(self, runner):
         # Pure letters: n = 12 means M = 12 codewords in a 4096-dimensional

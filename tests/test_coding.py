@@ -25,15 +25,9 @@ from cqexp import (
     type_of,
 )
 from cqexp import analysis, coding, linalg
-from cqexp.coding import (
-    _check_state_dim,
-    _pgm_error_dense,
-    _pgm_error_diagonal,
-    _pgm_error_gram,
-    _sequence_distributions,
-    codeword_gram,
-    pure_letter_overlaps,
-)
+from cqexp.channel import pure_letter_overlaps
+from cqexp.coding import _gram_errors, _pgm_error_dense, _sequence_table, _table_errors
+from cqexp.linalg import gram_stack
 from cqexp.config import DEFAULT_CONFIG, MAX_TENSOR_DIM, RunConfig
 from cqexp.errors import DimensionError, NotClassical, TooLarge
 
@@ -233,7 +227,7 @@ class TestFastPaths:
         for seed in range(5):
             book = generate_codebook(2, 3, 4, IID(prior=np.array([0.3, 0.7])), seed=seed)
             dense = _pgm_error_dense(bsc_channel, book, DEFAULT_CONFIG)
-            diag = _pgm_error_diagonal(w, book)
+            diag = _table_errors(_sequence_table(w, np.asarray(book.codewords)[None]))[0, 0]
             assert dense == pytest.approx(diag, abs=1e-12)
             povm_pe = average_error(bsc_channel, book, pgm_decoder(bsc_channel, book)).pe
             assert dense == pytest.approx(povm_pe, abs=1e-12)
@@ -249,7 +243,7 @@ class TestFastPaths:
         ch = CQChannel.from_states(states)
         book = generate_codebook(2, 3, 3, IID(prior=np.array([0.5, 0.5])), seed=3)
         dense = _pgm_error_dense(ch, book, DEFAULT_CONFIG)
-        diag = _pgm_error_diagonal(ch.induced_stochastic_matrix(), book)
+        diag = _table_errors(_sequence_table(ch.induced_stochastic_matrix(), np.asarray(book.codewords)[None]))[0, 0]
         assert dense == pytest.approx(diag, abs=1e-10)
 
 
@@ -352,11 +346,11 @@ class TestStateCeiling:
 
     def test_ceiling_is_max_tensor_dim(self):
         assert MAX_TENSOR_DIM == 2 ** 12
-        assert _check_state_dim(MAX_TENSOR_DIM, self.WIDE) == MAX_TENSOR_DIM
+        assert self.WIDE.check(MAX_TENSOR_DIM) == MAX_TENSOR_DIM
         with pytest.raises(TooLarge):
-            _check_state_dim(MAX_TENSOR_DIM + 1, self.WIDE)
+            self.WIDE.check(MAX_TENSOR_DIM + 1)
         with pytest.raises(TooLarge):
-            _check_state_dim(257, DEFAULT_CONFIG)
+            DEFAULT_CONFIG.check(257)
 
     def test_type_class_average(self, monkeypatch, mixed_pair):
         calls = self._forbid_tensor_all(monkeypatch)
@@ -368,6 +362,33 @@ class TestStateCeiling:
         calls = self._forbid_tensor_all(monkeypatch)
         with pytest.raises(TooLarge):
             estimate_exponent(mixed_pair, 0.3, [13], 1, seed=1, config=self.WIDE)
+        assert not calls
+
+    @staticmethod
+    def _forbid_gram_stack(monkeypatch) -> list:
+        calls = []
+
+        def spy(overlaps, words):
+            calls.append(words.shape)
+            raise AssertionError("gram_stack called past the Gram ceiling")
+
+        for module in (linalg, coding, analysis):
+            monkeypatch.setattr(module, "gram_stack", spy)
+        return calls
+
+    def test_gram_codebooks(self, monkeypatch, pure_pair):
+        # n = 14 at r = 0.9: M = 6208 codewords in a 2^14-dimensional space,
+        # so the Gram path is taken, and its 6208 x 6208 matrix is past the ceiling.
+        calls = self._forbid_gram_stack(monkeypatch)
+        with pytest.raises(TooLarge):
+            estimate_exponent(pure_pair, 0.9, [14], 1, seed=1, config=RunConfig(100000))
+        assert not calls
+
+    def test_gram_type_class(self, monkeypatch, pure_pair):
+        # |T| = C(15, 7) = 6435 sequences in a 2^15-dimensional space.
+        calls = self._forbid_gram_stack(monkeypatch)
+        with pytest.raises(TooLarge):
+            constant_composition_mi(pure_pair, TypeClass(15, (8, 7)), 0.5, RunConfig(100000))
         assert not calls
 
 
@@ -390,7 +411,7 @@ class TestGramPath:
             size = 2 + n % 3
             for mode_idx, mode in enumerate((IID(prior=prior), ConstantComposition(nearest_type(prior, n)))):
                 book = generate_codebook(ch.size, n, size, mode, seed=[idx, n, mode_idx])
-                gram = _pgm_error_gram(overlaps, book)
+                gram = _gram_errors(overlaps, np.asarray(book.codewords)[None])[0]
                 assert gram == pytest.approx(_pgm_error_dense(ch, book, DEFAULT_CONFIG), abs=1e-12)
                 povm_pe = average_error(ch, book, pgm_decoder(ch, book)).pe
                 assert gram == pytest.approx(povm_pe, abs=1e-12)
@@ -398,8 +419,8 @@ class TestGramPath:
     def test_duplicate_codewords_singular_gram(self, pure_pair):
         book = Codebook(n=3, codewords=((0, 1, 0), (0, 1, 0), (1, 1, 0), (1, 0, 1)))
         overlaps = pure_letter_overlaps(pure_pair)
-        assert np.linalg.matrix_rank(codeword_gram(overlaps, book.codewords)) == 3
-        gram = _pgm_error_gram(overlaps, book)
+        assert np.linalg.matrix_rank(gram_stack(overlaps, np.asarray(book.codewords)[None])[0]) == 3
+        gram = _gram_errors(overlaps, np.asarray(book.codewords)[None])[0]
         assert gram == pytest.approx(_pgm_error_dense(pure_pair, book, DEFAULT_CONFIG), abs=1e-12)
         assert gram == pytest.approx(
             average_error(pure_pair, book, pgm_decoder(pure_pair, book)).pe, abs=1e-12
@@ -415,7 +436,7 @@ class TestGramPath:
         ch = CQChannel.from_states([zero, one, plus])
         overlaps = pure_letter_overlaps(ch)
         book = Codebook(n=3, codewords=((0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 0)))
-        assert _pgm_error_gram(overlaps, book) == pytest.approx(0.0, abs=1e-14)
+        assert _gram_errors(overlaps, np.asarray(book.codewords)[None])[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_unit_diagonal_is_exact(self):
         for ch in PURE_CHANNELS:
@@ -462,7 +483,7 @@ class TestPathSelection:
         ch = CQChannel.from_states([near, plus])
         assert pure_letter_overlaps(ch) is None
         dense = self._spy(monkeypatch, "_pgm_error_dense")
-        gram = self._spy(monkeypatch, "_pgm_error_gram")
+        gram = self._spy(monkeypatch, "_gram_errors")
         _, records = estimate_exponent(ch, 0.3, [2, 4], 3, seed=5, return_trials=True)
         assert not gram
         assert [out for _, out in dense] == [rec.pe for rec in records]
@@ -486,7 +507,7 @@ class TestSequenceTable:
         for w in (W_BSC, w3):
             for n in (1, 2, 5, 7):
                 book = generate_codebook(len(w), n, 6, IID(prior=np.ones(len(w)) / len(w)), seed=n)
-                table = _sequence_distributions(w, book)
+                table = _sequence_table(w, np.asarray(book.codewords)[None])[0]
                 assert np.array_equal(table, self._kron_rows(w, book))
 
     def test_one_table_per_codebook(self, monkeypatch, bsc_channel):
