@@ -2,9 +2,9 @@
 the error-exponent bounds built from them.
 
 The alpha-parametrized objective ((1-a)/a) * (I_a(N) - r) is maximized
-over two ranges: [1/2, 1] for the achievability (lower) bound and
-[0.01, 1] for the sphere-packing (upper) bound, whose supremum over (0, 1]
-is truncated there. With s = (1-a)/a it is E0(s) - s r, E0(s) =
+over two ranges of one alpha grid: [1/2, 1] for the achievability (lower)
+bound and [0.01, 1] for the sphere-packing (upper) bound, whose supremum
+over (0, 1] is truncated there. With s = (1-a)/a it is E0(s) - s r, E0(s) =
 s I_{1/(1+s)}(N); the critical rate E0'(1) and the root of E0'(s) = r that
 refines each bound come from the closed-form slope at the optimal prior
 (Danskin's theorem). Each evaluation of I_a(N) is
@@ -33,8 +33,9 @@ MAX_OPT_ALPHABET = 8
 # [1/2, 1]; the sphere-packing supremum over (0, 1] is cut off at 0.01 (warned).
 ACHIEVABILITY_ALPHA_MIN = 0.5
 SPHERE_PACKING_ALPHA_MIN = 0.01
-# Points of each alpha grid, and the alpha bracket that ends a root search.
-ALPHA_GRID_POINTS = 64
+# The one alpha grid of both bounds, 0.01, 0.02, ..., 1, with both floors as
+# exact points; and the alpha bracket that ends a root search.
+ALPHA_GRID = np.arange(1, 101) / 100
 ALPHA_TOL = 1e-8
 
 
@@ -303,33 +304,29 @@ def _e0_slope(channel: CQChannel, prior: np.ndarray, alpha: float) -> float:
 class ChannelAnalysis:
     """Session object caching the inner prior optimizations of one channel.
 
-    All methods are deterministic for a fixed channel and call order. Warm
-    starts for off-grid alpha values are taken from the fixed alpha grids
-    only, never from other refinement results. Another call order moves a
-    cached value by no more than its reported gap.
+    Both bounds read one solve of ``ALPHA_GRID``, made down from alpha = 1
+    (the capacity), each point warm-started from the one above it. Warm
+    starts for off-grid alpha values are taken from that grid only, never
+    from other refinement results. All methods are deterministic for a fixed
+    channel and call order; another call order moves a cached value by no
+    more than its reported gap.
     """
 
     def __init__(self, channel: CQChannel):
         self.channel = channel
         self._mi_cache: dict[float, OptimizationReport] = {}
-        self._grids: dict[str, tuple[np.ndarray, list[OptimizationReport]]] = {}
+        self._grid_reports: list[OptimizationReport] = []
 
     # -- inner optimizations -------------------------------------------------
 
-    def _grid(self, kind: str) -> tuple[np.ndarray, list[OptimizationReport]]:
-        cached = self._grids.get(kind)
-        if cached is not None:
-            return cached
-        lo = ACHIEVABILITY_ALPHA_MIN if kind == "lower" else SPHERE_PACKING_ALPHA_MIN
-        alphas = np.linspace(lo, 1.0, ALPHA_GRID_POINTS)
-        reports: list[OptimizationReport] = []
-        warm: tuple = ()
-        for alpha in alphas:
-            rep = self._mi_point(float(alpha), warm_starts=warm)
-            reports.append(rep)
-            warm = (rep.prior,)
-        self._grids[kind] = (alphas, reports)
-        return self._grids[kind]
+    def _grid(self) -> list[OptimizationReport]:
+        """The reports at the ``ALPHA_GRID`` points, in grid order."""
+        if not self._grid_reports:
+            reports = [self.capacity()]
+            for alpha in ALPHA_GRID[-2::-1]:
+                reports.append(self._mi_point(float(alpha), warm_starts=(reports[-1].prior,)))
+            self._grid_reports = reports[::-1]
+        return self._grid_reports
 
     def _mi_point(self, alpha: float, warm_starts=()) -> OptimizationReport:
         key = float(alpha)
@@ -341,11 +338,6 @@ class ChannelAnalysis:
             self._mi_cache[key] = rep
         return rep
 
-    def _grid_warm(self, kind: str, alpha: float) -> tuple:
-        alphas, reports = self._grid(kind)
-        nearest = int(np.argmin(np.abs(alphas - alpha)))
-        return (reports[nearest].prior,)
-
     def mutual_info(self, alpha: float) -> OptimizationReport:
         """Cached I_alpha(N) report (alpha = 1 gives the capacity report)."""
         return self._mi_point(float(alpha))
@@ -355,25 +347,21 @@ class ChannelAnalysis:
 
     # -- exponent machinery ---------------------------------------------------
 
-    def exponent_objective(self, alpha: float, r: float) -> float:
-        """((1-a)/a) * (I_a(N) - r); zero at alpha = 1 by the prefactor."""
-        alpha = check_alpha(alpha, hi=1.0)
-        if alpha == 1.0:
-            return 0.0
-        mi = self._mi_point(alpha, warm_starts=self._grid_warm("lower", alpha)).value
-        return (1.0 - alpha) / alpha * (mi - r)
-
-    def _bound(self, kind: str, r: float) -> BoundResult:
-        """Grid maximum of E0(s) - s r, refined to the root of E0'(s) = r.
+    def _bound(self, alpha_min: float, r: float) -> BoundResult:
+        """Maximum of E0(s) - s r over the grid points alpha >= ``alpha_min``,
+        refined to the root of E0'(s) = r.
 
         The sign of E0' - r at the grid maximum picks the neighbouring cell
         (the objective rises toward larger s where E0' > r). If the sign
         changes across it, the Illinois method (regula falsi halving the stale
-        end) shrinks that alpha bracket to ``ALPHA_TOL``, one solve per probe.
-        The sphere-packing bound is saturated when its alpha ends within
-        10 ``ALPHA_TOL`` of the grid floor.
+        end) shrinks that alpha bracket to ``ALPHA_TOL``, one solve per probe,
+        warm-started from the nearest grid point. Both bounds share the grid,
+        the cache and so, where they take the same cell, every probe. The
+        bound is saturated when its alpha ends within 10 ``ALPHA_TOL`` of the
+        sphere-packing floor.
         """
-        alphas, reports = self._grid(kind)
+        start = int(np.searchsorted(ALPHA_GRID, alpha_min))
+        alphas, reports = ALPHA_GRID[start:], self._grid()[start:]
         mis = np.asarray([rep.value for rep in reports])
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.where(alphas >= 1.0, 0.0, (1.0 - alphas) / alphas * (mis - r))
@@ -391,7 +379,8 @@ class ChannelAnalysis:
             gb = excess(b, reports[other])
         while ga * gb < 0.0 and abs(b - a) > ALPHA_TOL:
             c = (a * gb - b * ga) / (gb - ga)
-            rep = self._mi_point(c, warm_starts=self._grid_warm(kind, c))
+            warm = reports[int(np.argmin(np.abs(alphas - c)))].prior
+            rep = self._mi_point(c, warm_starts=(warm,))
             val = (1.0 - c) / c * (rep.value - r)
             if val > val_star:
                 alpha_star, val_star = c, val
@@ -401,25 +390,25 @@ class ChannelAnalysis:
             else:
                 ga /= 2.0
             b, gb = c, gc
-        saturated = kind == "upper" and alpha_star <= SPHERE_PACKING_ALPHA_MIN + ALPHA_TOL * 10
+        saturated = alpha_star <= SPHERE_PACKING_ALPHA_MIN + ALPHA_TOL * 10
         return BoundResult(value=float(val_star), alpha=float(alpha_star), saturated=saturated)
 
     def lower_bound(self, r: float) -> BoundResult:
         """Achievability (random-coding style) exponent bound at rate r."""
         if r < 0:
             raise ValueError("rate must be nonnegative")
-        return self._bound("lower", r)
+        return self._bound(ACHIEVABILITY_ALPHA_MIN, r)
 
     def upper_bound(self, r: float) -> BoundResult:
         """Sphere-packing exponent bound at rate r."""
         if r <= 0:
             raise ValueError("rate must be positive")
-        return self._bound("upper", r)
+        return self._bound(SPHERE_PACKING_ALPHA_MIN, r)
 
     def critical_rate(self) -> float:
         """r_c = E0'(1), the slope of s * I_{1/(1+s)}(N) at s = 1, in closed form
         at the prior maximizing I_{1/2} (Danskin's theorem): no solve beyond
-        alpha = 1/2, the first point of the achievability grid."""
+        alpha = 1/2, a point of the alpha grid."""
         return _e0_slope(self.channel, self._mi_point(0.5).prior, 0.5)
 
     def reliability(self, r: float) -> ReliabilityResult:

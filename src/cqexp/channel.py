@@ -62,8 +62,21 @@ class CQChannel:
     def spectra(self) -> tuple[np.ndarray, np.ndarray]:
         """(lambda, U), (k, d) and (k, d, d): descending eigenvalues of each letter,
         cut by ``linalg._support_clip`` (so those in [-``LOAD_TOL``, 0), inside
-        the validation tolerance, become 0), and eigenvector columns; one ``eigh``."""
-        lam, vec = np.linalg.eigh(hermitize(self.outputs))
+        the validation tolerance, become 0), and eigenvector columns; one ``eigh``.
+
+        Exactly diagonal letters (a classical channel) skip the ``eigh``: lambda
+        is the diagonal clipped at 0, with no relative cut, since an eigenvalue
+        far below the cutoff still counts in lambda^alpha at small alpha; U
+        permutes the standard basis into that order.
+        """
+        outs = hermitize(self.outputs)
+        d = self.dim
+        if not np.any(outs[:, ~np.eye(d, dtype=bool)]):
+            diag = np.clip(np.diagonal(outs, axis1=1, axis2=2).real, 0.0, None)
+            order = np.argsort(-diag, axis=1, kind="stable")
+            vec = np.eye(d, dtype=complex)[:, order].transpose(1, 0, 2)
+            return np.take_along_axis(diag, order, axis=1), vec
+        lam, vec = np.linalg.eigh(outs)
         return _support_clip(lam[:, ::-1]), np.ascontiguousarray(vec[:, :, ::-1])
 
     @property
@@ -147,11 +160,12 @@ def pure_letter_overlaps(channel: CQChannel) -> np.ndarray | None:
     """Overlap table O[a, b] = <psi_a|psi_b> when every letter is pure, else None.
 
     Both come from ``channel.spectra``: rho_x = |psi_x><psi_x| counts as pure
-    when the support cut there keeps one eigenvalue (the second is at most
-    ``SUPPORT_CUTOFF`` times the largest). The diagonal is set to exactly 1.
+    when the support cut keeps one eigenvalue (the second is at most
+    ``SUPPORT_CUTOFF`` times the largest). The cut is applied here too, since
+    diagonal letters reach ``spectra`` uncut. The diagonal is set to exactly 1.
     """
     lam, vec = channel.spectra
-    if (lam[:, 1:] > 0).any():
+    if (_support_clip(lam)[:, 1:] > 0).any():
         return None
     psi = vec[:, :, 0]
     overlaps = psi.conj() @ psi.T

@@ -42,6 +42,17 @@ LOAD_TOL = 1e-8
 MAX_TENSOR_DIM = 2 ** 12
 
 
+def format_dim(dim: int) -> str:
+    """A size for an error message: in full up to 10^15, else "about 10^k".
+
+    k = floor(log10 dim); ``math.log10`` reads an integer's bit length and
+    leading bits, while str() refuses an integer past 4300 digits.
+    """
+    if dim <= 10 ** 15:
+        return str(dim)
+    return f"about 10^{math.floor(math.log10(dim))}"
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """The cap on the matrix decomposed at blocklength n (``--max-dim``).
@@ -63,7 +74,7 @@ class RunConfig:
         ``MAX_TENSOR_DIM`` unless it is a ``table`` (the diagonal path: never decomposed)."""
         cap = self.max_sim_dim if table else min(self.max_sim_dim, MAX_TENSOR_DIM)
         if dim > cap:
-            raise TooLarge(f"dimension {dim} exceeds simulation cap {cap}")
+            raise TooLarge(f"dimension {format_dim(dim)} exceeds simulation cap {cap}")
         return dim
 
 

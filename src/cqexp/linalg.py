@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import LN_BASE, MAX_TENSOR_DIM, PSD_TOL, SUPPORT_CUTOFF
+from .config import LN_BASE, MAX_TENSOR_DIM, PSD_TOL, SUPPORT_CUTOFF, format_dim
 from .errors import DimensionError, InvalidOperator, NotPSD, TooLarge
 
 
@@ -95,7 +95,7 @@ def tensor_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     for m in mats:
         total *= np.asarray(m).shape[0]
     if total > MAX_TENSOR_DIM:
-        raise TooLarge(f"tensor chain dimension {total} exceeds cap {MAX_TENSOR_DIM}")
+        raise TooLarge(f"tensor chain dimension {format_dim(total)} exceeds cap {MAX_TENSOR_DIM}")
     out = np.asarray(mats[0], dtype=complex)
     for m in mats[1:]:
         out = np.kron(out, m)

@@ -12,6 +12,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .config import format_dim
 from .errors import InvalidSequence, TooLarge
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
@@ -90,7 +91,7 @@ def enumerate_types(n: int, alphabet_size: int, cap: int = DEFAULT_ENUMERATION_C
 def enumerate_sequences(t: TypeClass, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[tuple[int, ...]]:
     """Lazily yield every sequence of type ``t`` in lexicographic order."""
     if t.sequence_count() > cap:
-        raise TooLarge(f"{t.sequence_count()} sequences exceeds cap {cap}")
+        raise TooLarge(f"{format_dim(t.sequence_count())} sequences exceeds cap {cap}")
 
     def rec(counts: list[int], prefix: list[int]) -> Iterator[tuple[int, ...]]:
         if len(prefix) == t.n:

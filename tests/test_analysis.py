@@ -331,23 +331,12 @@ class TestConvergenceRegressions:
             assert rep.gap <= GAP_TOL
 
 
-class TestExponentObjective:
-    def test_alpha_one_vanishes(self, bsc_session):
-        for r in (0.0, 0.2, 5.0):
-            assert bsc_session.exponent_objective(1.0, r) == 0.0
-
-    def test_zero_at_rate_equal_mi(self, bsc_session):
-        alpha = 0.5
-        mi = bsc_session.mutual_info(alpha).value
-        assert bsc_session.exponent_objective(alpha, mi) == pytest.approx(0.0, abs=1e-12)
-
-    def test_bsc_matches_gallager_form(self, bsc_session):
-        # ((1-a)/a)(I_a - r) with a = 1/2 equals E0(1) - r at the best prior.
-        got = bsc_session.exponent_objective(0.5, 0.3)
-        assert got == pytest.approx(best_prior_e0(1.0, W_BSC) - 0.3, abs=1e-9)
-
-
 class TestExponentBounds:
+    def test_bsc_matches_gallager_form(self, bsc_session):
+        # ((1-a)/a) I_a with a = 1/2 is E0(1) at the best prior.
+        got = bsc_session.mutual_info(0.5).value
+        assert got == pytest.approx(best_prior_e0(1.0, W_BSC), abs=1e-9)
+
     def test_lower_zero_at_and_above_capacity(self, bsc_session):
         cap = bsc_session.capacity().value
         for r in (cap, cap + 0.2):
@@ -397,7 +386,7 @@ class TestExponentBounds:
 
     @pytest.mark.parametrize("case", ["bsc01", "pure_pair", 0, 1, 2])
     def test_refinement_solves_per_bound(self, case):
-        # Past the two alpha grids, each bound is a short root search on
+        # Past the alpha grid, each bound is a short root search on
         # E0'(s) = r: a handful of warm-started solves, not dozens.
         if isinstance(case, str):
             channel = load_channel(CHANNELS_DIR / f"{case}.json")
@@ -406,13 +395,46 @@ class TestExponentBounds:
             channel = _letters_of_mixed_rank(int(rng.integers(2, 4)), int(rng.integers(2, 4)), rng)
         session = ChannelAnalysis(channel)
         cap = session.capacity().value
-        session._grid("lower")
-        session._grid("upper")
+        session._grid()
         for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
             for bound in (session.lower_bound, session.upper_bound):
                 before = len(session._mi_cache)
                 bound(frac * cap)
                 assert len(session._mi_cache) - before <= 8
+
+    def test_alpha_floors_are_grid_points(self):
+        grid = analysis.ALPHA_GRID.tolist()
+        assert analysis.ACHIEVABILITY_ALPHA_MIN in grid
+        assert analysis.SPHERE_PACKING_ALPHA_MIN in grid
+        assert grid[-1] == 1.0
+
+    @pytest.mark.parametrize("case, most", [("bsc01", 160), ("pure_pair", 135)])
+    def test_curve_session_solve_count(self, case, most):
+        # The README exponent session: one 100-point alpha grid for both
+        # bounds, and a few root-search probes per rate.
+        session = ChannelAnalysis(load_channel(CHANNELS_DIR / f"{case}.json"))
+        session.curve(np.linspace(0.05, 0.5, 10))
+        assert len(session._mi_cache) <= most
+
+    @pytest.mark.parametrize("case", ["bsc01", "pure_pair", 0, 1, 2])
+    def test_bounds_identical_above_critical_rate(self, case):
+        # Above r_c both maxima lie in alpha >= 1/2: the same grid cell and the
+        # same cached probes, so the sphere-packing bound is the achievability
+        # bound bit for bit, at no extra solve.
+        if isinstance(case, str):
+            channel = load_channel(CHANNELS_DIR / f"{case}.json")
+        else:
+            channel = _seeded_channel(999, case)
+        session = ChannelAnalysis(channel)
+        rc, cap = session.critical_rate(), session.capacity().value
+        rates = [r for r in np.linspace(0.05, 0.95, 19) * cap if r >= rc + 1e-3]
+        assert rates
+        for r in rates:
+            low = session.lower_bound(r)
+            before = len(session._mi_cache)
+            up = session.upper_bound(r)
+            assert len(session._mi_cache) == before
+            assert (up.value, up.alpha) == (low.value, low.alpha)
 
 
 class TestPureLetterBounds:
@@ -522,6 +544,39 @@ class TestLetterSpectra:
         session.curve(np.linspace(0.05, 0.5, 10))
         assert counts["solves"] > 0 and counts["slopes"] > 0
         assert counts["eigh"] <= 1 + counts["solves"] + counts["slopes"]
+
+
+class TestDiagonalLetters:
+    """Exactly diagonal letters take their spectra uncut: an eigenvalue far
+    below the relative support cutoff still counts in W^alpha at small alpha."""
+
+    @staticmethod
+    def _bsc(p: float):
+        w = np.array([[1.0 - p, p], [p, 1.0 - p]])
+        return w, CQChannel.from_stochastic_matrix(w)
+
+    @pytest.mark.parametrize("p", [1e-14, 1e-13, 0.99e-12, 1e-12, 1.01e-12, 1e-11, 1e-10, 1e-9])
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.3, 0.5])
+    def test_renyi_against_oracle(self, p, alpha):
+        w, ch = self._bsc(p)
+        uniform = np.array([0.5, 0.5])
+        oracle = classical_channel_renyi_mi(w, uniform, alpha)
+        assert renyi_mi_channel_prior(ch, uniform, alpha) == pytest.approx(oracle, abs=1e-12)
+        assert renyi_mi_channel(ch, alpha).value == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [1e-14, 1e-13, 0.99e-12, 1e-9])
+    def test_sphere_packing_against_oracle(self, p):
+        w, ch = self._bsc(p)
+        got = ChannelAnalysis(ch).upper_bound(0.5)
+        assert got.value == pytest.approx(classical_sphere_packing_exponent(w, 0.5), abs=1e-9)
+
+    def test_spectra_exact_and_purity_test_still_cut(self):
+        w, ch = self._bsc(1e-14)
+        lam, vec = ch.spectra
+        np.testing.assert_array_equal(lam, np.sort(w, axis=1)[:, ::-1])
+        np.testing.assert_array_equal(np.einsum("xij,xj,xkj->xik", vec, lam, vec.conj()), ch.outputs)
+        # The second eigenvalue is below SUPPORT_CUTOFF: the letters count as pure.
+        assert pure_letter_overlaps(ch) is not None
 
 
 class TestCriticalRate:

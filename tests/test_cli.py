@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from cqexp import cli
 from cqexp.cli import main
 from conftest import draw_letters
+from oracles import classical_sphere_packing_exponent
 
 CHANNELS_DIR = Path(__file__).resolve().parent.parent / "channels"
 BSC = str(CHANNELS_DIR / "bsc01.json")
@@ -191,6 +192,21 @@ class TestExponent:
         assert len(docs) == 2
         assert docs[0]["equal"] == "1"
 
+    def test_near_deterministic_channel_matches_oracle(self, runner, tmp_path):
+        # Crossover 1e-13, below the relative support cutoff: the
+        # sphere-packing bound still sees it.
+        p = 1e-13
+        w = [[1.0 - p, p], [p, 1.0 - p]]
+        path = tmp_path / "bsc_tiny.json"
+        path.write_text(json.dumps({"cqspec": 1, "stochastic_matrix": w}), encoding="utf-8")
+        res = runner.invoke(main, ["exponent", str(path), "--rmin", "0.3", "--rmax", "0.6", "--steps", "2"])
+        assert res.exit_code == 0
+        _, rows = rows_of(res.stdout)
+        for row in rows:
+            oracle = classical_sphere_packing_exponent(np.array(w), float(row[0]))
+            assert float(row[2]) == pytest.approx(oracle, rel=1e-8)
+        assert "saturated" not in res.output
+
 
 class TestSimulate:
     def test_single_message_rows(self, runner):
@@ -275,6 +291,14 @@ class TestSimulate:
             assert rec.pe == _pgm_error_dense(channel, book, DEFAULT_CONFIG)
         _, printed = rows_of(res.output)
         assert [float(r[2]) for r in printed] == [float(f"{row.best_pe:.9g}") for row in rows]
+
+    @pytest.mark.parametrize("n, power", [("4000", "about 10^1204"), ("20000", "about 10^6020")])
+    def test_huge_state_dimension_exit_4(self, runner, n, power):
+        res = runner.invoke(main, [
+            "simulate", BSC, "--rate", "0.3", "--n-list", n, "--trials", "1", "--seed", "1",
+        ])
+        assert res.exit_code == 4
+        assert res.stderr == f"error: dimension {power} exceeds simulation cap 256\n"
 
 
 class TestMaxDim:
