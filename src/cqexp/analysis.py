@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -23,7 +24,9 @@ from .channel import CQChannel, pure_letter_overlaps
 from .config import DEFAULT_CONFIG, LN_BASE, RunConfig
 from .divergences import check_alpha, letter_powers
 from .errors import InvalidGrid, NumericalInstability, RateAboveCapacity, TooLarge
-from .linalg import _support_clip, gram_stack, mat_power, spectral_entropy, spectral_map, tensor_all
+from .linalg import (
+    _sequence_table, _support_clip, gram_stack, mat_power, spectral_entropy, spectral_map, tensor_all,
+)
 from .simplex_opt import ConvexSurrogate, SimplexMaximum, maximize_on_simplex
 from .typeclasses import TypeClass, enumerate_sequences, enumerate_types
 
@@ -37,6 +40,8 @@ SPHERE_PACKING_ALPHA_MIN = 0.01
 # exact points; and the alpha bracket that ends a root search.
 ALPHA_GRID = np.arange(1, 101) / 100
 ALPHA_TOL = 1e-8
+# Most output-sequence table entries a type-class average holds at once.
+TABLE_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -395,14 +400,14 @@ class ChannelAnalysis:
 
     def lower_bound(self, r: float) -> BoundResult:
         """Achievability (random-coding style) exponent bound at rate r."""
-        if r < 0:
-            raise ValueError("rate must be nonnegative")
+        if not 0 <= r < math.inf:
+            raise ValueError(f"rate must be finite and nonnegative, got {r}")
         return self._bound(ACHIEVABILITY_ALPHA_MIN, r)
 
     def upper_bound(self, r: float) -> BoundResult:
         """Sphere-packing exponent bound at rate r."""
-        if r <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < r < math.inf:
+            raise ValueError(f"rate must be finite and positive, got {r}")
         return self._bound(SPHERE_PACKING_ALPHA_MIN, r)
 
     def critical_rate(self) -> float:
@@ -413,8 +418,8 @@ class ChannelAnalysis:
 
     def reliability(self, r: float) -> ReliabilityResult:
         """Exact exponent for r >= r_c, bounding interval below r_c."""
-        if r <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < r < math.inf:
+            raise ValueError(f"rate must be finite and positive, got {r}")
         c = self.capacity().value
         if r >= c:
             raise RateAboveCapacity(f"rate {r} is not below capacity {c}")
@@ -442,6 +447,8 @@ class ChannelAnalysis:
         rates = np.asarray(rates, dtype=float)
         if rates.ndim != 1 or rates.size == 0:
             raise InvalidGrid("rate grid must be a nonempty vector")
+        if not np.isfinite(rates).all():
+            raise InvalidGrid("rate grid must be finite")
         if np.any(np.diff(rates) <= 0):
             raise InvalidGrid("rate grid must be strictly increasing")
         c = self.capacity().value
@@ -468,7 +475,10 @@ def constant_composition_mi(
     vectors. While |T| <= d^n the |T| x |T| matrix replaces the d^n x d^n
     one, and ``config.check`` caps |T| instead of d^n; so for pure letters
     ``max_sim_dim`` caps min(|T|, d^n). Either matrix is also held to
-    ``MAX_TENSOR_DIM``, before any of it is built.
+    ``MAX_TENSOR_DIM``, before any of it is built. Otherwise, commuting
+    letters give a diagonal average in their common eigenbasis: the mean
+    over T of the d^n output-sequence rows of W^a, a table capped by
+    ``max_sim_dim`` alone, as on the coding table path.
     """
     alpha = check_alpha(alpha, allow_one=False)
     if alpha <= 0.0:
@@ -481,18 +491,22 @@ def constant_composition_mi(
     overlaps = pure_letter_overlaps(channel)
     if overlaps is not None and count <= full_dim:
         config.check(count)
-        avg = gram_stack(overlaps, np.asarray(list(enumerate_sequences(t)))[None])[0]
-        avg /= count
+        avg = gram_stack(overlaps, np.asarray(list(enumerate_sequences(t)))[None])[0] / count
+        total = float(np.trace(mat_power(avg, 1.0 / alpha)).real)
+    elif channel.is_classical():
+        config.check(full_dim, table=True)
+        w_alpha = channel.induced_stochastic_matrix() ** alpha
+        sequences, row_sum = enumerate_sequences(t), 0.0
+        while chunk := list(islice(sequences, max(1, TABLE_ENTRIES // full_dim))):
+            row_sum = row_sum + _sequence_table(w_alpha, np.asarray(chunk)[None])[0].sum(axis=0)
+        total = float(((row_sum / count) ** (1.0 / alpha)).sum())
     else:
         config.check(full_dim)
         powers = letter_powers(channel, alpha)
         avg = np.zeros((full_dim, full_dim), dtype=complex)
-        count = 0
         for seq in enumerate_sequences(t):
             avg += tensor_all([powers[x] for x in seq])
-            count += 1
-        avg /= count
-    total = float(np.trace(mat_power(avg, 1.0 / alpha)).real)
+        total = float(np.trace(mat_power(avg / count, 1.0 / alpha)).real)
     # + 0.0 turns the -0.0 of a one-sequence class (total exactly 1) into 0.0.
     return alpha / (alpha - 1.0) / n * math.log(total) / LN_BASE + 0.0
 

@@ -8,19 +8,21 @@ from functools import cached_property
 import numpy as np
 
 from .config import CLASSICAL_TOL, LOAD_TOL
-from .errors import DimensionError, NotClassical
-from .linalg import _support_clip, hermitize, validate_density_matrix
+from .errors import DimensionError, InvalidOperator, NotClassical, NotPSD
+from .linalg import _support_clip, hermitize, is_hermitian
 
 
 @dataclass(frozen=True)
 class CQChannel:
     """Map x -> rho_x with a common output dimension.
 
-    ``outputs`` has shape (alphabet size, d, d); every slice is validated
-    as a density matrix at construction. Instances are treated as
-    immutable; do not mutate the arrays after building one.
-    Every function of the letters is taken from ``spectra``, one cut
-    decomposition of all of them.
+    ``outputs`` has shape (alphabet size, d, d). Construction is the one
+    place where letters are checked and repaired: each must be Hermitian,
+    PSD and of unit trace within ``LOAD_TOL``, and is stored as its
+    Hermitian part divided by its trace, so every channel holds exact
+    states. Instances are treated as immutable; do not mutate the arrays
+    after building one. Every function of the letters is taken from
+    ``spectra``, one cut decomposition of all of them.
     """
 
     outputs: np.ndarray
@@ -30,11 +32,21 @@ class CQChannel:
         outs = np.asarray(self.outputs, dtype=complex)
         if outs.ndim != 3 or outs.shape[1] != outs.shape[2]:
             raise DimensionError(f"outputs must have shape (k, d, d), got {outs.shape}")
-        if outs.shape[0] < 1:
-            raise DimensionError("channel needs at least one letter")
-        for rho in outs:
-            validate_density_matrix(rho, tol=LOAD_TOL)
-        object.__setattr__(self, "outputs", outs)
+        if min(outs.shape) < 1:
+            raise DimensionError(f"channel needs at least one letter of dimension >= 1, got {outs.shape}")
+        states = []
+        for letter, rho in enumerate(outs):
+            if not is_hermitian(rho, tol=LOAD_TOL):  # NaN entries fail here too
+                raise InvalidOperator(f"output {letter} is not Hermitian within {LOAD_TOL}")
+            rho = hermitize(rho)
+            low = float(np.linalg.eigvalsh(rho).min())
+            if low < -LOAD_TOL:
+                raise NotPSD(f"output {letter} has eigenvalue {low:.3e}")
+            tr = float(np.trace(rho).real)
+            if abs(tr - 1.0) > LOAD_TOL:
+                raise InvalidOperator(f"output {letter} has trace {tr:.9g}, expected 1")
+            states.append(rho / tr)
+        object.__setattr__(self, "outputs", np.stack(states))
         labels = tuple(str(a) for a in self.alphabet)
         if len(labels) != outs.shape[0]:
             raise DimensionError(
@@ -51,10 +63,12 @@ class CQChannel:
 
     @classmethod
     def from_stochastic_matrix(cls, w, alphabet=None) -> "CQChannel":
-        """Embed a classical channel: row x becomes the diagonal state diag(W[x])."""
+        """Embed a classical channel: row x becomes the diagonal state diag(W[x]), with
+        entries in [-``LOAD_TOL``, 0) set to 0; a row sum is then a letter's trace."""
         w = np.asarray(w, dtype=float)
         if w.ndim != 2:
             raise DimensionError(f"stochastic matrix must be 2-D, got shape {w.shape}")
+        w = np.where(w < -LOAD_TOL, w, np.clip(w, 0.0, None))
         states = [np.diag(row.astype(complex)) for row in w]
         return cls.from_states(states, alphabet=alphabet)
 
@@ -107,7 +121,7 @@ class CQChannel:
 
     def is_classical(self) -> bool:
         """Whether the outputs commute: ``common_eigenbasis`` finds a basis."""
-        return self._diagonalizing_basis() is not None
+        return self._diagonalizing_basis is not None
 
     def common_eigenbasis(self) -> np.ndarray:
         """Unitary whose columns simultaneously diagonalize all outputs.
@@ -115,13 +129,14 @@ class CQChannel:
         In that basis every output has off-diagonal entries of at most
         ``CLASSICAL_TOL``. Raises NotClassical when no such basis is found.
         """
-        v = self._diagonalizing_basis()
+        v = self._diagonalizing_basis
         if v is None:
             raise NotClassical(f"channel outputs have no common eigenbasis within {CLASSICAL_TOL:g}")
         return v
 
+    @cached_property
     def _diagonalizing_basis(self) -> np.ndarray | None:
-        """The basis of ``common_eigenbasis``, or None.
+        """The basis of ``common_eigenbasis``, or None; decided once per channel.
 
         Uses the generic trick of diagonalizing a random positive
         combination; 8 tries with fresh weights break accidental degeneracies.

@@ -5,12 +5,13 @@ Schema (version field ``"cqspec": 1``):
 * ``dim`` and ``outputs``: one d x d complex matrix per letter, each entry
   written as an ``[re, im]`` pair; or
 * ``stochastic_matrix``: rows of a classical transition matrix, expanded
-  by the loader into diagonal density matrices;
+  into diagonal density matrices (``CQChannel.from_stochastic_matrix``);
 * optional ``alphabet``: letter labels (defaults to "0", "1", ...).
 
-Structural requirements (Hermiticity, positivity, unit trace) are checked
-at load with tolerance ``LOAD_TOL`` (1e-8); inputs inside the tolerance are
-symmetrized and trace-renormalized so downstream invariants hold exactly.
+This module only parses. ``CQChannel`` checks the letters (Hermiticity,
+positivity, unit trace, within ``config.LOAD_TOL``) and the label count,
+and repairs drift inside the tolerance; any error becomes an
+``InvalidChannelSpec``.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import CQChannel
-from .config import LOAD_TOL
 from .errors import InvalidChannelSpec
-from .linalg import hermitize
 
 SCHEMA_VERSION = 1
 
@@ -42,49 +41,19 @@ def channel_from_dict(doc: dict) -> CQChannel:
         raise InvalidChannelSpec("channel description must be a JSON object")
     if doc.get("cqspec") != SCHEMA_VERSION:
         raise InvalidChannelSpec(f'missing or unsupported "cqspec" version (need {SCHEMA_VERSION})')
-
-    if "stochastic_matrix" in doc:
-        w = np.asarray(doc["stochastic_matrix"], dtype=float)
-        if w.ndim != 2 or w.shape[0] < 1:
-            raise InvalidChannelSpec("stochastic_matrix must be a 2-D array")
-        if (w < -LOAD_TOL).any():
-            raise InvalidChannelSpec("stochastic_matrix has negative entries")
-        rows = w.sum(axis=1)
-        if np.abs(rows - 1.0).max() > LOAD_TOL:
-            raise InvalidChannelSpec("stochastic_matrix rows must sum to 1")
-        w = np.clip(w, 0.0, None) / rows[:, None]
-        states = [np.diag(row.astype(complex)) for row in w]
-    else:
-        try:
-            dim = int(doc["dim"])
-            raw_outputs = doc["outputs"]
-        except KeyError as exc:
-            raise InvalidChannelSpec(f"missing field {exc}") from exc
+    alphabet = doc.get("alphabet")
+    try:
+        if "stochastic_matrix" in doc:
+            return CQChannel.from_stochastic_matrix(doc["stochastic_matrix"], alphabet=alphabet)
+        dim, raw_outputs = int(doc["dim"]), doc["outputs"]
         if dim < 1 or not isinstance(raw_outputs, list) or not raw_outputs:
             raise InvalidChannelSpec("need dim >= 1 and a nonempty outputs list")
-        states = []
-        for letter, raw in enumerate(raw_outputs):
-            mat = _parse_matrix(raw, dim, letter)
-            if np.abs(mat - mat.conj().T).max() > LOAD_TOL:
-                raise InvalidChannelSpec(f"output {letter} is not Hermitian within {LOAD_TOL}")
-            mat = hermitize(mat)
-            eigs = np.linalg.eigvalsh(mat)
-            if float(eigs.min()) < -LOAD_TOL:
-                raise InvalidChannelSpec(f"output {letter} has eigenvalue {eigs.min():.3e}")
-            tr = float(np.trace(mat).real)
-            if abs(tr - 1.0) > LOAD_TOL:
-                raise InvalidChannelSpec(f"output {letter} has trace {tr:.9g}, expected 1")
-            states.append(mat / tr)
-
-    alphabet = doc.get("alphabet")
-    if alphabet is not None:
-        if len(alphabet) != len(states):
-            raise InvalidChannelSpec(
-                f"{len(alphabet)} alphabet labels for {len(states)} outputs"
-            )
-        alphabet = tuple(str(a) for a in alphabet)
-    try:
+        states = [_parse_matrix(raw, dim, letter) for letter, raw in enumerate(raw_outputs)]
         return CQChannel.from_states(states, alphabet=alphabet)
+    except InvalidChannelSpec:
+        raise
+    except KeyError as exc:
+        raise InvalidChannelSpec(f"missing field {exc}") from exc
     except Exception as exc:
         raise InvalidChannelSpec(str(exc)) from exc
 

@@ -191,8 +191,8 @@ def exponent(channel_file, rmin, rmax, steps, json_mode, nats) -> None:
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if not 0.0 < rmin < rmax:
-        raise ValueError("need 0 < rmin < rmax")
+    if not 0.0 < rmin < rmax < np.inf:
+        raise ValueError(f"need 0 < rmin < rmax, both finite, got {rmin}, {rmax}")
     channel = load_channel(channel_file)
     session = ChannelAnalysis(channel)
     cap = session.capacity().value
@@ -240,8 +240,6 @@ def exponent(channel_file, rmin, rmax, steps, json_mode, nats) -> None:
 @_guard
 def simulate(channel_file, rate, n_list_raw, trials, seed, max_dim, json_mode, nats) -> None:
     """Exact coding simulation: best/mean PGM errors against the bounds."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
     n_list = _parse_n_list(n_list_raw)
     channel = load_channel(channel_file)
     config = _config(max_dim)

@@ -25,6 +25,7 @@ against. ``RunConfig.check`` holds each blocklength to its caps before the
 codebooks are drawn: ``max_sim_dim`` bounds the matrix that is decomposed,
 M on the Gram path and d^n on the other two (so min(M, d^n) for pure
 letters), and ``MAX_TENSOR_DIM`` bounds it too on the Gram and dense paths.
+M itself is held to ``MAX_TENSOR_DIM`` on every path.
 """
 
 from __future__ import annotations
@@ -38,9 +39,11 @@ import numpy as np
 
 from .analysis import ChannelAnalysis
 from .channel import CQChannel, pure_letter_overlaps
-from .config import DEFAULT_CONFIG, LN_BASE, RunConfig
-from .errors import DimensionError, NotClassical
-from .linalg import _support_clip, gram_stack, herm_eig, hermitize, spectral_map, tensor_all
+from .config import DEFAULT_CONFIG, LN_BASE, MAX_TENSOR_DIM, RunConfig
+from .errors import DimensionError, NotClassical, TooLarge
+from .linalg import (
+    _sequence_table, _support_clip, gram_stack, herm_eig, hermitize, spectral_map, tensor_all,
+)
 from .typeclasses import TypeClass, nearest_type
 
 
@@ -225,17 +228,22 @@ def average_error(channel: CQChannel, codebook: Codebook, povm: POVM) -> ErrorRe
 
 
 def _pgm_error_dense(channel: CQChannel, codebook: Codebook, config: RunConfig) -> float:
-    """PGM average error without materializing the POVM."""
+    """PGM average error without materializing the POVM.
+
+    One codeword state is held at a time: each is built once for the sum S
+    and again for its own success term.
+    """
     dim = config.check(channel.dim ** codebook.n)
-    states = [codeword_state(channel, cw) for cw in codebook.codewords]
-    total = hermitize(reduce(np.add, states, np.zeros((dim, dim), dtype=complex)))
-    w, v = herm_eig(total)
+    total = np.zeros((dim, dim), dtype=complex)
+    for cw in codebook.codewords:
+        total += codeword_state(channel, cw)
+    w, v = herm_eig(hermitize(total))
     half = spectral_map(_support_clip(w), v, lambda x: x ** -0.5)
     success = 0.0
-    for rho in states:
-        x = half @ rho
+    for cw in codebook.codewords:
+        x = half @ codeword_state(channel, cw)
         success += float((x * x.T).sum().real)  # tr[(S^-1/2 rho)^2]
-    return min(max(1.0 - success / len(states), 0.0), 1.0)
+    return min(max(1.0 - success / codebook.size, 0.0), 1.0)
 
 
 def _gram_errors(overlaps: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -254,19 +262,6 @@ def _gram_errors(overlaps: np.ndarray, words: np.ndarray) -> np.ndarray:
     root = np.sqrt(_support_clip(lam))
     diag = ((vec.real ** 2 + vec.imag ** 2) * root[:, None, :]).sum(axis=2)
     return np.clip(1.0 - (diag ** 2).mean(axis=1), 0.0, 1.0)
-
-
-def _sequence_table(w: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """(B, M, d^n) output-sequence probabilities of a (B, M, n) letter stack.
-
-    Row (b, m) is the Kronecker product of the rows w[x] of codeword m of
-    codebook b, built one position at a time for the whole stack at once.
-    """
-    books, size, n = words.shape
-    q = w[words[:, :, 0]]
-    for i in range(1, n):
-        q = (q[:, :, :, None] * w[words[:, :, i]][:, :, None, :]).reshape(books, size, -1)
-    return q
 
 
 def _table_errors(q: np.ndarray) -> np.ndarray:
@@ -364,6 +359,8 @@ def estimate_exponent(
         # The Gram matrix is the smaller one only while M <= d^n.
         gram = overlaps is not None and size <= channel.dim ** n
         config.check(size if gram else channel.dim ** n, table=w is not None)
+        if size > MAX_TENSOR_DIM:  # every path draws M codewords first
+            raise TooLarge(f"codebook size 2^{n * rate:.6g} exceeds ceiling {MAX_TENSOR_DIM}")
         if size < 2:
             # A single message is always decoded correctly.
             estimates.append(

@@ -32,13 +32,14 @@ SUPPORT_CONTAINMENT_TOL = 1e-10
 # the diagonal coding path drops those entries.
 CLASSICAL_TOL = 1e-10
 
-# Tolerance of the structural checks on a channel's letters at load:
-# Hermiticity, positivity and unit trace.
+# Tolerance of the structural checks on a channel's letters, made when a
+# ``CQChannel`` is built: Hermiticity, positivity and unit trace.
 LOAD_TOL = 1e-8
 
 # Ceiling on the dimension of a Kronecker chain (``linalg.tensor_all``), and
 # so on every matrix decomposed at blocklength n, d^n x d^n states and Gram
-# matrices alike: one 4096 x 4096 complex matrix is 256 MiB.
+# matrices alike: one 4096 x 4096 complex matrix is 256 MiB. ``simulate``
+# holds the codebook size M to it on every path.
 MAX_TENSOR_DIM = 2 ** 12
 
 

@@ -1,10 +1,10 @@
 """Exact dense Hermitian linear algebra on finite-dimensional spaces.
 
-Matrices are plain complex ``numpy`` arrays; the helpers here enforce the
-structural invariants (Hermiticity, positivity, unit trace) and implement
+Matrices are plain complex ``numpy`` arrays; the helpers here implement
 the operations everything else is built from: eigendecompositions,
-fractional powers on supports, tensor products, partial traces and
-classical-quantum state assembly.
+fractional powers on supports, tensor products, the product Gram matrices
+and output-sequence tables of blocklength n, partial traces and
+classical-quantum state assembly. ``CQChannel`` checks and repairs letters.
 
 Functions of a PSD matrix act on the support that ``_support_clip`` cuts,
 through ``spectral_map``; both take stacks, so a channel's letters are
@@ -113,6 +113,20 @@ def gram_stack(overlaps: np.ndarray, words: np.ndarray) -> np.ndarray:
     return g
 
 
+def _sequence_table(w: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """(B, M, d^n) Kronecker products of rows of ``w`` along a (B, M, n) letter stack.
+
+    Row (b, m) is w[x_1] (x) ... (x) w[x_n] for codeword m of codebook b: with
+    w a stochastic matrix, the output-sequence probabilities of that codeword.
+    It is built one position at a time for the whole stack at once.
+    """
+    books, size, n = words.shape
+    q = w[words[:, :, 0]]
+    for i in range(1, n):
+        q = (q[:, :, :, None] * w[words[:, :, i]][:, :, None, :]).reshape(books, size, -1)
+    return q
+
+
 def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Trace out all tensor factors not listed in ``keep``.
 
@@ -154,29 +168,15 @@ def permute_systems(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> 
     return work.reshape(int(np.prod(new_dims)), int(np.prod(new_dims)))
 
 
-def validate_density_matrix(rho: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
-    """Check Hermiticity, positivity and unit trace; return as complex array."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise InvalidOperator(f"expected a square matrix, got shape {rho.shape}")
-    if not is_hermitian(rho, tol=max(tol, 1e-12)):
-        raise InvalidOperator("density matrix is not Hermitian within tolerance")
-    w = np.linalg.eigvalsh(hermitize(rho))
-    if float(w.min()) < -tol:
-        raise NotPSD(f"density matrix has eigenvalue {w.min():.3e}")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > tol:
-        raise InvalidOperator(f"density matrix trace {tr} differs from 1")
-    return rho
-
-
 def validate_prior(p, size: int | None = None, tol: float = PSD_TOL) -> np.ndarray:
-    """Check a probability vector (nonnegative, sums to one)."""
+    """Check a probability vector (finite, nonnegative, sums to one)."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise InvalidOperator(f"prior must be a vector, got shape {p.shape}")
     if size is not None and p.shape[0] != size:
         raise DimensionError(f"prior length {p.shape[0]} != alphabet size {size}")
+    if not np.isfinite(p).all():
+        raise InvalidOperator(f"prior has a non-finite weight: {p.tolist()}")
     if float(p.min(initial=0.0)) < -tol:
         raise InvalidOperator(f"prior has negative weight {p.min():.3e}")
     if abs(float(p.sum()) - 1.0) > tol:

@@ -650,6 +650,20 @@ class TestReliability:
             bsc_session.reliability(cap + 0.01)
 
 
+class TestRateChecks:
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rates_rejected(self, bsc_session, rate):
+        for method in (bsc_session.lower_bound, bsc_session.upper_bound, bsc_session.reliability):
+            with pytest.raises(ValueError, match="finite"):
+                method(rate)
+        with pytest.raises(InvalidGrid, match="finite"):
+            bsc_session.curve([0.1, rate] if rate > 0 else [rate, 0.1])
+
+    def test_nan_rate_alone_is_a_grid_error(self, bsc_session):
+        with pytest.raises(InvalidGrid):
+            bsc_session.curve([math.nan])
+
+
 class TestExponentCurve:
     def test_rows_above_critical_are_equal(self, bsc_session):
         rc = bsc_session.critical_rate()
@@ -714,9 +728,11 @@ class TestConstantCompositionGram:
 
     @staticmethod
     def _dense(monkeypatch, channel, t, alpha):
-        # With no overlap table the function runs its dense d^n body.
+        # With no overlap table and no common eigenbasis the function runs
+        # its dense d^n body.
         with monkeypatch.context() as m:
             m.setattr(analysis, "pure_letter_overlaps", lambda ch: None)
+            m.setattr(CQChannel, "is_classical", lambda self: False)
             return constant_composition_mi(channel, t, alpha)
 
     @pytest.mark.parametrize("idx", range(len(pure_channels())))
@@ -776,6 +792,64 @@ class TestConstantCompositionGram:
         # The cap is still the state dimension 2^3 = 8, not |T| = 3.
         with pytest.raises(TooLarge):
             constant_composition_mi(ch, t, 0.5, dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=7))
+
+
+def _rotated_classical(k: int, d: int, seed: int) -> CQChannel:
+    """Commuting letters U diag(W[x]) U^dagger, neither diagonal nor pure."""
+    rng = np.random.default_rng([seed, k, d])
+    w = rng.dirichlet(np.ones(d), size=k)
+    u = random_unitary(d, rng)
+    return CQChannel.from_states([u @ np.diag(row.astype(complex)) @ u.conj().T for row in w])
+
+
+class TestConstantCompositionTable:
+    """The output-sequence table path for commuting letters against the dense d^n body."""
+
+    # (channel, blocklengths): bsc01 and three seeded rotated binary-input
+    # channels at every n <= 8, and a three-letter one where 3^n classes stay small.
+    SWEEP = [(None, 8), ((2, 2, 1), 8), ((2, 2, 2), 8), ((2, 2, 3), 8), ((3, 2, 4), 6)]
+
+    @pytest.mark.parametrize("shape, n_max", SWEEP)
+    def test_matches_dense_on_every_type(self, monkeypatch, shape, n_max):
+        ch = load_channel(CHANNELS_DIR / "bsc01.json") if shape is None else _rotated_classical(*shape)
+        assert ch.is_classical() and pure_letter_overlaps(ch) is None
+        worst = 0.0
+        for n in range(1, n_max + 1):
+            for t in enumerate_types(n, ch.size):
+                for alpha in (0.3, 0.7):
+                    table = constant_composition_mi(ch, t, alpha)
+                    dense = TestConstantCompositionGram._dense(monkeypatch, ch, t, alpha)
+                    worst = max(worst, abs(table - dense))
+        assert worst <= 1e-12
+
+    def test_builds_no_d_n_matrix(self, monkeypatch):
+        ch = load_channel(CHANNELS_DIR / "bsc01.json")
+        for name in ("tensor_all", "mat_power", "gram_stack"):
+            monkeypatch.setattr(analysis, name, None)  # any call fails
+        wide = dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=4096)
+        assert constant_composition_mi(ch, TypeClass(12, (6, 6)), 0.3, wide) == pytest.approx(0.2048273953, abs=1e-9)
+
+    def test_chunks_match_one_table(self, monkeypatch):
+        ch = _rotated_classical(3, 2, 3)
+        t = TypeClass(6, (2, 2, 2))
+        whole = constant_composition_mi(ch, t, 0.3)
+        monkeypatch.setattr(analysis, "TABLE_ENTRIES", 1)
+        assert constant_composition_mi(ch, t, 0.3) == pytest.approx(whole, abs=1e-15)
+
+    def test_cap_is_state_dimension(self):
+        ch = load_channel(CHANNELS_DIR / "bsc01.json")
+        with pytest.raises(TooLarge):
+            constant_composition_mi(ch, TypeClass(9, (5, 4)), 0.3)
+        at_dim = dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=512)
+        assert constant_composition_mi(ch, TypeClass(9, (5, 4)), 0.3, at_dim) > 0.0
+
+    def test_pure_commuting_letters_keep_the_gram_path(self, monkeypatch, orthogonal_pair):
+        monkeypatch.setattr(analysis, "_sequence_table", None)  # any table call fails
+        assert constant_composition_mi(orthogonal_pair, TypeClass(2, (1, 1)), 0.5) == pytest.approx(0.5, abs=1e-12)
+        with pytest.raises(TooLarge):  # the cap is still |T| = 6, not d^n = 16
+            constant_composition_mi(
+                orthogonal_pair, TypeClass(4, (2, 2)), 0.5, dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=5)
+            )
 
 
 class TestBestType:

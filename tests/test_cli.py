@@ -301,6 +301,42 @@ class TestSimulate:
         assert res.stderr == f"error: dimension {power} exceeds simulation cap 256\n"
 
 
+class TestNonFiniteInputs:
+    """Codebook sizes past the ceiling exit 4; NaN and infinite rates or
+    priors exit 2, with no traceback and no NaN row."""
+
+    @pytest.mark.parametrize("channel", [BSC, PURE_PAIR])
+    def test_rate_600_exit_4(self, runner, channel):
+        res = runner.invoke(main, [
+            "simulate", channel, "--rate", "600", "--n-list", "2", "--trials", "1", "--seed", "1",
+        ])
+        assert res.exit_code == 4
+        assert res.stderr == "error: codebook size 2^1200 exceeds ceiling 4096\n"
+
+    def test_rate_past_float_range_exit_4(self, runner):
+        # n R = 1e300: 2^(nR) is never formed, as a float or as an integer.
+        res = runner.invoke(main, [
+            "simulate", BSC, "--rate", "1e300", "--n-list", "1", "--trials", "1", "--seed", "1",
+        ])
+        assert res.exit_code == 4
+        assert res.stderr == "error: codebook size 2^1e+300 exceeds ceiling 4096\n"
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", BSC, "--rate", "nan", "--n-list", "2", "--trials", "1", "--seed", "1"],
+        ["simulate", BSC, "--rate", "inf", "--n-list", "2", "--trials", "1", "--seed", "1"],
+        ["simulate", BSC, "--rate", "0", "--n-list", "2", "--trials", "1", "--seed", "1"],
+        ["exponent", BSC, "--rmin", "0.05", "--rmax", "inf", "--steps", "3"],
+        ["exponent", BSC, "--rmin", "nan", "--rmax", "0.3", "--steps", "3"],
+        ["renyi", BSC, "--alpha", "0.5", "--prior", "nan,0.5"],
+        ["renyi", BSC, "--alpha", "1", "--prior", "nan,0.5"],
+    ])
+    def test_exit_2(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ")
+
+
 class TestMaxDim:
     @pytest.mark.parametrize("value", ["0", "-1"])
     @pytest.mark.parametrize("command", [

@@ -392,6 +392,60 @@ class TestStateCeiling:
         assert not calls
 
 
+class TestCodebookCeiling:
+    """M itself is held to MAX_TENSOR_DIM on every path before a codeword is drawn."""
+
+    @staticmethod
+    def _forbid_draws(monkeypatch) -> list:
+        calls = []
+
+        def spy(alphabet_size, n, size, mode, seeds):
+            calls.append(size)
+            raise AssertionError("codewords drawn past the codebook ceiling")
+
+        monkeypatch.setattr(coding, "_draw_words", spy)
+        return calls
+
+    @pytest.mark.parametrize("name, rate, n", [
+        ("bsc01", 0.9, 14),  # table path: M = 6208, d^n = 16384 within the cap below
+        ("pure_pair", 2.0, 8),  # dense path: M = 65536 > d^n = 256
+        ("bsc01", 600.0, 2),  # 2^(nR) past float range
+        ("pure_pair", 600.0, 2),
+    ])
+    def test_no_codeword_past_the_ceiling(self, monkeypatch, name, rate, n):
+        channel = load_channel(CHANNELS_DIR / f"{name}.json")
+        calls = self._forbid_draws(monkeypatch)
+        with pytest.raises(TooLarge, match="codebook size"):
+            estimate_exponent(channel, rate, [n], 1, seed=1, config=RunConfig(2 ** 15))
+        assert not calls
+
+    def test_ceiling_admits_the_packing_limit(self, pure_pair):
+        # n = 7 at rate 1.2: M = 338 > d^n = 128, on the dense path.
+        assert estimate_exponent(pure_pair, 1.2, [7], 1, seed=4, config=RunConfig(128))[0].size == 338
+
+
+class TestDenseOneStateAtATime:
+    def test_bit_identical_to_all_states_at_once(self, rng):
+        ch = random_channel(2, 2, rng)
+        for seed in range(3):
+            book = generate_codebook(2, 4, 6, IID(prior=np.array([0.5, 0.5])), seed=seed)
+            states = [coding.codeword_state(ch, cw) for cw in book.codewords]
+            total = coding.hermitize(reduce(np.add, states, np.zeros((16, 16), dtype=complex)))
+            w, v = coding.herm_eig(total)
+            half = coding.spectral_map(coding._support_clip(w), v, lambda x: x ** -0.5)
+            success = sum(float(((half @ rho) * (half @ rho).T).sum().real) for rho in states)
+            assert _pgm_error_dense(ch, book, DEFAULT_CONFIG) == min(max(1.0 - success / 6, 0.0), 1.0)
+
+    def test_builds_each_state_once_per_pass(self, monkeypatch, rng):
+        ch = random_channel(2, 2, rng)
+        book = generate_codebook(2, 3, 5, IID(prior=np.array([0.5, 0.5])), seed=1)
+        real = coding.codeword_state
+        built = []
+        monkeypatch.setattr(coding, "codeword_state", lambda c, cw: built.append(cw) or real(c, cw))
+        _pgm_error_dense(ch, book, DEFAULT_CONFIG)
+        assert built == list(book.codewords) * 2
+
+
 PURE_CHANNELS = pure_channels()
 
 

@@ -166,6 +166,12 @@ class TestCQState:
         st_ = cq_state(ch, p)
         assert [w for w, _ in st_.blocks] == [0.25, 0.75]
 
+    @pytest.mark.parametrize("bad", [[np.nan, 0.5], [np.inf, 0.5], [0.5, -np.inf]])
+    def test_non_finite_prior_rejected(self, bad):
+        ch = CQChannel.from_stochastic_matrix([[0.9, 0.1], [0.1, 0.9]])
+        with pytest.raises(InvalidOperator, match="non-finite"):
+            cq_state(ch, bad)
+
     def test_block_diagonal_matrix(self, rng):
         ch = CQChannel.from_states([random_density_matrix(2, rng) for _ in range(2)])
         p = np.array([0.4, 0.6])
