@@ -21,7 +21,7 @@ from itertools import islice
 import numpy as np
 
 from .channel import CQChannel, pure_letter_overlaps
-from .config import DEFAULT_CONFIG, LN_BASE, RunConfig
+from .config import CHUNK_ENTRIES, DEFAULT_CONFIG, LN_BASE, RunConfig
 from .divergences import check_alpha, letter_powers
 from .errors import InvalidGrid, NumericalInstability, RateAboveCapacity, TooLarge
 from .linalg import (
@@ -40,8 +40,6 @@ SPHERE_PACKING_ALPHA_MIN = 0.01
 # exact points; and the alpha bracket that ends a root search.
 ALPHA_GRID = np.arange(1, 101) / 100
 ALPHA_TOL = 1e-8
-# Most output-sequence table entries a type-class average holds at once.
-TABLE_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -497,7 +495,7 @@ def constant_composition_mi(
         config.check(full_dim, table=True)
         w_alpha = channel.induced_stochastic_matrix() ** alpha
         sequences, row_sum = enumerate_sequences(t), 0.0
-        while chunk := list(islice(sequences, max(1, TABLE_ENTRIES // full_dim))):
+        while chunk := list(islice(sequences, max(1, CHUNK_ENTRIES // full_dim))):
             row_sum = row_sum + _sequence_table(w_alpha, np.asarray(chunk)[None])[0].sum(axis=0)
         total = float(((row_sum / count) ** (1.0 / alpha)).sum())
     else:

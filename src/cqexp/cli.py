@@ -10,7 +10,7 @@ the dimension of the matrix decomposed at blocklength n: for pure letters
 the codebook or type-class size while it is at most d^n, the state
 dimension d^n otherwise. Every decomposed matrix (d^n x d^n states and
 Gram matrices) has a fixed ceiling, ``config.MAX_TENSOR_DIM``, that
-``--max-dim`` does not raise.
+``--max-dim`` does not raise; ``simulate`` holds the codebook size M to it too.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ import numpy as np
 
 from .analysis import ChannelAnalysis
 from .channel import CQChannel, pure_letter_overlaps
-from .config import DEFAULT_CONFIG, LN_BASE, MAX_TENSOR_DIM, RunConfig
+from .config import CHUNK_ENTRIES, DEFAULT_CONFIG, LN_BASE, MAX_TENSOR_DIM, RunConfig
 from .errors import DimensionError, NotClassical, TooLarge
 from .linalg import (
     _sequence_table, _support_clip, gram_stack, herm_eig, hermitize, spectral_map, tensor_all,
@@ -137,10 +137,6 @@ class ExponentEstimate:
     best_pe: float
     mean_pe: float
     implied_exponent: float
-
-
-# Most table or Gram-matrix entries a stacked evaluation holds at once.
-CHUNK_ENTRIES = 2 ** 16
 
 
 def _draw_words(alphabet_size: int, n: int, size: int, mode, seeds) -> np.ndarray:

@@ -42,6 +42,9 @@ LOAD_TOL = 1e-8
 # holds the codebook size M to it on every path.
 MAX_TENSOR_DIM = 2 ** 12
 
+# Most table or Gram-matrix entries a stacked blocklength evaluation holds at once.
+CHUNK_ENTRIES = 2 ** 16
+
 
 def format_dim(dim: int) -> str:
     """A size for an error message: in full up to 10^15, else "about 10^k".

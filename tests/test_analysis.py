@@ -833,7 +833,7 @@ class TestConstantCompositionTable:
         ch = _rotated_classical(3, 2, 3)
         t = TypeClass(6, (2, 2, 2))
         whole = constant_composition_mi(ch, t, 0.3)
-        monkeypatch.setattr(analysis, "TABLE_ENTRIES", 1)
+        monkeypatch.setattr(analysis, "CHUNK_ENTRIES", 1)
         assert constant_composition_mi(ch, t, 0.3) == pytest.approx(whole, abs=1e-15)
 
     def test_cap_is_state_dimension(self):
