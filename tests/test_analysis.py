@@ -659,10 +659,6 @@ class TestRateChecks:
         with pytest.raises(InvalidGrid, match="finite"):
             bsc_session.curve([0.1, rate] if rate > 0 else [rate, 0.1])
 
-    def test_nan_rate_alone_is_a_grid_error(self, bsc_session):
-        with pytest.raises(InvalidGrid):
-            bsc_session.curve([math.nan])
-
 
 class TestExponentCurve:
     def test_rows_above_critical_are_equal(self, bsc_session):

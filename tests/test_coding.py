@@ -419,10 +419,6 @@ class TestCodebookCeiling:
             estimate_exponent(channel, rate, [n], 1, seed=1, config=RunConfig(2 ** 15))
         assert not calls
 
-    def test_ceiling_admits_the_packing_limit(self, pure_pair):
-        # n = 7 at rate 1.2: M = 338 > d^n = 128, on the dense path.
-        assert estimate_exponent(pure_pair, 1.2, [7], 1, seed=4, config=RunConfig(128))[0].size == 338
-
 
 class TestDenseOneStateAtATime:
     def test_bit_identical_to_all_states_at_once(self, rng):
