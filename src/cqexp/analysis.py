@@ -9,7 +9,10 @@ s I_{1/(1+s)}(N); the critical rate E0'(1) and the root of E0'(s) = r that
 refines each bound come from the closed-form slope at the optimal prior
 (Danskin's theorem). Each evaluation of I_a(N) is
 itself a maximization over priors, so a :class:`ChannelAnalysis` session
-caches those inner optimizations and warm-starts nearby ones.
+caches those inner optimizations and warm-starts nearby ones. It takes them,
+and their E0' slopes, as stacks of (alpha, prior) rows: one ``eigh`` per
+stack certifies every row whose warm start is already optimal, and only the
+other rows are solved one at a time.
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ import numpy as np
 
 from .channel import CQChannel, pure_letter_overlaps
 from .config import CHUNK_ENTRIES, DEFAULT_CONFIG, LN_BASE, RunConfig
-from .divergences import check_alpha, letter_powers
+from .divergences import check_alpha, letter_power_logs, letter_powers
 from .errors import InvalidGrid, NumericalInstability, RateAboveCapacity, TooLarge
 from .linalg import (
-    _sequence_table, _support_clip, gram_stack, mat_power, spectral_entropy, spectral_map, tensor_all,
+    _sequence_table, _support_clip, gram_stack, mat_power, spectral_entropy, tensor_all,
 )
-from .simplex_opt import ConvexSurrogate, SimplexMaximum, maximize_on_simplex
+from .simplex_opt import ConvexSurrogate, SimplexMaximum, certified_starts, maximize_on_simplex, start_point
 from .typeclasses import TypeClass, enumerate_sequences, enumerate_types
 
 # Largest input alphabet that a prior optimization takes.
@@ -107,29 +110,32 @@ class ExponentCurve:
 
 
 # ---------------------------------------------------------------------------
-# Convex surrogates of the prior objectives.
+# Convex surrogates of the prior objectives. Each formula takes one prior or
+# a stack of (alpha, prior) rows: the leading axes are the rows.
 
 
 _EPS = float(np.finfo(float).eps)
 
 
 def _mix(prior: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """sum_x p_x M_x."""
-    return (prior @ mats.reshape(len(prior), -1)).reshape(mats.shape[1:])
+    """sum_x p_x M_x: (..., X) weights against (..., X, d, d) or (X, d, d) matrices."""
+    out = prior[..., None, :] @ mats.reshape(mats.shape[:-2] + (-1,))
+    return out.reshape(out.shape[:-2] + mats.shape[-2:])
 
 
-def _noise_floor(lam: np.ndarray) -> float:
+def _noise_floor(lam: np.ndarray) -> np.ndarray:
     """The eigensolver's noise floor, d eps lambda_max, taken as the edge of supp(A).
 
     The floor, not ``SUPPORT_CUTOFF``, is the cut: a letter of tiny weight
     contributes eigenvalues far below the relative cutoff of the matrix
     powers, and the Newton step needs their curvature.
     """
-    return len(lam) * _EPS * float(lam.max())
+    return (lam.shape[-1] * _EPS) * lam.max(axis=-1, keepdims=True)
 
 
 def _divided_differences(lam: np.ndarray, fn, dfn) -> np.ndarray:
-    """Gamma_ij = (fn(l_i) - fn(l_j)) / (l_i - l_j) on supp(A), zero off it.
+    """Gamma_ij = (fn(l_i) - fn(l_j)) / (l_i - l_j) on supp(A), zero off it, for one
+    spectrum.
 
     fn has a singular derivative at 0, so Gamma is taken on supp(A) only.
     Where two eigenvalues agree to about sqrt(eps) the quotient loses its
@@ -146,18 +152,21 @@ def _divided_differences(lam: np.ndarray, fn, dfn) -> np.ndarray:
     return np.where(on[:, None] & on[None, :], gamma, 0.0)
 
 
-def _letter_derivatives(mats: np.ndarray, lam: np.ndarray, vec: np.ndarray, fn, dfn, scale: float):
+def _letter_derivatives(mats: np.ndarray, lam: np.ndarray, vec: np.ndarray, fn, dfn, scale):
     """Gradient scale * sum_i (P_x)_ii fn(l_i), P_x = V^dagger M_x V, of
     scale * tr[F(A)] with F' = fn, and its Hessian (Daleckii-Krein; Bhatia,
     Matrix Analysis, V.3): scale * Re sum_ij Gamma_ij (P_x)_ij (P_y)_ji, with
     Gamma the divided differences of fn.
 
     fn is called on every eigenvalue, so it also sets the derivative off
-    supp(A). Only the diagonals of P_x enter the gradient; the full P_x is
-    formed when the Hessian is asked for.
+    supp(A). The gradient is taken for one row or a stack of them, with
+    ``scale`` broadcast against it; only the diagonals of P_x enter it. The
+    Hessian, which forms the full P_x, is taken for one row, when a Newton
+    step asks for it.
     """
-    rotated = mats @ vec
-    grad = scale * np.einsum("ai,xai->xi", vec.conj(), rotated).real @ fn(lam)
+    rotated = mats @ vec[..., None, :, :]
+    diag = np.einsum("...ai,...xai->...xi", vec.conj(), rotated).real
+    grad = scale * (diag @ fn(lam)[..., None])[..., 0]
 
     def hessian() -> np.ndarray:
         flat = (vec.conj().T @ rotated).reshape(len(mats), -1)
@@ -167,36 +176,50 @@ def _letter_derivatives(mats: np.ndarray, lam: np.ndarray, vec: np.ndarray, fn, 
     return grad, hessian
 
 
-def _renyi_surrogate(powers: np.ndarray, alpha: float) -> ConvexSurrogate:
-    """f(p) = tr[A^b], A = sum_x p_x rho_x^a, b = 1/a; I_a = a/(a-1) log2 f."""
-    beta = 1.0 / alpha
+def _power_trace(lam: np.ndarray, beta) -> np.ndarray:
+    """f = tr[A^b] from the eigenvalues of A, clipped at 0 (last axis)."""
+    return (lam ** beta).sum(axis=-1)
 
-    def f_of(lam: np.ndarray) -> float:
-        return float((lam ** beta).sum())
 
-    def slope(lam: np.ndarray) -> np.ndarray:
+def _renyi_derivatives(powers: np.ndarray, alpha, prior: np.ndarray):
+    """f(p) = tr[A^b], A = sum_x p_x rho_x^a, b = 1/a, its gradient and a
+    function forming its Hessian, from one ``eigh`` of A; ``powers`` holds
+    rho_x^a, (..., X, d, d) against ``alpha`` (...) and ``prior`` (..., X).
+    The Hessian is for one row: a scalar ``alpha``."""
+    beta = 1.0 / np.asarray(alpha, dtype=float)[..., None]
+    lam, vec = np.linalg.eigh(_mix(prior, powers))
+    lam = np.clip(lam, 0.0, None)
+    b1, b2 = beta - 1.0, beta - 2.0
+
+    def slope(t: np.ndarray) -> np.ndarray:
         # Off supp(A) the derivative is 0: an eigenvalue that grows from 0
         # like t enters f like t^b, b > 1.
-        return np.where(lam > _noise_floor(lam), lam, 0.0) ** (beta - 1.0)
+        return np.where(t > _noise_floor(t), t, 0.0) ** b1
+
+    def curvature(t: np.ndarray) -> np.ndarray:
+        return b1 * t ** b2
+
+    grad, hessian = _letter_derivatives(powers, lam, vec, slope, curvature, beta)
+    return _power_trace(lam, beta), grad, hessian
+
+
+def _renyi_maximand(alpha, f):
+    """(I_a, -dI_a/df) with I_a = a/(a-1) log2 f, elementwise."""
+    return alpha / (alpha - 1.0) * np.log(f) / LN_BASE, alpha / ((1.0 - alpha) * LN_BASE * f)
+
+
+def _renyi_surrogate(powers: np.ndarray, alpha: float) -> ConvexSurrogate:
+    """f(p) = tr[A^b], A = sum_x p_x rho_x^a, b = 1/a; I_a = a/(a-1) log2 f."""
+    beta = 1.0 / np.asarray(alpha, dtype=float)[..., None]
 
     def value(prior: np.ndarray) -> float:
-        return f_of(np.clip(np.linalg.eigvalsh(_mix(prior, powers)), 0.0, None))
-
-    def derivatives(prior: np.ndarray):
-        lam, vec = np.linalg.eigh(_mix(prior, powers))
-        lam = np.clip(lam, 0.0, None)
-        grad, hessian = _letter_derivatives(
-            powers, lam, vec, slope, lambda t: (beta - 1.0) * t ** (beta - 2.0), beta
-        )
-        return f_of(lam), grad, hessian
+        return float(_power_trace(np.clip(np.linalg.eigvalsh(_mix(prior, powers)), 0.0, None), beta))
 
     def maximand(f: float) -> tuple[float, float]:
-        return (
-            float(alpha / (alpha - 1.0) * np.log(f) / LN_BASE),
-            alpha / ((1.0 - alpha) * LN_BASE * f),
-        )
+        value, slope = _renyi_maximand(alpha, f)
+        return float(value), float(slope)
 
-    return ConvexSurrogate(value, derivatives, maximand)
+    return ConvexSurrogate(value, lambda prior: _renyi_derivatives(powers, alpha, prior), maximand)
 
 
 def _holevo_surrogate(channel: CQChannel) -> ConvexSurrogate:
@@ -281,27 +304,62 @@ def renyi_mi_channel(channel: CQChannel, alpha: float, *, warm_starts=()) -> Opt
 
 
 # ---------------------------------------------------------------------------
-# Alpha sweeps.
+# Stacks of (alpha, prior) rows.
 
 
-def _e0_slope(channel: CQChannel, prior: np.ndarray, alpha: float) -> float:
-    """d/ds E0(s, p) in bits at s = 1/alpha - 1, for E0 = -log2 tr[A^(1+s)].
+def _chunk_rows(channel: CQChannel) -> int:
+    """Rows per stack of letter functions: |X| d^2 entries each, ``CHUNK_ENTRIES`` in all."""
+    return max(1, CHUNK_ENTRIES // (channel.size * channel.dim ** 2))
+
+
+def _certified_renyi_starts(channel: CQChannel, alphas, starts):
+    """Yield, row by row, the report ``renyi_mi_channel`` gives for each
+    (alpha < 1, start) row whose start already meets the stop rule, at 0
+    iterations, and None for a row that needs Newton steps.
+
+    ``starts`` are normalized priors. Rows are evaluated lazily, in stacks
+    of ``_chunk_rows``: the letter powers, one ``eigh``, f, its gradient and
+    the certificate of the whole stack at once.
+    """
+    _check_alphabet(channel)
+    step = _chunk_rows(channel)
+    for lo in range(0, len(alphas), step):
+        alpha = np.asarray(alphas[lo:lo + step], dtype=float)
+        points = np.asarray(starts[lo:lo + step], dtype=float)
+        f, grad, _ = _renyi_derivatives(letter_powers(channel, alpha), alpha, points)
+        value, slope = _renyi_maximand(alpha, f)
+        for a, result in zip(alpha, certified_starts(points, f, grad, value, slope)):
+            yield None if result is None else _report(result, float(a))
+
+
+def _e0_slope(channel: CQChannel, prior: np.ndarray, alpha) -> np.ndarray:
+    """d/ds E0(s, p) in bits at s = 1/alpha - 1, for E0 = -log2 tr[A^(1+s)], at
+    each (prior, alpha) row: ``prior`` (..., X) against ``alpha`` (...).
 
     A = sum_x p_x rho_x^alpha and A' = -alpha^2 sum_x p_x rho_x^alpha ln rho_x give
     d/ds tr[A^(1+s)] = sum mu^(1+s) ln mu + (1+s) sum mu^s (V^dagger A' V)_ii on
     supp(A), from one ``eigh`` A = V diag(mu) V^dagger; here in log2 so that the
-    ln 2 of E0 cancels. At alpha = 1 it is the Holevo quantity of p.
+    ln 2 of E0 cancels. At alpha = 1 it is the Holevo quantity of p. The rows
+    are taken in stacks of ``_chunk_rows``.
     """
-    s = 1.0 / alpha - 1.0
-    power_logs = spectral_map(*channel.spectra, lambda w: w ** alpha * np.log(w) / LN_BASE)
-    a_prime = -alpha**2 * _mix(prior, power_logs)
-    mu, v = np.linalg.eigh(_mix(prior, letter_powers(channel, alpha)))
-    on = _support_clip(mu) > 0
-    mu, v = mu[on], v[:, on]
-    a_pow = mu ** (1.0 + s)
-    diag = np.einsum("ij,ij->j", v.conj(), a_prime @ v).real
-    d_trace = (a_pow * np.log(mu)).sum() / LN_BASE + (1.0 + s) * (mu ** s * diag).sum()
-    return float(-d_trace / a_pow.sum())
+    alpha = np.asarray(alpha, dtype=float)
+    alphas = alpha.reshape(-1)
+    priors = np.broadcast_to(prior, alpha.shape + (channel.size,)).reshape(-1, channel.size)
+    out = np.empty(len(alphas))
+    step = _chunk_rows(channel)
+    for lo in range(0, len(alphas), step):
+        a, p = alphas[lo:lo + step], priors[lo:lo + step]
+        s = 1.0 / a[:, None] - 1.0
+        a_prime = -(a**2)[:, None, None] * _mix(p, letter_power_logs(channel, a))
+        mu, v = np.linalg.eigh(_mix(p, letter_powers(channel, a)))
+        on = _support_clip(mu) > 0
+        mu = np.where(on, mu, 1.0)
+        a_pow = np.where(on, mu ** (1.0 + s), 0.0)
+        diag = np.einsum("kij,kij->kj", v.conj(), a_prime @ v).real
+        tilted = np.where(on, mu ** s * diag, 0.0).sum(axis=-1)
+        d_trace = (a_pow * np.log(mu)).sum(axis=-1) / LN_BASE + (1.0 + s[:, 0]) * tilted
+        out[lo:lo + step] = -d_trace / a_pow.sum(axis=-1)
+    return out.reshape(alpha.shape)[()]
 
 
 class ChannelAnalysis:
@@ -310,7 +368,8 @@ class ChannelAnalysis:
     Both bounds read one solve of ``ALPHA_GRID``, made down from alpha = 1
     (the capacity), each point warm-started from the one above it. Warm
     starts for off-grid alpha values are taken from that grid only, never
-    from other refinement results. All methods are deterministic for a fixed
+    from other refinement results. The E0' slope at each solved alpha is
+    cached next to its report. All methods are deterministic for a fixed
     channel and call order; another call order moves a cached value by no
     more than its reported gap.
     """
@@ -318,16 +377,44 @@ class ChannelAnalysis:
     def __init__(self, channel: CQChannel):
         self.channel = channel
         self._mi_cache: dict[float, OptimizationReport] = {}
+        self._slope_cache: dict[float, float] = {}
         self._grid_reports: list[OptimizationReport] = []
 
     # -- inner optimizations -------------------------------------------------
 
     def _grid(self) -> list[OptimizationReport]:
-        """The reports at the ``ALPHA_GRID`` points, in grid order."""
+        """The reports at the ``ALPHA_GRID`` points, in grid order.
+
+        Each point is solved from the prior of the point above it. While
+        those priors stay the capacity prior, every point that its start
+        certifies comes from one stacked test (``_certified_renyi_starts``); from
+        the first point that needs Newton steps, or a cached point at another
+        prior, the chain goes on one solve at a time.
+        """
         if not self._grid_reports:
             reports = [self.capacity()]
-            for alpha in ALPHA_GRID[-2::-1]:
-                reports.append(self._mi_point(float(alpha), warm_starts=(reports[-1].prior,)))
+            alphas = [float(a) for a in ALPHA_GRID[-2::-1]]
+            # The start of each point while every point above keeps its own:
+            # maximize_on_simplex divides the prior above by its sum.
+            starts, start = [], reports[0].prior
+            for _ in alphas:
+                start = start_point(self.channel.size, (start,))
+                starts.append(start)
+            fresh = [i for i, alpha in enumerate(alphas) if alpha not in self._mi_cache]
+            tests = _certified_renyi_starts(
+                self.channel, [alphas[i] for i in fresh], [starts[i] for i in fresh]
+            )
+            chained = True
+            for alpha, start in zip(alphas, starts):
+                rep = self._mi_cache.get(alpha)
+                if rep is None and chained:
+                    rep = next(tests)
+                    if rep is not None:
+                        self._mi_cache[alpha] = rep
+                if rep is None:
+                    rep = self._mi_point(alpha, warm_starts=(reports[-1].prior,))
+                chained = chained and np.array_equal(rep.prior, start)
+                reports.append(rep)
             self._grid_reports = reports[::-1]
         return self._grid_reports
 
@@ -341,6 +428,29 @@ class ChannelAnalysis:
             self._mi_cache[key] = rep
         return rep
 
+    def _mi_points(self, alphas, warm_starts) -> list[OptimizationReport]:
+        """``_mi_point`` at each (alpha, warm start) row; the uncached rows whose
+        start already meets the stop rule come from one stacked test."""
+        keys = [float(a) for a in alphas]
+        fresh: dict[float, np.ndarray] = {}
+        for key, warm in zip(keys, warm_starts):
+            if key < 1.0 and key not in self._mi_cache:
+                fresh.setdefault(key, start_point(self.channel.size, (warm,)))
+        for key, rep in zip(fresh, _certified_renyi_starts(self.channel, list(fresh), list(fresh.values()))):
+            if rep is not None:
+                self._mi_cache[key] = rep
+        return [self._mi_point(key, warm_starts=(warm,)) for key, warm in zip(keys, warm_starts)]
+
+    def _slopes(self, alphas) -> np.ndarray:
+        """E0' at the cached report of each alpha, cached by alpha; the missing
+        ones from one stacked ``_e0_slope`` call."""
+        keys = [float(a) for a in alphas]
+        missing = [key for key in dict.fromkeys(keys) if key not in self._slope_cache]
+        if missing:
+            priors = np.stack([self._mi_cache[key].prior for key in missing])
+            self._slope_cache.update(zip(missing, _e0_slope(self.channel, priors, missing).tolist()))
+        return np.array([self._slope_cache[key] for key in keys])
+
     def mutual_info(self, alpha: float) -> OptimizationReport:
         """Cached I_alpha(N) report (alpha = 1 gives the capacity report)."""
         return self._mi_point(float(alpha))
@@ -350,69 +460,73 @@ class ChannelAnalysis:
 
     # -- exponent machinery ---------------------------------------------------
 
-    def _bound(self, alpha_min: float, r: float) -> BoundResult:
+    def _bound(self, alpha_min: float, rates) -> list[BoundResult]:
         """Maximum of E0(s) - s r over the grid points alpha >= ``alpha_min``,
-        refined to the root of E0'(s) = r.
+        refined to the root of E0'(s) = r, at each of the ``rates``.
 
         The sign of E0' - r at the grid maximum picks the neighbouring cell
         (the objective rises toward larger s where E0' > r). If the sign
         changes across it, the Illinois method (regula falsi halving the stale
-        end) shrinks that alpha bracket to ``ALPHA_TOL``, one solve per probe,
-        warm-started from the nearest grid point. Both bounds share the grid,
-        the cache and so, where they take the same cell, every probe. The
-        bound is saturated when its alpha ends within 10 ``ALPHA_TOL`` of the
+        end) shrinks that alpha bracket to ``ALPHA_TOL``. The brackets of all
+        rates move in lockstep: each round takes the probes of every open
+        bracket as one stack (``_mi_points``, then ``_slopes``), each
+        warm-started from its nearest grid point. Both bounds share the grid,
+        the caches and so, where they take the same cell, every probe. A bound
+        is saturated when its alpha ends within 10 ``ALPHA_TOL`` of the
         sphere-packing floor.
         """
         start = int(np.searchsorted(ALPHA_GRID, alpha_min))
         alphas, reports = ALPHA_GRID[start:], self._grid()[start:]
+        slopes = self._slopes(ALPHA_GRID)[start:]
         mis = np.asarray([rep.value for rep in reports])
+        r = np.asarray(rates, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(alphas >= 1.0, 0.0, (1.0 - alphas) / alphas * (mis - r))
-        best = int(np.argmax(vals))
-        alpha_star, val_star = float(alphas[best]), float(vals[best])
-
-        def excess(alpha: float, rep: OptimizationReport) -> float:
-            return _e0_slope(self.channel, rep.prior, alpha) - r
-
-        a, ga = alpha_star, excess(alpha_star, reports[best])
-        other = best - 1 if ga > 0 else best + 1
-        b, gb = a, 0.0
-        if ga != 0.0 and 0 <= other < len(alphas):
-            b = float(alphas[other])
-            gb = excess(b, reports[other])
-        while ga * gb < 0.0 and abs(b - a) > ALPHA_TOL:
-            c = (a * gb - b * ga) / (gb - ga)
-            warm = reports[int(np.argmin(np.abs(alphas - c)))].prior
-            rep = self._mi_point(c, warm_starts=(warm,))
-            val = (1.0 - c) / c * (rep.value - r)
-            if val > val_star:
-                alpha_star, val_star = c, val
-            gc = excess(c, rep)
-            if gc * gb < 0.0:
-                a, ga = b, gb
-            else:
-                ga /= 2.0
-            b, gb = c, gc
+            vals = np.where(alphas >= 1.0, 0.0, (1.0 - alphas) / alphas * (mis - r[:, None]))
+        best = np.argmax(vals, axis=1)
+        alpha_star, val_star = alphas[best], vals[np.arange(len(r)), best]
+        a, ga = alpha_star.copy(), slopes[best] - r
+        other = np.where(ga > 0, best - 1, best + 1)
+        inside = (ga != 0.0) & (other >= 0) & (other < len(alphas))
+        other = np.clip(other, 0, len(alphas) - 1)
+        b = np.where(inside, alphas[other], a)
+        gb = np.where(inside, slopes[other] - r, 0.0)
+        while (live := np.flatnonzero((ga * gb < 0.0) & (np.abs(b - a) > ALPHA_TOL))).size:
+            c = (a[live] * gb[live] - b[live] * ga[live]) / (gb[live] - ga[live])
+            warm = [reports[int(np.argmin(np.abs(alphas - x)))].prior for x in c]
+            values = np.array([rep.value for rep in self._mi_points(c, warm)])
+            gc = self._slopes(c) - r[live]
+            val = (1.0 - c) / c * (values - r[live])
+            better = val > val_star[live]
+            alpha_star[live] = np.where(better, c, alpha_star[live])
+            val_star[live] = np.where(better, val, val_star[live])
+            flip = gc * gb[live] < 0.0
+            a[live] = np.where(flip, b[live], a[live])
+            ga[live] = np.where(flip, gb[live], ga[live] / 2.0)
+            b[live], gb[live] = c, gc
         saturated = alpha_star <= SPHERE_PACKING_ALPHA_MIN + ALPHA_TOL * 10
-        return BoundResult(value=float(val_star), alpha=float(alpha_star), saturated=saturated)
+        return [
+            BoundResult(value=float(v), alpha=float(x), saturated=bool(s))
+            for v, x, s in zip(val_star, alpha_star, saturated)
+        ]
 
     def lower_bound(self, r: float) -> BoundResult:
         """Achievability (random-coding style) exponent bound at rate r."""
         if not 0 <= r < math.inf:
             raise ValueError(f"rate must be finite and nonnegative, got {r}")
-        return self._bound(ACHIEVABILITY_ALPHA_MIN, r)
+        return self._bound(ACHIEVABILITY_ALPHA_MIN, [r])[0]
 
     def upper_bound(self, r: float) -> BoundResult:
         """Sphere-packing exponent bound at rate r."""
         if not 0 < r < math.inf:
             raise ValueError(f"rate must be finite and positive, got {r}")
-        return self._bound(SPHERE_PACKING_ALPHA_MIN, r)
+        return self._bound(SPHERE_PACKING_ALPHA_MIN, [r])[0]
 
     def critical_rate(self) -> float:
         """r_c = E0'(1), the slope of s * I_{1/(1+s)}(N) at s = 1, in closed form
         at the prior maximizing I_{1/2} (Danskin's theorem): no solve beyond
         alpha = 1/2, a point of the alpha grid."""
-        return _e0_slope(self.channel, self._mi_point(0.5).prior, 0.5)
+        self._mi_point(0.5)
+        return float(self._slopes([0.5])[0])
 
     def reliability(self, r: float) -> ReliabilityResult:
         """Exact exponent for r >= r_c, bounding interval below r_c."""
@@ -421,24 +535,27 @@ class ChannelAnalysis:
         c = self.capacity().value
         if r >= c:
             raise RateAboveCapacity(f"rate {r} is not below capacity {c}")
-        row = self._row(r, self.critical_rate())
+        row = self._rows([float(r)], self.critical_rate())[0]
         kind = "exact" if row.equal else "interval"
         return ReliabilityResult(kind=kind, lower=row.lower, upper=row.upper)
 
-    def _row(self, r: float, rc: float) -> ExponentRow:
-        """Both bounds at r; at or above the critical rate rc they must agree
-        within 1e-7, and the row is exact."""
-        low = self.lower_bound(r)
-        up = self.upper_bound(r)
-        equal = r >= rc - 1e-9
-        if equal and abs(low.value - up.value) > 1e-7:
-            raise NumericalInstability(
-                f"bounds differ above the critical rate at r={r}: {low.value} vs {up.value}"
-            )
-        return ExponentRow(
-            rate=float(r), lower=low.value, upper=low.value if equal else up.value, equal=equal,
-            alpha_lower=low.alpha, alpha_upper=up.alpha, upper_saturated=up.saturated,
-        )
+    def _rows(self, rates, rc: float) -> tuple[ExponentRow, ...]:
+        """Both bounds at each rate; at or above the critical rate rc they must
+        agree within 1e-7, and the row is exact."""
+        lows = self._bound(ACHIEVABILITY_ALPHA_MIN, rates)
+        ups = self._bound(SPHERE_PACKING_ALPHA_MIN, rates)
+        rows = []
+        for r, low, up in zip(rates, lows, ups):
+            equal = r >= rc - 1e-9
+            if equal and abs(low.value - up.value) > 1e-7:
+                raise NumericalInstability(
+                    f"bounds differ above the critical rate at r={r}: {low.value} vs {up.value}"
+                )
+            rows.append(ExponentRow(
+                rate=float(r), lower=low.value, upper=low.value if equal else up.value, equal=equal,
+                alpha_lower=low.alpha, alpha_upper=up.alpha, upper_saturated=up.saturated,
+            ))
+        return tuple(rows)
 
     def curve(self, rates) -> ExponentCurve:
         """Exponent bounds on a strictly increasing rate grid inside (0, C)."""
@@ -453,8 +570,7 @@ class ChannelAnalysis:
         if rates[0] <= 0 or rates[-1] >= c:
             raise InvalidGrid(f"rates must lie strictly inside (0, {c:.6g})")
         rc = self.critical_rate()
-        rows = tuple(self._row(r, rc) for r in rates)
-        return ExponentCurve(rows=rows, critical_rate=rc, capacity=c)
+        return ExponentCurve(rows=self._rows(rates, rc), critical_rate=rc, capacity=c)
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ def exponent(channel_file, rmin, rmax, steps, json_mode, nats) -> None:
         curve = session.curve(inside)
         for row in curve.rows:
             if row.upper_saturated:
-                saturated_rates.append(row.rate)
+                saturated_rates.append(_conv(row.rate, nats))
             rows.append([
                 _conv(row.rate, nats), _conv(row.lower, nats), _conv(row.upper, nats),
                 "1" if row.equal else "0",

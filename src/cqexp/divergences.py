@@ -162,9 +162,17 @@ def conditional_renyi_up(rho_ab, alpha: float, dims=None) -> float:
     return alpha / (1.0 - alpha) * math.log(total) / LN_BASE
 
 
-def letter_powers(channel, alpha: float) -> np.ndarray:
-    """Stack of rho_x^alpha, on each letter's support, from ``channel.spectra``."""
-    return spectral_map(*channel.spectra, lambda w: w ** alpha)
+def letter_powers(channel, alpha) -> np.ndarray:
+    """rho_x^alpha on each letter's support, from ``channel.spectra``: (|X|, d, d)
+    for one alpha, (K, |X|, d, d) for a vector of K."""
+    a = np.asarray(alpha, dtype=float)[..., None, None]
+    return spectral_map(*channel.spectra, lambda w: w ** a)
+
+
+def letter_power_logs(channel, alpha) -> np.ndarray:
+    """rho_x^alpha log2 rho_x on each letter's support, shaped as ``letter_powers``."""
+    a = np.asarray(alpha, dtype=float)[..., None, None]
+    return spectral_map(*channel.spectra, lambda w: w ** a * np.log(w) / LN_BASE)
 
 
 def holevo_information(channel, prior) -> float:

@@ -59,10 +59,13 @@ def _support_clip(w: np.ndarray) -> np.ndarray:
 
 def spectral_map(w: np.ndarray, v: np.ndarray, fn) -> np.ndarray:
     """U f(lambda) U^dagger of cut eigenvalues ``w`` and eigenvectors ``v`` (or
-    stacks of them), with ``fn`` applied on the support w > 0 and 0 elsewhere."""
-    fw = np.zeros_like(w)
+    stacks of them), with ``fn`` applied on the support w > 0 and 0 elsewhere.
+
+    ``fn`` receives the whole eigenvalue array, 1 off the support, and may
+    broadcast it to more leading axes: a stack of K functions, such as
+    lambda^alpha for K values of alpha, gives a stack of K results."""
     on = w > 0
-    fw[on] = fn(w[on])
+    fw = np.where(on, fn(np.where(on, w, 1.0)), 0.0)
     return hermitize((v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 

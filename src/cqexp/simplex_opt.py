@@ -25,7 +25,8 @@ max_x g_x - p.g for g = grad phi(f(p)), which vanishes only at the optimum
 and, for a concave objective, bounds the distance to it (Jaggi,
 "Revisiting Frank-Wolfe", ICML 2013). The gap cannot be resolved below
 the rounding of the gradient it is taken from, so that level is a floor
-under the tolerance.
+under the tolerance. The gap and its floor are taken for one prior or a
+stack of them, so ``certified_starts`` tests many starts at once.
 """
 
 from __future__ import annotations
@@ -148,17 +149,55 @@ class _Iterate(NamedTuple):
     gap_f: float  # Frank-Wolfe gap of f
 
 
-def _rounding(f: float, point: np.ndarray, grad: np.ndarray) -> float:
-    """Rounding level of f, and of the Frank-Wolfe gap p.g - min g, in f's units."""
-    return _ROUNDING * _EPS * (abs(f) + abs(float(point @ grad)) + float(np.abs(grad).max()))
+def _rounding(f, pg, grad: np.ndarray):
+    """Rounding level of f, and of the Frank-Wolfe gap p.g - min g, in f's units,
+    from f, pg = p.g and g; for one prior or a stack of them."""
+    return _ROUNDING * _EPS * (np.abs(f) + np.abs(pg) + np.abs(grad).max(axis=-1))
+
+
+def _certify(point: np.ndarray, f, grad: np.ndarray, slope):
+    """(gap, floor, gap_f) at one prior or a stack of them (last axis the
+    letters): gap_f is the Frank-Wolfe gap p.g - min g of f, and the gap of
+    phi(f) and its rounding floor are gap_f and the rounding level of f
+    times -phi'(f) = ``slope``."""
+    pg = (point[..., None, :] @ grad[..., :, None])[..., 0, 0]
+    gap_f = np.maximum(pg - grad.min(axis=-1), 0.0)
+    return slope * gap_f, slope * _rounding(f, pg, grad), gap_f
+
+
+def _certified(gap, floor):
+    """The stop rule: the gap meets ``GAP_TOL``, or the rounding floor under it."""
+    return (gap <= GAP_TOL) | (gap <= floor)
+
+
+def certified_starts(points: np.ndarray, f: np.ndarray, grad: np.ndarray, value, slope):
+    """For a stack of starts, with f, its gradient, phi(f) and -phi'(f) at each,
+    the outcome ``maximize_on_simplex`` returns where the start already meets
+    the stop rule (0 iterations), and None where Newton steps are needed."""
+    gap, floor, _ = _certify(points, f, grad, slope)
+    return [
+        SimplexMaximum(
+            value=float(v), point=p.copy(), iterations=0, converged=True, start_count=1, gap=float(g)
+        ) if ok else None
+        for p, v, g, ok in zip(points, value, gap, _certified(gap, floor))
+    ]
+
+
+def start_point(dim: int, warm_starts: Sequence[np.ndarray] = ()) -> np.ndarray:
+    """The first warm start divided by its sum, or the uniform prior."""
+    if not warm_starts:
+        return np.full(dim, 1.0 / dim)
+    warm = np.asarray(warm_starts[0], dtype=float)
+    if warm.shape != (dim,) or warm.min() < 0 or not warm.sum() > 0:
+        raise ValueError(f"warm start must be a nonnegative nonzero vector of length {dim}")
+    return warm / warm.sum()
 
 
 def _iterate(surrogate: ConvexSurrogate, point: np.ndarray, derivatives: Derivatives) -> _Iterate:
     f, grad, hessian = derivatives
     value, slope = surrogate.maximand(f)
-    gap_f = max(float(point @ grad - grad.min()), 0.0)
-    floor = slope * _rounding(f, point, grad)
-    return _Iterate(point, f, grad, hessian, value, slope * gap_f, floor, gap_f)
+    gap, floor, gap_f = _certify(point, f, grad, slope)
+    return _Iterate(point, f, grad, hessian, value, float(gap), float(floor), float(gap_f))
 
 
 def _newton_step(surrogate: ConvexSurrogate, at: _Iterate) -> _Iterate | None:
@@ -181,7 +220,7 @@ def _newton_step(surrogate: ConvexSurrogate, at: _Iterate) -> _Iterate | None:
     target = _model_minimizer(at.point, at.grad, hess + delta * np.eye(len(at.point)))
     direction = target - at.point
     predicted = float(at.grad @ direction)
-    slack = _rounding(at.f, at.point, at.grad)
+    slack = _rounding(at.f, at.point @ at.grad, at.grad)
     # The full step is tried with derivatives, which it needs if taken.
     full = _iterate(surrogate, target, surrogate.derivatives(target))
     t = 1.0
@@ -213,15 +252,10 @@ def maximize_on_simplex(
     only after the gap test has failed, so a start that is already optimal
     costs one gradient.
     """
-    point = np.full(dim, 1.0 / dim)
-    if warm_starts:
-        warm = np.asarray(warm_starts[0], dtype=float)
-        if warm.shape != (dim,) or warm.min() < 0 or not warm.sum() > 0:
-            raise ValueError(f"warm start must be a nonnegative nonzero vector of length {dim}")
-        point = warm / warm.sum()
+    point = start_point(dim, warm_starts)
     at = _iterate(surrogate, point, surrogate.derivatives(point))
     iterations = 0
-    while at.gap > max(GAP_TOL, at.floor) and iterations < MAX_ITERATIONS:
+    while not _certified(at.gap, at.floor) and iterations < MAX_ITERATIONS:
         iterations += 1
         stepped = _newton_step(surrogate, at)
         if stepped is None:
@@ -232,7 +266,7 @@ def maximize_on_simplex(
         value=at.value,
         point=at.point.copy(),
         iterations=iterations,
-        converged=at.gap <= max(GAP_TOL, at.floor),
+        converged=bool(_certified(at.gap, at.floor)),
         start_count=1,
         gap=at.gap,
     )

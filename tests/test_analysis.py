@@ -523,27 +523,74 @@ class TestLetterSpectra:
         expected = -d_trace / np.trace(a_pow).real
         assert _e0_slope(ch, prior, alpha) == pytest.approx(expected, rel=1e-11, abs=1e-11)
 
-    def test_curve_decomposes_each_matrix_once(self, monkeypatch):
-        # One eigh for the letters, then one per inner solve (bsc01 is
-        # symmetric: the uniform start is optimal, so no Newton step) and
-        # one per E0' evaluation.
-        counts = {"eigh": 0, "solves": 0, "slopes": 0}
+    def test_curve_decomposition_cap(self, monkeypatch):
+        # The letter cut, the capacity, the cold alpha = 1/2 solve and r_c, one
+        # stacked test and one stacked slope call for the whole grid, and two
+        # stacks per Illinois round of each bound kind.
+        count = 0
 
-        def counting(fn, key):
+        def counting(fn):
             def wrapped(*args, **kwargs):
-                counts[key] += 1
+                nonlocal count
+                count += 1
                 return fn(*args, **kwargs)
 
             return wrapped
 
         session = ChannelAnalysis(load_channel(CHANNELS_DIR / "bsc01.json"))
-        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, "eigh"))
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh, "eigh"))
-        monkeypatch.setattr(analysis, "maximize_on_simplex", counting(analysis.maximize_on_simplex, "solves"))
-        monkeypatch.setattr(analysis, "_e0_slope", counting(analysis._e0_slope, "slopes"))
+        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
         session.curve(np.linspace(0.05, 0.5, 10))
-        assert counts["solves"] > 0 and counts["slopes"] > 0
-        assert counts["eigh"] <= 1 + counts["solves"] + counts["slopes"]
+        assert count <= 40
+
+
+def _reference_channels() -> list[CQChannel]:
+    """bsc01, pure_pair, noiseless_bit and five seeded channels of mixed rank."""
+    files = [load_channel(CHANNELS_DIR / f"{name}.json") for name in ("bsc01", "pure_pair", "noiseless_bit")]
+    return files + [_seeded_channel(999, i) for i in range(5)]
+
+
+class TestStackedPaths:
+    """The stacked grid, slopes and lockstep rounds against their one-row reference paths."""
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_grid_is_the_sequential_chain(self, index):
+        channel = _reference_channels()[index]
+        chain = [holevo_capacity(channel)]
+        for alpha in analysis.ALPHA_GRID[-2::-1]:
+            chain.append(renyi_mi_channel(channel, float(alpha), warm_starts=(chain[-1].prior,)))
+        for got, want in zip(ChannelAnalysis(channel)._grid(), chain[::-1]):
+            assert np.array_equal(got.prior, want.prior)
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+            assert got.value == pytest.approx(want.value, rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_stacked_slopes_match_one_row(self, index):
+        channel = _reference_channels()[index]
+        session = ChannelAnalysis(channel)
+        priors = np.stack([rep.prior for rep in session._grid()])
+        stacked = _e0_slope(channel, priors, analysis.ALPHA_GRID)
+        single = [_e0_slope(channel, p, float(a)) for p, a in zip(priors, analysis.ALPHA_GRID)]
+        np.testing.assert_allclose(stacked, single, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(session._slopes(analysis.ALPHA_GRID), stacked)
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_curve_matches_one_rate_at_a_time(self, index):
+        channel = _reference_channels()[index]
+        session = ChannelAnalysis(channel)
+        rates = np.linspace(0.05, 0.95, 10) * session.capacity().value
+        curve = session.curve(rates)
+        # A fresh session with curve's own first step, the cold alpha = 1/2
+        # solve of r_c, which the grid then keeps.
+        single = ChannelAnalysis(channel)
+        single.critical_rate()
+        for r, row in zip(rates, curve.rows):
+            low, up = single.lower_bound(r), single.upper_bound(r)
+            assert row.lower == pytest.approx(low.value, rel=0, abs=1e-12)
+            assert row.upper == pytest.approx(low.value if row.equal else up.value, rel=0, abs=1e-12)
+            assert row.alpha_lower == pytest.approx(low.alpha, rel=0, abs=2 * analysis.ALPHA_TOL)
+            assert row.alpha_upper == pytest.approx(up.alpha, rel=0, abs=2 * analysis.ALPHA_TOL)
+            assert row.upper_saturated == up.saturated
 
 
 class TestDiagonalLetters:

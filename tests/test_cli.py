@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cqexp import cli
+from cqexp import ChannelAnalysis, cli
+from cqexp.channel_io import load_channel
 from cqexp.cli import main
 from conftest import draw_letters
 from oracles import classical_sphere_packing_exponent
@@ -427,6 +428,20 @@ class TestConcurrencyAndSaturation:
         err = res.stderr if hasattr(res, "stderr") else ""
         assert "saturated" in (err or res.output)
 
+
+    @pytest.mark.parametrize("nats", [False, True])
+    def test_saturation_warning_names_the_rate_cells(self, runner, nats):
+        # pure_pair's sphere-packing search saturates at its low rates; the
+        # warning names them in the units of the r column.
+        args = ["exponent", PURE_PAIR, "--rmin", "0.05", "--rmax", "0.5", "--steps", "10"]
+        res = runner.invoke(main, args + ["--nats"] * nats)
+        assert res.exit_code == 0
+        _, rows = rows_of(res.stdout)
+        curve = ChannelAnalysis(load_channel(PURE_PAIR)).curve(np.linspace(0.05, 0.5, 10))
+        saturated = [cells[0] for cells, row in zip(rows, curve.rows) if row.upper_saturated]
+        assert saturated
+        warned = res.stderr.strip().rsplit(" ", 1)[1].split(",")
+        assert [float(x) for x in warned] == [float(f"{float(cell):.6g}") for cell in saturated]
 
 # Stdout of the README/benchmark commands. Every row is the one the dense
 # d^n path printed, except the n = 1 besttype row: there the dense path's
