@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import CQChannel, pure_letter_overlaps
 from .config import CHUNK_ENTRIES, DEFAULT_CONFIG, LN_BASE, RunConfig
-from .divergences import check_alpha, letter_power_logs, letter_powers
+from .divergences import check_alpha, letter_power_logs, letter_powers, _per_row
 from .errors import InvalidGrid, NumericalInstability, RateAboveCapacity, TooLarge
 from .linalg import (
     _sequence_table, _support_clip, gram_stack, mat_power, spectral_entropy, tensor_all,
@@ -124,13 +124,14 @@ def _mix(prior: np.ndarray, mats: np.ndarray) -> np.ndarray:
 
 
 def _noise_floor(lam: np.ndarray) -> np.ndarray:
-    """The eigensolver's noise floor, d eps lambda_max, taken as the edge of supp(A).
+    """The eigensolver's noise floor, d eps lambda_max, taken as the edge of supp(A),
+    of ascending eigenvalues (last axis), as ``eigh`` returns them.
 
     The floor, not ``SUPPORT_CUTOFF``, is the cut: a letter of tiny weight
     contributes eigenvalues far below the relative cutoff of the matrix
     powers, and the Newton step needs their curvature.
     """
-    return (lam.shape[-1] * _EPS) * lam.max(axis=-1, keepdims=True)
+    return (lam.shape[-1] * _EPS) * lam[..., -1:]
 
 
 def _divided_differences(lam: np.ndarray, fn, dfn) -> np.ndarray:
@@ -165,8 +166,7 @@ def _letter_derivatives(mats: np.ndarray, lam: np.ndarray, vec: np.ndarray, fn, 
     step asks for it.
     """
     rotated = mats @ vec[..., None, :, :]
-    diag = np.einsum("...ai,...xai->...xi", vec.conj(), rotated).real
-    grad = scale * (diag @ fn(lam)[..., None])[..., 0]
+    grad = scale * np.einsum("...ai,...xai,...i->...x", vec.conj(), rotated, fn(lam)).real
 
     def hessian() -> np.ndarray:
         flat = (vec.conj().T @ rotated).reshape(len(mats), -1)
@@ -186,7 +186,7 @@ def _renyi_derivatives(powers: np.ndarray, alpha, prior: np.ndarray):
     function forming its Hessian, from one ``eigh`` of A; ``powers`` holds
     rho_x^a, (..., X, d, d) against ``alpha`` (...) and ``prior`` (..., X).
     The Hessian is for one row: a scalar ``alpha``."""
-    beta = 1.0 / np.asarray(alpha, dtype=float)[..., None]
+    beta = 1.0 / _per_row(alpha, 1)
     lam, vec = np.linalg.eigh(_mix(prior, powers))
     lam = np.clip(lam, 0.0, None)
     b1, b2 = beta - 1.0, beta - 2.0
@@ -210,7 +210,7 @@ def _renyi_maximand(alpha, f):
 
 def _renyi_surrogate(powers: np.ndarray, alpha: float) -> ConvexSurrogate:
     """f(p) = tr[A^b], A = sum_x p_x rho_x^a, b = 1/a; I_a = a/(a-1) log2 f."""
-    beta = 1.0 / np.asarray(alpha, dtype=float)[..., None]
+    beta = 1.0 / alpha
 
     def value(prior: np.ndarray) -> float:
         return float(_power_trace(np.clip(np.linalg.eigvalsh(_mix(prior, powers)), 0.0, None), beta))
@@ -219,7 +219,11 @@ def _renyi_surrogate(powers: np.ndarray, alpha: float) -> ConvexSurrogate:
         value, slope = _renyi_maximand(alpha, f)
         return float(value), float(slope)
 
-    return ConvexSurrogate(value, lambda prior: _renyi_derivatives(powers, alpha, prior), maximand)
+    def derivatives(prior: np.ndarray):
+        f, grad, hessian = _renyi_derivatives(powers, alpha, prior)
+        return float(f), grad, hessian
+
+    return ConvexSurrogate(value, derivatives, maximand)
 
 
 def _holevo_surrogate(channel: CQChannel) -> ConvexSurrogate:

@@ -162,16 +162,24 @@ def conditional_renyi_up(rho_ab, alpha: float, dims=None) -> float:
     return alpha / (1.0 - alpha) * math.log(total) / LN_BASE
 
 
+def _per_row(alpha, axes: int):
+    """One order as a float, or a vector of K orders as a (K, 1, ..., 1) array
+    with ``axes`` unit axes, to broadcast against K stacked rows."""
+    if np.ndim(alpha) == 0:
+        return float(alpha)
+    return np.asarray(alpha, dtype=float).reshape((-1,) + (1,) * axes)
+
+
 def letter_powers(channel, alpha) -> np.ndarray:
     """rho_x^alpha on each letter's support, from ``channel.spectra``: (|X|, d, d)
     for one alpha, (K, |X|, d, d) for a vector of K."""
-    a = np.asarray(alpha, dtype=float)[..., None, None]
+    a = _per_row(alpha, 2)
     return spectral_map(*channel.spectra, lambda w: w ** a)
 
 
 def letter_power_logs(channel, alpha) -> np.ndarray:
     """rho_x^alpha log2 rho_x on each letter's support, shaped as ``letter_powers``."""
-    a = np.asarray(alpha, dtype=float)[..., None, None]
+    a = _per_row(alpha, 2)
     return spectral_map(*channel.spectra, lambda w: w ** a * np.log(w) / LN_BASE)
 
 

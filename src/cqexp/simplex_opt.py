@@ -220,7 +220,7 @@ def _newton_step(surrogate: ConvexSurrogate, at: _Iterate) -> _Iterate | None:
     target = _model_minimizer(at.point, at.grad, hess + delta * np.eye(len(at.point)))
     direction = target - at.point
     predicted = float(at.grad @ direction)
-    slack = _rounding(at.f, at.point @ at.grad, at.grad)
+    slack = float(_rounding(at.f, at.point @ at.grad, at.grad))
     # The full step is tried with derivatives, which it needs if taken.
     full = _iterate(surrogate, target, surrogate.derivatives(target))
     t = 1.0

@@ -428,7 +428,6 @@ class TestConcurrencyAndSaturation:
         err = res.stderr if hasattr(res, "stderr") else ""
         assert "saturated" in (err or res.output)
 
-
     @pytest.mark.parametrize("nats", [False, True])
     def test_saturation_warning_names_the_rate_cells(self, runner, nats):
         # pure_pair's sphere-packing search saturates at its low rates; the
@@ -442,6 +441,7 @@ class TestConcurrencyAndSaturation:
         assert saturated
         warned = res.stderr.strip().rsplit(" ", 1)[1].split(",")
         assert [float(x) for x in warned] == [float(f"{float(cell):.6g}") for cell in saturated]
+
 
 # Stdout of the README/benchmark commands. Every row is the one the dense
 # d^n path printed, except the n = 1 besttype row: there the dense path's
