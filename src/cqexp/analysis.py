@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import CQChannel, pure_letter_overlaps
 from .config import CHUNK_ENTRIES, DEFAULT_CONFIG, LN_BASE, RunConfig
-from .divergences import check_alpha, letter_power_logs, letter_powers, _per_row
+from .divergences import _per_row, check_alpha, letter_power_logs, letter_powers
 from .errors import InvalidGrid, NumericalInstability, RateAboveCapacity, TooLarge
 from .linalg import (
     _sequence_table, _support_clip, gram_stack, mat_power, spectral_entropy, tensor_all,
