@@ -216,8 +216,8 @@ def _renyi_surrogate(powers: np.ndarray, alpha: float) -> ConvexSurrogate:
         return float(_power_trace(np.clip(np.linalg.eigvalsh(_mix(prior, powers)), 0.0, None), beta))
 
     def maximand(f: float) -> tuple[float, float]:
-        value, slope = _renyi_maximand(alpha, f)
-        return float(value), float(slope)
+        mi, slope = _renyi_maximand(alpha, f)
+        return float(mi), float(slope)
 
     def derivatives(prior: np.ndarray):
         f, grad, hessian = _renyi_derivatives(powers, alpha, prior)
