@@ -7,12 +7,13 @@ bound and [0.01, 1] for the sphere-packing (upper) bound, whose supremum
 over (0, 1] is truncated there. With s = (1-a)/a it is E0(s) - s r, E0(s) =
 s I_{1/(1+s)}(N); the critical rate E0'(1) and the root of E0'(s) = r that
 refines each bound come from the closed-form slope at the optimal prior
-(Danskin's theorem). Each evaluation of I_a(N) is
+(Danskin's theorem); E0'(0) is the capacity. Each evaluation of I_a(N) is
 itself a maximization over priors, so a :class:`ChannelAnalysis` session
-caches those inner optimizations and warm-starts nearby ones. It takes them,
-and their E0' slopes, as stacks of (alpha, prior) rows: one ``eigh`` per
-stack certifies every row whose warm start is already optimal, and only the
-other rows are solved one at a time.
+caches those inner optimizations and warm-starts nearby ones. It takes them
+as stacks of (alpha, prior) rows: one ``eigh`` per stack gives the value,
+the certificate and the E0' slope of every row, so a row whose warm start
+is already optimal costs nothing more, and only the other rows are solved
+one at a time.
 """
 
 from __future__ import annotations
@@ -182,10 +183,10 @@ def _power_trace(lam: np.ndarray, beta) -> np.ndarray:
 
 
 def _renyi_derivatives(powers: np.ndarray, alpha, prior: np.ndarray):
-    """f(p) = tr[A^b], A = sum_x p_x rho_x^a, b = 1/a, its gradient and a
-    function forming its Hessian, from one ``eigh`` of A; ``powers`` holds
-    rho_x^a, (..., X, d, d) against ``alpha`` (...) and ``prior`` (..., X).
-    The Hessian is for one row: a scalar ``alpha``."""
+    """f(p) = tr[A^b], A = sum_x p_x rho_x^a, b = 1/a, its gradient, a
+    function forming its Hessian and one giving E0' at p, from one ``eigh``
+    of A; ``powers`` holds rho_x^a, (..., X, d, d) against ``alpha`` (...)
+    and ``prior`` (..., X). The Hessian is for one row: a scalar ``alpha``."""
     beta = 1.0 / _per_row(alpha, 1)
     lam, vec = np.linalg.eigh(_mix(prior, powers))
     lam = np.clip(lam, 0.0, None)
@@ -199,8 +200,26 @@ def _renyi_derivatives(powers: np.ndarray, alpha, prior: np.ndarray):
     def curvature(t: np.ndarray) -> np.ndarray:
         return b1 * t ** b2
 
+    def e0_slope(power_logs: np.ndarray) -> np.ndarray:
+        """d/ds E0(s, p) in bits at s = 1/a - 1, for E0 = -log2 tr[A^(1+s)],
+        from ``power_logs`` = rho_x^a log2 rho_x, shaped as ``powers``.
+
+        A' = -a^2 sum_x p_x rho_x^a ln rho_x gives d/ds tr[A^(1+s)] =
+        sum mu^(1+s) ln mu + (1+s) sum mu^s (V^dagger A' V)_ii on supp(A);
+        in log2 the ln 2 of E0 cancels. At a = 1 it is the Holevo quantity of p.
+        """
+        s = 1.0 / _per_row(alpha, 1) - 1.0
+        a_prime = -_per_row(alpha, 2) ** 2 * _mix(prior, power_logs)
+        on = _support_clip(lam) > 0
+        mu = np.where(on, lam, 1.0)
+        a_pow = np.where(on, mu ** (1.0 + s), 0.0)
+        diag = np.einsum("...ij,...ij->...j", vec.conj(), a_prime @ vec).real
+        tilted = np.where(on, mu ** s * diag, 0.0).sum(axis=-1, keepdims=True)
+        d_trace = (a_pow * np.log(mu)).sum(axis=-1, keepdims=True) / LN_BASE + (1.0 + s) * tilted
+        return (-d_trace / a_pow.sum(axis=-1, keepdims=True))[..., 0]
+
     grad, hessian = _letter_derivatives(powers, lam, vec, slope, curvature, beta)
-    return _power_trace(lam, beta), grad, hessian
+    return _power_trace(lam, beta), grad, hessian, e0_slope
 
 
 def _renyi_maximand(alpha, f):
@@ -220,7 +239,7 @@ def _renyi_surrogate(powers: np.ndarray, alpha: float) -> ConvexSurrogate:
         return float(mi), float(slope)
 
     def derivatives(prior: np.ndarray):
-        f, grad, hessian = _renyi_derivatives(powers, alpha, prior)
+        f, grad, hessian, _ = _renyi_derivatives(powers, alpha, prior)
         return float(f), grad, hessian
 
     return ConvexSurrogate(value, derivatives, maximand)
@@ -311,59 +330,31 @@ def renyi_mi_channel(channel: CQChannel, alpha: float, *, warm_starts=()) -> Opt
 # Stacks of (alpha, prior) rows.
 
 
-def _chunk_rows(channel: CQChannel) -> int:
-    """Rows per stack of letter functions: |X| d^2 entries each, ``CHUNK_ENTRIES`` in all."""
-    return max(1, CHUNK_ENTRIES // (channel.size * channel.dim ** 2))
-
-
-def _certified_renyi_starts(channel: CQChannel, alphas, starts):
-    """Yield, row by row, the report ``renyi_mi_channel`` gives for each
-    (alpha < 1, start) row whose start already meets the stop rule, at 0
-    iterations, and None for a row that needs Newton steps.
-
-    ``starts`` are normalized priors. Rows are evaluated lazily, in stacks
-    of ``_chunk_rows``: the letter powers, one ``eigh``, f, its gradient and
-    the certificate of the whole stack at once.
-    """
+def _row_stacks(channel: CQChannel, alphas, priors):
+    """Yield the (alpha < 1, prior) rows in stacks of ``CHUNK_ENTRIES``
+    letter-function entries (|X| d^2 per row): alpha, the priors and their
+    ``_renyi_derivatives``, from one ``eigh`` per stack."""
     _check_alphabet(channel)
-    step = _chunk_rows(channel)
+    step = max(1, CHUNK_ENTRIES // (channel.size * channel.dim ** 2))
     for lo in range(0, len(alphas), step):
         alpha = np.asarray(alphas[lo:lo + step], dtype=float)
-        points = np.asarray(starts[lo:lo + step], dtype=float)
-        f, grad, _ = _renyi_derivatives(letter_powers(channel, alpha), alpha, points)
-        value, slope = _renyi_maximand(alpha, f)
-        for a, result in zip(alpha, certified_starts(points, f, grad, value, slope)):
-            yield None if result is None else _report(result, float(a))
+        points = np.asarray(priors[lo:lo + step], dtype=float)
+        yield alpha, points, _renyi_derivatives(letter_powers(channel, alpha), alpha, points)
 
 
-def _e0_slope(channel: CQChannel, prior: np.ndarray, alpha) -> np.ndarray:
-    """d/ds E0(s, p) in bits at s = 1/alpha - 1, for E0 = -log2 tr[A^(1+s)], at
-    each (prior, alpha) row: ``prior`` (..., X) against ``alpha`` (...).
-
-    A = sum_x p_x rho_x^alpha and A' = -alpha^2 sum_x p_x rho_x^alpha ln rho_x give
-    d/ds tr[A^(1+s)] = sum mu^(1+s) ln mu + (1+s) sum mu^s (V^dagger A' V)_ii on
-    supp(A), from one ``eigh`` A = V diag(mu) V^dagger; here in log2 so that the
-    ln 2 of E0 cancels. At alpha = 1 it is the Holevo quantity of p. The rows
-    are taken in stacks of ``_chunk_rows``.
+def _renyi_rows(channel: CQChannel, alphas, starts):
+    """Yield, row by row, for each (alpha < 1, start) row whose start already
+    meets the stop rule the report ``renyi_mi_channel`` gives, at 0
+    iterations, and E0' at the start; and (None, None) for a row that needs
+    Newton steps. ``starts`` are normalized priors, taken lazily, a stack of
+    ``_row_stacks`` at a time; a stack in which no row certifies takes no slope.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    alphas = alpha.reshape(-1)
-    priors = np.broadcast_to(prior, alpha.shape + (channel.size,)).reshape(-1, channel.size)
-    out = np.empty(len(alphas))
-    step = _chunk_rows(channel)
-    for lo in range(0, len(alphas), step):
-        a, p = alphas[lo:lo + step], priors[lo:lo + step]
-        s = 1.0 / a[:, None] - 1.0
-        a_prime = -(a**2)[:, None, None] * _mix(p, letter_power_logs(channel, a))
-        mu, v = np.linalg.eigh(_mix(p, letter_powers(channel, a)))
-        on = _support_clip(mu) > 0
-        mu = np.where(on, mu, 1.0)
-        a_pow = np.where(on, mu ** (1.0 + s), 0.0)
-        diag = np.einsum("kij,kij->kj", v.conj(), a_prime @ v).real
-        tilted = np.where(on, mu ** s * diag, 0.0).sum(axis=-1)
-        d_trace = (a_pow * np.log(mu)).sum(axis=-1) / LN_BASE + (1.0 + s[:, 0]) * tilted
-        out[lo:lo + step] = -d_trace / a_pow.sum(axis=-1)
-    return out.reshape(alpha.shape)[()]
+    for alpha, points, (f, grad, _, e0_slope) in _row_stacks(channel, alphas, starts):
+        value, slope = _renyi_maximand(alpha, f)
+        results = certified_starts(points, f, grad, value, slope)
+        e0 = e0_slope(letter_power_logs(channel, alpha)).tolist() if any(results) else [None] * len(alpha)
+        for a, result, row_slope in zip(alpha, results, e0):
+            yield (None, None) if result is None else (_report(result, float(a)), row_slope)
 
 
 class ChannelAnalysis:
@@ -373,7 +364,8 @@ class ChannelAnalysis:
     (the capacity), each point warm-started from the one above it. Warm
     starts for off-grid alpha values are taken from that grid only, never
     from other refinement results. The E0' slope at each solved alpha is
-    cached next to its report. All methods are deterministic for a fixed
+    cached next to its report; a row that its start certifies takes it from
+    the same decomposition. All methods are deterministic for a fixed
     channel and call order; another call order moves a cached value by no
     more than its reported gap.
     """
@@ -391,9 +383,9 @@ class ChannelAnalysis:
 
         Each point is solved from the prior of the point above it. While
         those priors stay the capacity prior, every point that its start
-        certifies comes from one stacked test (``_certified_renyi_starts``); from
-        the first point that needs Newton steps, or a cached point at another
-        prior, the chain goes on one solve at a time.
+        certifies comes, with its E0' slope, from one stack of ``_renyi_rows``;
+        from the first point that needs Newton steps, or a cached point at
+        another prior, the chain goes on one solve at a time.
         """
         if not self._grid_reports:
             reports = [self.capacity()]
@@ -405,16 +397,14 @@ class ChannelAnalysis:
                 start = start_point(self.channel.size, (start,))
                 starts.append(start)
             fresh = [i for i, alpha in enumerate(alphas) if alpha not in self._mi_cache]
-            tests = _certified_renyi_starts(
-                self.channel, [alphas[i] for i in fresh], [starts[i] for i in fresh]
-            )
+            tests = _renyi_rows(self.channel, [alphas[i] for i in fresh], [starts[i] for i in fresh])
             chained = True
             for alpha, start in zip(alphas, starts):
                 rep = self._mi_cache.get(alpha)
                 if rep is None and chained:
-                    rep = next(tests)
+                    rep, slope = next(tests)
                     if rep is not None:
-                        self._mi_cache[alpha] = rep
+                        self._mi_cache[alpha], self._slope_cache[alpha] = rep, slope
                 if rep is None:
                     rep = self._mi_point(alpha, warm_starts=(reports[-1].prior,))
                 chained = chained and np.array_equal(rep.prior, start)
@@ -434,25 +424,31 @@ class ChannelAnalysis:
 
     def _mi_points(self, alphas, warm_starts) -> list[OptimizationReport]:
         """``_mi_point`` at each (alpha, warm start) row; the uncached rows whose
-        start already meets the stop rule come from one stacked test."""
+        start already meets the stop rule come, with their E0' slopes, from
+        one stack of ``_renyi_rows``."""
         keys = [float(a) for a in alphas]
         fresh: dict[float, np.ndarray] = {}
         for key, warm in zip(keys, warm_starts):
             if key < 1.0 and key not in self._mi_cache:
                 fresh.setdefault(key, start_point(self.channel.size, (warm,)))
-        for key, rep in zip(fresh, _certified_renyi_starts(self.channel, list(fresh), list(fresh.values()))):
+        for key, (rep, slope) in zip(fresh, _renyi_rows(self.channel, list(fresh), list(fresh.values()))):
             if rep is not None:
-                self._mi_cache[key] = rep
+                self._mi_cache[key], self._slope_cache[key] = rep, slope
         return [self._mi_point(key, warm_starts=(warm,)) for key, warm in zip(keys, warm_starts)]
 
     def _slopes(self, alphas) -> np.ndarray:
-        """E0' at the cached report of each alpha, cached by alpha; the missing
-        ones from one stacked ``_e0_slope`` call."""
+        """E0' at the cached report of each alpha, cached by alpha. Rows that
+        their start certified brought theirs; E0'(0), at alpha = 1, is the
+        capacity chi(p*); the rows that Newton steps moved take one stack of
+        ``_row_stacks`` at their solved priors."""
         keys = [float(a) for a in alphas]
         missing = [key for key in dict.fromkeys(keys) if key not in self._slope_cache]
-        if missing:
-            priors = np.stack([self._mi_cache[key].prior for key in missing])
-            self._slope_cache.update(zip(missing, _e0_slope(self.channel, priors, missing).tolist()))
+        if 1.0 in missing:
+            missing.remove(1.0)
+            self._slope_cache[1.0] = self.capacity().value
+        priors = [self._mi_cache[key].prior for key in missing]
+        for alpha, _, (*_, e0_slope) in _row_stacks(self.channel, missing, priors):
+            self._slope_cache.update(zip(alpha.tolist(), e0_slope(letter_power_logs(self.channel, alpha)).tolist()))
         return np.array([self._slope_cache[key] for key in keys])
 
     def mutual_info(self, alpha: float) -> OptimizationReport:
@@ -473,7 +469,8 @@ class ChannelAnalysis:
         changes across it, the Illinois method (regula falsi halving the stale
         end) shrinks that alpha bracket to ``ALPHA_TOL``. The brackets of all
         rates move in lockstep: each round takes the probes of every open
-        bracket as one stack (``_mi_points``, then ``_slopes``), each
+        bracket as one stack (``_mi_points``, whose certified rows bring their
+        slopes, then ``_slopes`` for the rows Newton steps moved), each
         warm-started from its nearest grid point. Both bounds share the grid,
         the caches and so, where they take the same cell, every probe. A bound
         is saturated when its alpha ends within 10 ``ALPHA_TOL`` of the

@@ -21,10 +21,10 @@ from cqexp import (
     renyi_mi_channel_prior,
 )
 from cqexp import analysis
-from cqexp.analysis import _e0_slope, _renyi_surrogate
+from cqexp.analysis import _renyi_derivatives, _renyi_surrogate, _row_stacks
 from cqexp.channel_io import load_channel
 from cqexp.config import LN_BASE
-from cqexp.divergences import letter_powers
+from cqexp.divergences import letter_power_logs, letter_powers
 from cqexp.errors import InvalidGrid, NumericalInstability, RateAboveCapacity, TooLarge
 from cqexp.linalg import log_base_psd, mat_power, spectral_map
 from cqexp.simplex_opt import GAP_TOL, ConvexSurrogate, maximize_on_simplex
@@ -457,6 +457,13 @@ class TestPureLetterBounds:
         )
 
 
+def _row_slopes(channel: CQChannel, alphas, priors) -> np.ndarray:
+    """E0' at each (alpha < 1, prior) row, from the session's row evaluator."""
+    return np.concatenate([
+        e0_slope(letter_power_logs(channel, alpha)) for alpha, _, (*_, e0_slope) in _row_stacks(channel, alphas, priors)
+    ])
+
+
 class TestEnvelopeSlope:
     """E0'(s) at a fixed prior, from the closed form of the s-derivative."""
 
@@ -473,12 +480,13 @@ class TestEnvelopeSlope:
 
         s, h = 1.0 / alpha - 1.0, 1e-4
         fd = (e0(s + h) - e0(s - h)) / (2.0 * h)
-        assert _e0_slope(ch, prior, alpha) == pytest.approx(fd, abs=1e-7)
+        assert _row_slopes(ch, [alpha], [prior])[0] == pytest.approx(fd, abs=1e-7)
 
     def test_alpha_one_is_holevo(self, rng):
         ch = _letters_of_mixed_rank(3, 2, rng)
         prior = rng.dirichlet(np.ones(3))
-        assert _e0_slope(ch, prior, 1.0) == pytest.approx(
+        *_, e0_slope = _renyi_derivatives(letter_powers(ch, 1.0), 1.0, prior)
+        assert e0_slope(letter_power_logs(ch, 1.0)) == pytest.approx(
             renyi_mi_channel_prior(ch, prior, 1.0), abs=1e-12
         )
 
@@ -521,12 +529,13 @@ class TestLetterSpectra:
         a_pow = mat_power(a, 1.0 + s)
         d_trace = np.trace(a_pow @ log_base_psd(a) + (1.0 + s) * mat_power(a, s) @ a_prime).real
         expected = -d_trace / np.trace(a_pow).real
-        assert _e0_slope(ch, prior, alpha) == pytest.approx(expected, rel=1e-11, abs=1e-11)
+        assert _row_slopes(ch, [alpha], [prior])[0] == pytest.approx(expected, rel=1e-11, abs=1e-11)
 
     def test_curve_decomposition_cap(self, monkeypatch):
         # The letter cut, the capacity, the cold alpha = 1/2 solve and r_c, one
-        # stacked test and one stacked slope call for the whole grid, and two
-        # stacks per Illinois round of each bound kind.
+        # stack for the values, certificates and slopes of the whole grid, and
+        # one stack per Illinois round of each bound kind, plus one slope stack
+        # when a probe needs Newton steps: a certified probe is decomposed once.
         count = 0
 
         def counting(fn):
@@ -541,7 +550,7 @@ class TestLetterSpectra:
         monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
         session.curve(np.linspace(0.05, 0.5, 10))
-        assert count <= 40
+        assert count <= 20
 
 
 def _reference_channels() -> list[CQChannel]:
@@ -568,11 +577,14 @@ class TestStackedPaths:
     def test_stacked_slopes_match_one_row(self, index):
         channel = _reference_channels()[index]
         session = ChannelAnalysis(channel)
-        priors = np.stack([rep.prior for rep in session._grid()])
-        stacked = _e0_slope(channel, priors, analysis.ALPHA_GRID)
-        single = [_e0_slope(channel, p, float(a)) for p, a in zip(priors, analysis.ALPHA_GRID)]
+        alphas = analysis.ALPHA_GRID[:-1]
+        priors = [rep.prior for rep in session._grid()[:-1]]
+        stacked = _row_slopes(channel, alphas, priors)
+        single = [_row_slopes(channel, [a], [p])[0] for p, a in zip(priors, alphas)]
         np.testing.assert_allclose(stacked, single, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(session._slopes(analysis.ALPHA_GRID), stacked)
+        np.testing.assert_array_equal(session._slopes(alphas), stacked)
+        # E0'(0) = chi(p*) = C.
+        assert session._slopes([1.0])[0] == session.capacity().value
 
     @pytest.mark.parametrize("index", range(8))
     def test_curve_matches_one_rate_at_a_time(self, index):
@@ -651,7 +663,7 @@ class TestCriticalRate:
         assert channel.size == 4
         prior = renyi_half_prior(channel.outputs)
         assert ChannelAnalysis(channel).critical_rate() == pytest.approx(
-            _e0_slope(channel, prior, 0.5), abs=1e-11
+            _row_slopes(channel, [0.5], [prior])[0], abs=1e-11
         )
 
     def test_below_capacity_on_random_channels(self, rng):
