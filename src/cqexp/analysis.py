@@ -177,11 +177,6 @@ def _letter_derivatives(mats: np.ndarray, lam: np.ndarray, vec: np.ndarray, fn, 
     return grad, hessian
 
 
-def _power_trace(lam: np.ndarray, beta) -> np.ndarray:
-    """f = tr[A^b] from the eigenvalues of A, clipped at 0 (last axis)."""
-    return (lam ** beta).sum(axis=-1)
-
-
 def _renyi_derivatives(powers: np.ndarray, alpha, prior: np.ndarray):
     """f(p) = tr[A^b], A = sum_x p_x rho_x^a, b = 1/a, its gradient, a
     function forming its Hessian and one giving E0' at p, from one ``eigh``
@@ -219,7 +214,7 @@ def _renyi_derivatives(powers: np.ndarray, alpha, prior: np.ndarray):
         return (-d_trace / a_pow.sum(axis=-1, keepdims=True))[..., 0]
 
     grad, hessian = _letter_derivatives(powers, lam, vec, slope, curvature, beta)
-    return _power_trace(lam, beta), grad, hessian, e0_slope
+    return (lam ** beta).sum(axis=-1), grad, hessian, e0_slope
 
 
 def _renyi_maximand(alpha, f):
@@ -229,10 +224,6 @@ def _renyi_maximand(alpha, f):
 
 def _renyi_surrogate(powers: np.ndarray, alpha: float) -> ConvexSurrogate:
     """f(p) = tr[A^b], A = sum_x p_x rho_x^a, b = 1/a; I_a = a/(a-1) log2 f."""
-    beta = 1.0 / alpha
-
-    def value(prior: np.ndarray) -> float:
-        return float(_power_trace(np.clip(np.linalg.eigvalsh(_mix(prior, powers)), 0.0, None), beta))
 
     def maximand(f: float) -> tuple[float, float]:
         mi, slope = _renyi_maximand(alpha, f)
@@ -242,18 +233,13 @@ def _renyi_surrogate(powers: np.ndarray, alpha: float) -> ConvexSurrogate:
         f, grad, hessian, _ = _renyi_derivatives(powers, alpha, prior)
         return float(f), grad, hessian
 
-    return ConvexSurrogate(value, derivatives, maximand)
+    return ConvexSurrogate(derivatives, maximand)
 
 
 def _holevo_surrogate(channel: CQChannel) -> ConvexSurrogate:
     """f(p) = -chi(p) = sum_x p_x S(rho_x) - S(A), A = sum_x p_x rho_x, in bits."""
     outputs = channel.outputs
     letter_entropy = spectral_entropy(channel.spectra[0])
-
-    def f_of(prior: np.ndarray, lam: np.ndarray) -> float:
-        plogp = np.where(lam > 0, lam * np.log(np.maximum(lam, 1e-300)), 0.0)
-        chi = -plogp.sum() / LN_BASE - prior @ letter_entropy
-        return -float(chi)  # chi = 0 gives f = -0.0 and a capacity of 0.0
 
     def log(lam: np.ndarray) -> np.ndarray:
         # Off supp(A) the derivative is -inf: a letter with weight there
@@ -262,16 +248,16 @@ def _holevo_surrogate(channel: CQChannel) -> ConvexSurrogate:
         # multiplier test admit that letter.
         return np.log(np.maximum(lam, _noise_floor(lam)))
 
-    def value(prior: np.ndarray) -> float:
-        return f_of(prior, np.clip(np.linalg.eigvalsh(_mix(prior, outputs)), 0.0, None))
-
     def derivatives(prior: np.ndarray):
         lam, vec = np.linalg.eigh(_mix(prior, outputs))
         lam = np.clip(lam, 0.0, None)
         traces, hessian = _letter_derivatives(outputs, lam, vec, log, np.reciprocal, 1.0 / LN_BASE)
-        return f_of(prior, lam), traces + 1.0 / LN_BASE + letter_entropy, hessian
+        plogp = np.where(lam > 0, lam * np.log(np.maximum(lam, 1e-300)), 0.0)
+        chi = -plogp.sum() / LN_BASE - prior @ letter_entropy
+        # chi = 0 gives f = -0.0 and a capacity of 0.0.
+        return -float(chi), traces + 1.0 / LN_BASE + letter_entropy, hessian
 
-    return ConvexSurrogate(value, derivatives)
+    return ConvexSurrogate(derivatives)
 
 
 def _report(result: SimplexMaximum, alpha: float = 1.0) -> OptimizationReport:
@@ -303,14 +289,13 @@ def _check_alphabet(channel: CQChannel) -> None:
         raise TooLarge(f"alphabet {channel.size} exceeds optimization cap {MAX_OPT_ALPHABET}")
 
 
-def holevo_capacity(channel: CQChannel, *, warm_starts=()) -> OptimizationReport:
+def holevo_capacity(channel: CQChannel, *, start: np.ndarray | None = None) -> OptimizationReport:
     """Classical capacity: maximize the Holevo quantity over input priors."""
     _check_alphabet(channel)
-    result = maximize_on_simplex(_holevo_surrogate(channel), channel.size, warm_starts=warm_starts)
-    return _report(result)
+    return _report(maximize_on_simplex(_holevo_surrogate(channel), channel.size, start=start))
 
 
-def renyi_mi_channel(channel: CQChannel, alpha: float, *, warm_starts=()) -> OptimizationReport:
+def renyi_mi_channel(channel: CQChannel, alpha: float, *, start: np.ndarray | None = None) -> OptimizationReport:
     """I_alpha(N): maximize the channel Renyi information over priors.
 
     Requires alpha in (0, 1]; alpha = 1 dispatches to the capacity
@@ -320,10 +305,10 @@ def renyi_mi_channel(channel: CQChannel, alpha: float, *, warm_starts=()) -> Opt
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     if alpha == 1.0:
-        return holevo_capacity(channel, warm_starts=warm_starts)
+        return holevo_capacity(channel, start=start)
     _check_alphabet(channel)
     surrogate = _renyi_surrogate(letter_powers(channel, alpha), alpha)
-    return _report(maximize_on_simplex(surrogate, channel.size, warm_starts=warm_starts), alpha)
+    return _report(maximize_on_simplex(surrogate, channel.size, start=start), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +379,7 @@ class ChannelAnalysis:
             # maximize_on_simplex divides the prior above by its sum.
             starts, start = [], reports[0].prior
             for _ in alphas:
-                start = start_point(self.channel.size, (start,))
+                start = start_point(self.channel.size, start)
                 starts.append(start)
             fresh = [i for i, alpha in enumerate(alphas) if alpha not in self._mi_cache]
             tests = _renyi_rows(self.channel, [alphas[i] for i in fresh], [starts[i] for i in fresh])
@@ -406,35 +391,35 @@ class ChannelAnalysis:
                     if rep is not None:
                         self._mi_cache[alpha], self._slope_cache[alpha] = rep, slope
                 if rep is None:
-                    rep = self._mi_point(alpha, warm_starts=(reports[-1].prior,))
+                    rep = self._mi_point(alpha, start=reports[-1].prior)
                 chained = chained and np.array_equal(rep.prior, start)
                 reports.append(rep)
             self._grid_reports = reports[::-1]
         return self._grid_reports
 
-    def _mi_point(self, alpha: float, warm_starts=()) -> OptimizationReport:
+    def _mi_point(self, alpha: float, start: np.ndarray | None = None) -> OptimizationReport:
         key = float(alpha)
         rep = self._mi_cache.get(key)
         if rep is None:
-            rep = renyi_mi_channel(self.channel, key, warm_starts=warm_starts)
+            rep = renyi_mi_channel(self.channel, key, start=start)
             if not rep.converged:
                 raise NumericalInstability(f"prior optimization did not converge at alpha={key}")
             self._mi_cache[key] = rep
         return rep
 
-    def _mi_points(self, alphas, warm_starts) -> list[OptimizationReport]:
-        """``_mi_point`` at each (alpha, warm start) row; the uncached rows whose
+    def _mi_points(self, alphas, starts) -> list[OptimizationReport]:
+        """``_mi_point`` at each (alpha, start) row; the uncached rows whose
         start already meets the stop rule come, with their E0' slopes, from
         one stack of ``_renyi_rows``."""
         keys = [float(a) for a in alphas]
         fresh: dict[float, np.ndarray] = {}
-        for key, warm in zip(keys, warm_starts):
+        for key, start in zip(keys, starts):
             if key < 1.0 and key not in self._mi_cache:
-                fresh.setdefault(key, start_point(self.channel.size, (warm,)))
+                fresh.setdefault(key, start_point(self.channel.size, start))
         for key, (rep, slope) in zip(fresh, _renyi_rows(self.channel, list(fresh), list(fresh.values()))):
             if rep is not None:
                 self._mi_cache[key], self._slope_cache[key] = rep, slope
-        return [self._mi_point(key, warm_starts=(warm,)) for key, warm in zip(keys, warm_starts)]
+        return [self._mi_point(key, start=start) for key, start in zip(keys, starts)]
 
     def _slopes(self, alphas) -> np.ndarray:
         """E0' at the cached report of each alpha, cached by alpha. Rows that
@@ -493,8 +478,8 @@ class ChannelAnalysis:
         gb = np.where(inside, slopes[other] - r, 0.0)
         while (live := np.flatnonzero((ga * gb < 0.0) & (np.abs(b - a) > ALPHA_TOL))).size:
             c = (a[live] * gb[live] - b[live] * ga[live]) / (gb[live] - ga[live])
-            warm = [reports[int(np.argmin(np.abs(alphas - x)))].prior for x in c]
-            values = np.array([rep.value for rep in self._mi_points(c, warm)])
+            starts = [reports[int(np.argmin(np.abs(alphas - x)))].prior for x in c]
+            values = np.array([rep.value for rep in self._mi_points(c, starts)])
             gc = self._slopes(c) - r[live]
             val = (1.0 - c) / c * (values - r[live])
             better = val > val_star[live]

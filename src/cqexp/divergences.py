@@ -34,10 +34,10 @@ from .linalg import (
 )
 
 
-def check_alpha(alpha: float, *, lo: float = 0.0, hi: float = 2.0, allow_one: bool = True) -> float:
+def check_alpha(alpha: float, *, hi: float = 2.0, allow_one: bool = True) -> float:
     alpha = float(alpha)
-    if not lo <= alpha <= hi:
-        raise ValueError(f"alpha must lie in [{lo}, {hi}], got {alpha}")
+    if not 0.0 <= alpha <= hi:
+        raise ValueError(f"alpha must lie in [0.0, {hi}], got {alpha}")
     if not allow_one and alpha == 1.0:
         raise ValueError("alpha = 1 is not valid for this operation")
     return alpha
@@ -121,8 +121,11 @@ def sibson_minimizer(rho_ab, tau_a: np.ndarray, alpha: float, dims=None) -> np.n
 
     Closed form: normalize (tr_A tau_A^(1-a) rho_AB^a)^(1/a). Raises
     InfiniteDivergence when supp(rho_A) is not contained in supp(tau_A).
+    Requires alpha in (0, 2].
     """
     alpha = check_alpha(alpha)
+    if alpha <= 0.0:
+        raise ValueError("alpha must be positive for the minimizer")
     rho, (da, db) = _as_bipartite(rho_ab, dims)
     rho_a = partial_trace(rho, [da, db], keep=[0])
     if not support_contained(rho_a, tau_a):

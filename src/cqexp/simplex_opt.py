@@ -15,10 +15,10 @@ from one start, by an active-set Newton method:
   the model is negative. The model is fixed while the support changes,
   and it is strictly convex, so each change lowers it and no support
   repeats: the loop cannot cycle;
-* the step to the model's minimizer is backtracked on f with value-only
-  evaluations. Near the optimum the decrease it predicts falls below the
-  rounding of f itself, so there a step that keeps f within that rounding
-  level is taken when it lowers the gap.
+* the step to the model's minimizer is backtracked on f, one evaluation
+  (f and its gradient) per trial point. Near the optimum the decrease it
+  predicts falls below the rounding of f itself, so there a step that
+  keeps f within that rounding level is taken when it lowers the gap.
 
 The run stops on the Frank-Wolfe gap of the maximand,
 max_x g_x - p.g for g = grad phi(f(p)), which vanishes only at the optimum
@@ -32,7 +32,7 @@ stack of them, so ``certified_starts`` tests many starts at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,14 +59,13 @@ def _negate(f: float) -> tuple[float, float]:
 class ConvexSurrogate:
     """A maximand phi(f(p)), given through the convex f and the decreasing phi.
 
-    ``value(p)`` is f(p). ``derivatives(p)`` is f(p), its gradient and a
-    function forming its Hessian, called only when a Newton step is taken.
-    Where a one-sided derivative of f is -inf, on a face of the simplex,
-    the gradient must hold a large negative stand-in: the gap test reads it.
-    ``maximand(f)`` is (phi(f), -phi'(f)); the default is phi(f) = -f.
+    ``derivatives(p)``, the one evaluation at a prior, is f(p), its gradient
+    and a function forming its Hessian, called only when a Newton step is
+    taken. Where a one-sided derivative of f is -inf, on a face of the
+    simplex, the gradient must hold a large negative stand-in: the gap test
+    reads it. ``maximand(f)`` is (phi(f), -phi'(f)), by default (-f, 1).
     """
 
-    value: Callable[[np.ndarray], float]
     derivatives: Callable[[np.ndarray], Derivatives]
     maximand: Callable[[float], tuple[float, float]] = _negate
 
@@ -183,18 +182,20 @@ def certified_starts(points: np.ndarray, f: np.ndarray, grad: np.ndarray, value,
     ]
 
 
-def start_point(dim: int, warm_starts: Sequence[np.ndarray] = ()) -> np.ndarray:
-    """The first warm start divided by its sum, or the uniform prior."""
-    if not warm_starts:
+def start_point(dim: int, start: np.ndarray | None = None) -> np.ndarray:
+    """``start``, nonnegative with a finite positive sum, divided by it; or the uniform prior."""
+    if start is None:
         return np.full(dim, 1.0 / dim)
-    warm = np.asarray(warm_starts[0], dtype=float)
-    if warm.shape != (dim,) or warm.min() < 0 or not warm.sum() > 0:
-        raise ValueError(f"warm start must be a nonnegative nonzero vector of length {dim}")
-    return warm / warm.sum()
+    start = np.asarray(start, dtype=float)
+    with np.errstate(over="ignore"):
+        total = start.sum()
+    if start.shape != (dim,) or start.min() < 0 or not 0.0 < total < np.inf:
+        raise ValueError(f"start must be a finite nonnegative nonzero vector of length {dim}")
+    return start / total
 
 
-def _iterate(surrogate: ConvexSurrogate, point: np.ndarray, derivatives: Derivatives) -> _Iterate:
-    f, grad, hessian = derivatives
+def _iterate(surrogate: ConvexSurrogate, point: np.ndarray) -> _Iterate:
+    f, grad, hessian = surrogate.derivatives(point)
     value, slope = surrogate.maximand(f)
     gap, floor, gap_f = _certify(point, f, grad, slope)
     return _Iterate(point, f, grad, hessian, value, float(gap), float(floor), float(gap_f))
@@ -221,19 +222,15 @@ def _newton_step(surrogate: ConvexSurrogate, at: _Iterate) -> _Iterate | None:
     direction = target - at.point
     predicted = float(at.grad @ direction)
     slack = float(_rounding(at.f, at.point @ at.grad, at.grad))
-    # The full step is tried with derivatives, which it needs if taken.
-    full = _iterate(surrogate, target, surrogate.derivatives(target))
-    t = 1.0
+    t, point = 1.0, target
     # Halve until the step no longer moves the prior.
     while t * float(np.abs(direction).max()) > _EPS:
-        point = full.point if t == 1.0 else at.point + t * direction
-        f_trial = full.f if t == 1.0 else surrogate.value(point)
-        descent = f_trial < at.f - slack and f_trial <= at.f + _ARMIJO * t * predicted
-        if descent or f_trial <= at.f + slack:
-            trial = full if t == 1.0 else _iterate(surrogate, point, surrogate.derivatives(point))
-            if descent or trial.gap < at.gap:
-                return trial
+        trial = _iterate(surrogate, point)
+        descent = trial.f < at.f - slack and trial.f <= at.f + _ARMIJO * t * predicted
+        if descent or (trial.f <= at.f + slack and trial.gap < at.gap):
+            return trial
         t *= 0.5
+        point = at.point + t * direction
     return None
 
 
@@ -241,10 +238,10 @@ def maximize_on_simplex(
     surrogate: ConvexSurrogate,
     dim: int,
     *,
-    warm_starts: Sequence[np.ndarray] = (),
+    start: np.ndarray | None = None,
 ) -> SimplexMaximum:
-    """Active-set Newton descent on f from the first warm start, or from the
-    uniform prior.
+    """Active-set Newton descent on f from ``start`` (see ``start_point``),
+    or from the uniform prior.
 
     The run stops when the Frank-Wolfe gap of phi(f) reaches ``GAP_TOL``
     or its rounding floor, when no step along the Newton direction makes
@@ -252,8 +249,7 @@ def maximize_on_simplex(
     only after the gap test has failed, so a start that is already optimal
     costs one gradient.
     """
-    point = start_point(dim, warm_starts)
-    at = _iterate(surrogate, point, surrogate.derivatives(point))
+    at = _iterate(surrogate, start_point(dim, start))
     iterations = 0
     while not _certified(at.gap, at.floor) and iterations < MAX_ITERATIONS:
         iterations += 1

@@ -17,6 +17,7 @@ from cqexp import (
     constant_composition_mi,
     enumerate_types,
     holevo_capacity,
+    holevo_information,
     renyi_mi_channel,
     renyi_mi_channel_prior,
 )
@@ -119,7 +120,7 @@ class TestRenyiMIChannel:
         surrogate = _renyi_surrogate(letter_powers(ch, alpha), alpha)
 
         def mi(prior):
-            return surrogate.maximand(surrogate.value(prior))[0]
+            return surrogate.maximand(surrogate.derivatives(prior)[0])[0]
 
         p = rng.dirichlet(np.ones(3))
         f, grad_f, _ = surrogate.derivatives(p)
@@ -140,7 +141,9 @@ class TestRenyiMIChannel:
             surrogate = _renyi_surrogate(letter_powers(ch, alpha), alpha)
         p = rng.dirichlet(np.ones(4))
         f, grad, hessian = surrogate.derivatives(p)
-        assert f == pytest.approx(surrogate.value(p), rel=1e-13)
+        # The value of the maximand against the reference evaluator.
+        reference = holevo_information(ch, p) if alpha == 1.0 else renyi_mi_channel_prior(ch, p, alpha)
+        assert surrogate.maximand(f)[0] == pytest.approx(reference, rel=1e-13)
         hess = hessian()
         np.testing.assert_allclose(hess, hess.T, atol=1e-12)
         h = 1e-6
@@ -233,7 +236,7 @@ class TestPriorCertificate:
         used = int(np.argmax(cold.prior))
         warm_start = np.zeros(3)
         warm_start[(used + 1) % 3] = 1.0
-        warm = renyi_mi_channel(ch, alpha, warm_starts=(warm_start,))
+        warm = renyi_mi_channel(ch, alpha, start=warm_start)
         assert warm.converged
         assert warm.value == pytest.approx(cold.value, abs=1e-9)
 
@@ -245,16 +248,16 @@ class TestPriorCertificate:
         start = np.eye(2)[vertex]
         for ch in (orthogonal_pair, pure_pair):
             cold = renyi_mi_channel(ch, alpha)
-            warm = renyi_mi_channel(ch, alpha, warm_starts=(start,))
+            warm = renyi_mi_channel(ch, alpha, start=start)
             assert warm.converged
             assert warm.gap <= GAP_TOL
             assert warm.value == pytest.approx(cold.value, abs=1e-9)
         if alpha == 1.0:
-            assert holevo_capacity(orthogonal_pair, warm_starts=(start,)).value == pytest.approx(1.0, abs=1e-9)
+            assert holevo_capacity(orthogonal_pair, start=start).value == pytest.approx(1.0, abs=1e-9)
             # Two pure states of overlap 1/2: chi = h((1 - 1/sqrt 2) / 2).
             e = (1.0 - math.sqrt(0.5)) / 2.0
             chi = -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
-            assert holevo_capacity(pure_pair, warm_starts=(start,)).value == pytest.approx(chi, abs=1e-9)
+            assert holevo_capacity(pure_pair, start=start).value == pytest.approx(chi, abs=1e-9)
 
     @pytest.mark.parametrize("case", range(6))
     def test_every_vertex_start_on_letters_of_mixed_rank(self, case):
@@ -264,15 +267,20 @@ class TestPriorCertificate:
         for alpha in (0.5, 1.0):
             cold = renyi_mi_channel(ch, alpha)
             for start in np.eye(k):
-                warm = renyi_mi_channel(ch, alpha, warm_starts=(start,))
+                warm = renyi_mi_channel(ch, alpha, start=start)
                 assert warm.converged
                 assert warm.value == pytest.approx(cold.value, abs=cold.gap + warm.gap + 1e-12)
 
-    @pytest.mark.parametrize("bad",[np.zeros(3), np.array([0.5, 0.5]), np.array([1.5, -0.5, 0.0])])
+    @pytest.mark.parametrize("bad", [
+        np.zeros(3), np.array([0.5, 0.5]), np.array([1.5, -0.5, 0.0]),
+        np.array([math.inf, 1.0, 0.0]), np.array([1e308, 1e308, 0.0]), np.array([math.nan, 1.0, 0.0]),
+    ])
     def test_malformed_warm_start_rejected(self, rng, bad):
         ch = random_channel(3, 2, rng)
         with pytest.raises(ValueError):
-            renyi_mi_channel(ch, 0.5, warm_starts=(bad,))
+            renyi_mi_channel(ch, 0.5, start=bad)
+        with pytest.raises(ValueError):
+            holevo_capacity(ch, start=bad)
 
     def test_iteration_cap_is_not_convergence(self, rng, monkeypatch):
         ch = random_channel(4, 2, rng)
@@ -285,17 +293,46 @@ class TestPriorCertificate:
     def test_one_start(self):
         target = np.array([0.1, 0.2, 0.3, 0.4])
 
-        def value(point):
-            return float(((point - target) ** 2).sum())
-
         def derivatives(point):
-            return value(point), 2.0 * (point - target), lambda: 2.0 * np.eye(4)
+            return float(((point - target) ** 2).sum()), 2.0 * (point - target), lambda: 2.0 * np.eye(4)
 
-        result = maximize_on_simplex(ConvexSurrogate(value, derivatives), 4)
+        result = maximize_on_simplex(ConvexSurrogate(derivatives), 4)
         assert result.start_count == 1
         assert result.converged
         assert result.gap <= 1e-6
         np.testing.assert_allclose(result.point, target, atol=1e-6)
+
+    def test_line_search_rejects_full_steps(self):
+        # f = log sum_x exp(c w_x p_x) / c + sum_x p_x^4 is convex and far from
+        # quadratic, so some full Newton steps overshoot and are halved.
+        w, c = np.array([3.0, -1.0, 0.5, 2.0]), 20.0
+        calls = 0
+
+        def derivatives(point):
+            nonlocal calls
+            calls += 1
+            z = c * w * point
+            soft = np.exp(z - z.max())
+            f = (math.log(soft.sum()) + z.max()) / c + (point ** 4).sum()
+            sw = soft / soft.sum() * w
+
+            def hessian():
+                return c * (np.diag(sw * w) - np.outer(sw, sw)) + np.diag(12.0 * point ** 2)
+
+            return float(f), sw + 4.0 * point ** 3, hessian
+
+        points = []
+        for start in (np.array([0.97, 0.01, 0.01, 0.01]), None, np.eye(4)[3]):
+            calls = 0
+            result = maximize_on_simplex(ConvexSurrogate(derivatives), 4, start=start)
+            assert result.converged
+            assert result.gap <= GAP_TOL
+            # One evaluation at the start and one per accepted step, plus at
+            # least one for a rejected trial.
+            assert calls > result.iterations + 1
+            points.append(result.point)
+        for point in points[1:]:
+            np.testing.assert_allclose(point, points[0], rtol=0, atol=1e-6)
 
 
 def _seeded_channel(seed: int, case: int, full_rank: bool = False) -> CQChannel:
@@ -567,7 +604,7 @@ class TestStackedPaths:
         channel = _reference_channels()[index]
         chain = [holevo_capacity(channel)]
         for alpha in analysis.ALPHA_GRID[-2::-1]:
-            chain.append(renyi_mi_channel(channel, float(alpha), warm_starts=(chain[-1].prior,)))
+            chain.append(renyi_mi_channel(channel, float(alpha), start=chain[-1].prior))
         for got, want in zip(ChannelAnalysis(channel)._grid(), chain[::-1]):
             assert np.array_equal(got.prior, want.prior)
             assert (got.iterations, got.converged) == (want.iterations, want.converged)

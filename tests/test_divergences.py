@@ -143,6 +143,14 @@ class TestSibsonMinimizer:
         with pytest.raises(InfiniteDivergence):
             sibson_minimizer(rho, tau, 0.5, dims=(2, 2))
 
+    @pytest.mark.parametrize("fn", [sibson_minimizer, renyi_mutual_info_state])
+    def test_alpha_zero_rejected(self, rng, fn):
+        # The closed form takes the 1/alpha power; alpha = 0 has no minimizer.
+        rho = random_density_matrix(4, rng)
+        tau = partial_trace(rho, [2, 2], keep=[0])
+        with pytest.raises(ValueError):
+            fn(rho, tau, 0.0, dims=(2, 2))
+
 
 class TestRenyiMutualInfoState:
     def test_product_state_gives_zero(self, rng):
