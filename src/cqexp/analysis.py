@@ -254,7 +254,7 @@ def _holevo_surrogate(channel: CQChannel) -> ConvexSurrogate:
         traces, hessian = _letter_derivatives(outputs, lam, vec, log, np.reciprocal, 1.0 / LN_BASE)
         plogp = np.where(lam > 0, lam * np.log(np.maximum(lam, 1e-300)), 0.0)
         chi = -plogp.sum() / LN_BASE - prior @ letter_entropy
-        # chi = 0 gives f = -0.0 and a capacity of 0.0.
+        # chi = 0 may come out as -0.0 (equal pure letters), a capacity of -0.0.
         return -float(chi), traces + 1.0 / LN_BASE + letter_entropy, hessian
 
     return ConvexSurrogate(derivatives)

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .config import CLASSICAL_TOL, LOAD_TOL
 from .errors import DimensionError, InvalidOperator, NotClassical, NotPSD
-from .linalg import _support_clip, hermitize, is_hermitian
+from .linalg import _support_clip, hermitize
 
 
 @dataclass(frozen=True)
@@ -17,16 +17,24 @@ class CQChannel:
     """Map x -> rho_x with a common output dimension.
 
     ``outputs`` has shape (alphabet size, d, d). Construction is the one
-    place where letters are checked and repaired: each must be Hermitian,
-    PSD and of unit trace within ``LOAD_TOL``, and is stored as its
-    Hermitian part divided by its trace, so every channel holds exact
-    states. Instances are treated as immutable; do not mutate the arrays
-    after building one. Every function of the letters is taken from
-    ``spectra``, one cut decomposition of all of them.
+    place where letters are checked, repaired and decomposed: each must be
+    Hermitian, of unit trace and PSD within ``LOAD_TOL``, and is stored as
+    its Hermitian part divided by its trace, so every channel holds exact
+    states. Do not mutate the arrays after building one.
+
+    ``spectra``, (lambda, U) of shapes (k, d) and (k, d, d), holds each
+    stored letter's descending eigenvalues, cut by ``linalg._support_clip``
+    (values in [-``LOAD_TOL``, 0) become 0), and eigenvector columns, from
+    the one batched ``eigh`` that the PSD check reads. Every function of the
+    letters is taken from it. Exactly diagonal letters (a classical channel)
+    take no ``eigh``: lambda is the diagonal clipped at 0, with no relative
+    cut, since an eigenvalue far below the cutoff still counts in
+    lambda^alpha at small alpha, and U permutes the standard basis to match.
     """
 
     outputs: np.ndarray
     alphabet: tuple[str, ...]
+    spectra: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         outs = np.asarray(self.outputs, dtype=complex)
@@ -34,25 +42,36 @@ class CQChannel:
             raise DimensionError(f"outputs must have shape (k, d, d), got {outs.shape}")
         if min(outs.shape) < 1:
             raise DimensionError(f"channel needs at least one letter of dimension >= 1, got {outs.shape}")
-        states = []
-        for letter, rho in enumerate(outs):
-            if not is_hermitian(rho, tol=LOAD_TOL):  # NaN entries fail here too
-                raise InvalidOperator(f"output {letter} is not Hermitian within {LOAD_TOL}")
-            rho = hermitize(rho)
-            low = float(np.linalg.eigvalsh(rho).min())
-            if low < -LOAD_TOL:
-                raise NotPSD(f"output {letter} has eigenvalue {low:.3e}")
-            tr = float(np.trace(rho).real)
-            if abs(tr - 1.0) > LOAD_TOL:
-                raise InvalidOperator(f"output {letter} has trace {tr:.9g}, expected 1")
-            states.append(rho / tr)
-        object.__setattr__(self, "outputs", np.stack(states))
         labels = tuple(str(a) for a in self.alphabet)
         if len(labels) != outs.shape[0]:
-            raise DimensionError(
-                f"{len(labels)} labels for {outs.shape[0]} outputs"
-            )
+            raise DimensionError(f"{len(labels)} labels for {outs.shape[0]} outputs")
+        scale = np.abs(outs).max(axis=(1, 2), initial=1.0)
+        skew = np.abs(outs - outs.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        hermitian = (skew <= LOAD_TOL * scale) & (scale < np.inf)  # NaN and inf entries fail
+        if (bad := np.flatnonzero(~hermitian)).size:
+            raise InvalidOperator(f"output {bad[0]} is not Hermitian within {LOAD_TOL}")
+        herm = hermitize(outs)
+        tr = np.trace(herm, axis1=1, axis2=2).real
+        if (bad := np.flatnonzero(np.abs(tr - 1.0) > LOAD_TOL)).size:
+            raise InvalidOperator(f"output {bad[0]} has trace {tr[bad[0]]:.9g}, expected 1")
+        states = herm / tr[:, None, None]
+        d = outs.shape[1]
+        if np.any(states[:, ~np.eye(d, dtype=bool)]):
+            lam, vec = np.linalg.eigh(states)
+            low = lam[:, 0] * tr
+            lam, vec = _support_clip(lam[:, ::-1]), np.ascontiguousarray(vec[:, :, ::-1])
+        else:
+            diag = np.diagonal(states, axis1=1, axis2=2).real
+            low = diag.min(axis=1) * tr
+            lam = np.clip(diag, 0.0, None)
+            order = np.argsort(-lam, axis=1, kind="stable")
+            lam = np.take_along_axis(lam, order, axis=1)
+            vec = np.eye(d, dtype=complex)[:, order].transpose(1, 0, 2)
+        if (bad := np.flatnonzero(low < -LOAD_TOL)).size:
+            raise NotPSD(f"output {bad[0]} has eigenvalue {low[bad[0]]:.3e}")
+        object.__setattr__(self, "outputs", states)
         object.__setattr__(self, "alphabet", labels)
+        object.__setattr__(self, "spectra", (lam, vec))
 
     @classmethod
     def from_states(cls, states, alphabet=None) -> "CQChannel":
@@ -71,27 +90,6 @@ class CQChannel:
         w = np.where(w < -LOAD_TOL, w, np.clip(w, 0.0, None))
         states = [np.diag(row.astype(complex)) for row in w]
         return cls.from_states(states, alphabet=alphabet)
-
-    @cached_property
-    def spectra(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lambda, U), (k, d) and (k, d, d): descending eigenvalues of each letter,
-        cut by ``linalg._support_clip`` (so those in [-``LOAD_TOL``, 0), inside
-        the validation tolerance, become 0), and eigenvector columns; one ``eigh``.
-
-        Exactly diagonal letters (a classical channel) skip the ``eigh``: lambda
-        is the diagonal clipped at 0, with no relative cut, since an eigenvalue
-        far below the cutoff still counts in lambda^alpha at small alpha; U
-        permutes the standard basis into that order.
-        """
-        outs = hermitize(self.outputs)
-        d = self.dim
-        if not np.any(outs[:, ~np.eye(d, dtype=bool)]):
-            diag = np.clip(np.diagonal(outs, axis1=1, axis2=2).real, 0.0, None)
-            order = np.argsort(-diag, axis=1, kind="stable")
-            vec = np.eye(d, dtype=complex)[:, order].transpose(1, 0, 2)
-            return np.take_along_axis(diag, order, axis=1), vec
-        lam, vec = np.linalg.eigh(outs)
-        return _support_clip(lam[:, ::-1]), np.ascontiguousarray(vec[:, :, ::-1])
 
     @property
     def size(self) -> int:

@@ -72,7 +72,7 @@ def _config(max_dim: int | None) -> RunConfig:
 
 
 def _conv(x: float, nats: bool) -> float:
-    return x * LN_BASE if nats else x
+    return (x * LN_BASE if nats else x) + 0.0  # normalize -0.0
 
 
 def _fmt(x) -> str:

@@ -67,13 +67,13 @@ def _kernel_projector(sigma: np.ndarray) -> np.ndarray | None:
     return vk @ vk.conj().T
 
 
-def support_contained(rho: np.ndarray, sigma: np.ndarray, tol: float = SUPPORT_CONTAINMENT_TOL) -> bool:
+def support_contained(rho: np.ndarray, sigma: np.ndarray) -> bool:
     """Whether supp(rho) is contained in supp(sigma), up to eigen-cutoff."""
     proj = _kernel_projector(sigma)
     if proj is None:
         return True
     leak = float(np.trace(proj @ rho).real)
-    return leak <= tol * max(1.0, float(np.trace(rho).real))
+    return leak <= SUPPORT_CONTAINMENT_TOL * max(1.0, float(np.trace(rho).real))
 
 
 def quantum_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> DivergenceResult:

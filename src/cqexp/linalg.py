@@ -8,7 +8,7 @@ classical-quantum state assembly. ``CQChannel`` checks and repairs letters.
 
 Functions of a PSD matrix act on the support that ``_support_clip`` cuts,
 through ``spectral_map``; both take stacks, so a channel's letters are
-decomposed and cut once (``CQChannel.spectra``).
+decomposed and cut once, when the channel is built (``CQChannel.spectra``).
 
 Every function is pure; composite results are re-Hermitized to suppress
 floating-point drift.
@@ -30,9 +30,9 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
-def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     scale = max(1.0, float(np.abs(a).max())) if a.size else 1.0
-    return bool(np.abs(a - a.conj().T).max() <= tol * scale)
+    return bool(np.abs(a - a.conj().T).max() <= 1e-10 * scale)
 
 
 def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +171,7 @@ def permute_systems(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> 
     return work.reshape(int(np.prod(new_dims)), int(np.prod(new_dims)))
 
 
-def validate_prior(p, size: int | None = None, tol: float = PSD_TOL) -> np.ndarray:
+def validate_prior(p, size: int | None = None) -> np.ndarray:
     """Check a probability vector (finite, nonnegative, sums to one)."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
@@ -180,9 +180,9 @@ def validate_prior(p, size: int | None = None, tol: float = PSD_TOL) -> np.ndarr
         raise DimensionError(f"prior length {p.shape[0]} != alphabet size {size}")
     if not np.isfinite(p).all():
         raise InvalidOperator(f"prior has a non-finite weight: {p.tolist()}")
-    if float(p.min(initial=0.0)) < -tol:
+    if float(p.min(initial=0.0)) < -PSD_TOL:
         raise InvalidOperator(f"prior has negative weight {p.min():.3e}")
-    if abs(float(p.sum()) - 1.0) > tol:
+    if abs(float(p.sum()) - 1.0) > PSD_TOL:
         raise InvalidOperator(f"prior sums to {p.sum()}, expected 1")
     return np.clip(p, 0.0, None)
 

@@ -15,7 +15,7 @@ import numpy as np
 from .config import format_dim
 from .errors import InvalidSequence, TooLarge
 
-DEFAULT_ENUMERATION_CAP = 1_000_000
+ENUMERATION_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,12 @@ def type_count(n: int, alphabet_size: int) -> int:
     return math.comb(n + alphabet_size - 1, alphabet_size - 1)
 
 
-def enumerate_types(n: int, alphabet_size: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[TypeClass]:
+def enumerate_types(n: int, alphabet_size: int) -> list[TypeClass]:
     """All compositions of n into |X| nonnegative parts, first letter descending."""
     if alphabet_size < 1 or n < 1:
         raise ValueError("need n >= 1 and alphabet_size >= 1")
-    if type_count(n, alphabet_size) > cap:
-        raise TooLarge(f"{type_count(n, alphabet_size)} types exceeds cap {cap}")
+    if type_count(n, alphabet_size) > ENUMERATION_CAP:
+        raise TooLarge(f"{type_count(n, alphabet_size)} types exceeds cap {ENUMERATION_CAP}")
 
     out: list[TypeClass] = []
 
@@ -88,10 +88,10 @@ def enumerate_types(n: int, alphabet_size: int, cap: int = DEFAULT_ENUMERATION_C
     return out
 
 
-def enumerate_sequences(t: TypeClass, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[tuple[int, ...]]:
+def enumerate_sequences(t: TypeClass) -> Iterator[tuple[int, ...]]:
     """Lazily yield every sequence of type ``t`` in lexicographic order."""
-    if t.sequence_count() > cap:
-        raise TooLarge(f"{format_dim(t.sequence_count())} sequences exceeds cap {cap}")
+    if t.sequence_count() > ENUMERATION_CAP:
+        raise TooLarge(f"{format_dim(t.sequence_count())} sequences exceeds cap {ENUMERATION_CAP}")
 
     def rec(counts: list[int], prefix: list[int]) -> Iterator[tuple[int, ...]]:
         if len(prefix) == t.n:

@@ -1,4 +1,5 @@
-"""CQChannel as the one owner of letter checks, repair and the commuting test."""
+"""CQChannel as the one owner of letter checks, repair, the letter
+decomposition and the commuting test."""
 
 import numpy as np
 import pytest
@@ -85,6 +86,42 @@ class TestRejection:
     def test_ragged_shorthand_is_a_spec_error(self):
         with pytest.raises(InvalidChannelSpec):
             channel_from_dict({"cqspec": 1, "stochastic_matrix": [[0.5, 0.5], [1.0]]})
+
+
+def test_infinite_entry_is_not_hermitian():
+    # An infinite entry opposite a finite one: inf <= 1e-8 * inf would pass a
+    # bare tolerance test against max |rho_ij|.
+    with pytest.raises(InvalidOperator, match="output 1 is not Hermitian"):
+        CQChannel.from_states([PLUS, np.array([[0.5, np.inf], [0.0, 0.5]])])
+
+
+class TestOneDecomposition:
+    """Construction decomposes the letters once; ``spectra`` is that decomposition."""
+
+    @staticmethod
+    def _calls(monkeypatch) -> list[str]:
+        """Names of the eigensolvers called from here on, in call order."""
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _r=real: calls.append(_n) or _r(*a))
+        return calls
+
+    def test_dense_letters_take_one_eigh(self, monkeypatch, rng):
+        calls = self._calls(monkeypatch)
+        mixed = CQChannel.from_states([PLUS, DRIFTED, np.diag([0.5, 0.5])])
+        projectors = CQChannel.from_states([np.outer(c, c.conj()) for c in random_unitary(3, rng).T])
+        assert calls == ["eigh", "eigh"]
+        assert mixed.spectra[0].shape == (3, 2) and projectors.spectra[1].shape == (3, 3, 3)
+        assert calls == ["eigh", "eigh"]
+
+    def test_diagonal_letters_take_none(self, monkeypatch):
+        calls = self._calls(monkeypatch)
+        channel = CQChannel.from_stochastic_matrix([[0.9, 0.1, 0.0], [0.2, 0.3, 0.5]])
+        lam, vec = channel.spectra
+        assert calls == []
+        assert np.array_equal(lam, [[0.9, 0.1, 0.0], [0.5, 0.3, 0.2]])
+        assert np.array_equal(vec[1], np.eye(3)[:, [2, 1, 0]])
 
 
 class TestCommutingBasis:

@@ -400,6 +400,22 @@ class TestFormatting:
         mantissa = best_pe.replace("-", "").replace(".", "").lstrip("0").rstrip("0")
         assert len(mantissa) <= 9
 
+    def test_zero_optimum_prints_without_sign(self, runner, tmp_path):
+        # Equal pure letters: the solvers return exactly -0.0 for chi and I_alpha.
+        path = tmp_path / "equal.json"
+        path.write_text(json.dumps({"cqspec": 1, "stochastic_matrix": [[1, 0], [1, 0]]}), encoding="utf-8")
+        for args, zero in (
+            (["capacity"], "capacity: 0.000000"),
+            (["capacity", "--json"], '"capacity":0.0,'),
+            (["capacity", "--nats"], "capacity: 0.000000"),
+            (["renyi", "--alpha", "0.5"], "renyi_mi: 0.000000"),
+            (["renyi", "--alpha", "0.5", "--prior", "0.5,0.5"], "renyi_mi: 0.000000"),
+            (["renyi", "--alpha", "0.5", "--json"], '"renyi_mi":0.0,'),
+        ):
+            res = runner.invoke(main, [args[0], str(path), *args[1:]])
+            assert res.exit_code == 0, res.output
+            assert zero in res.output and "-0.0" not in res.output, (args, res.output)
+
 
 class TestRerunsAndSaturation:
     def test_exponent_reruns_identical(self, runner):

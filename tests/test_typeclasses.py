@@ -56,8 +56,9 @@ class TestEnumerateTypes:
         assert len(types) <= (n + 1) ** k
 
     def test_cap(self):
-        with pytest.raises(TooLarge):
-            enumerate_types(1000, 5, cap=1000)
+        # C(1004, 4), about 4.2e10 types, is past the cap of 1e6.
+        with pytest.raises(TooLarge, match="exceeds cap 1000000"):
+            enumerate_types(1000, 5)
 
 
 class TestEnumerateSequences:
@@ -78,8 +79,9 @@ class TestEnumerateSequences:
         assert next(it) == (0, 0, 1, 1)
 
     def test_cap(self):
-        with pytest.raises(TooLarge):
-            list(enumerate_sequences(TypeClass(30, (15, 15)), cap=100))
+        # C(30, 15), about 1.6e8 sequences, is past the cap of 1e6.
+        with pytest.raises(TooLarge, match="exceeds cap 1000000"):
+            next(enumerate_sequences(TypeClass(30, (15, 15))))
 
     def test_all_have_declared_type(self):
         t = TypeClass(5, (2, 2, 1))
