@@ -31,7 +31,9 @@ from .errors import InvalidGrid, NumericalInstability, RateAboveCapacity, TooLar
 from .linalg import (
     _sequence_table, _support_clip, gram_stack, mat_power, spectral_entropy, tensor_all,
 )
-from .simplex_opt import ConvexSurrogate, SimplexMaximum, certified_starts, maximize_on_simplex, start_point
+from .simplex_opt import (
+    ConvexSurrogate, OptimizationReport, certified_starts, maximize_on_simplex, start_point,
+)
 from .typeclasses import TypeClass, enumerate_sequences, enumerate_types
 
 # Largest input alphabet that a prior optimization takes.
@@ -44,18 +46,6 @@ SPHERE_PACKING_ALPHA_MIN = 0.01
 # exact points; and the alpha bracket that ends a root search.
 ALPHA_GRID = np.arange(1, 101) / 100
 ALPHA_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class OptimizationReport:
-    """Result of maximizing a channel quantity over input priors."""
-
-    value: float
-    prior: np.ndarray
-    iterations: int
-    converged: bool
-    # Certified bound, in bits, on the distance of ``value`` to the optimum.
-    gap: float
 
 
 @dataclass(frozen=True)
@@ -218,8 +208,12 @@ def _renyi_derivatives(powers: np.ndarray, alpha, prior: np.ndarray):
 
 
 def _renyi_maximand(alpha, f):
-    """(I_a, -dI_a/df) with I_a = a/(a-1) log2 f, elementwise."""
-    return alpha / (alpha - 1.0) * np.log(f) / LN_BASE, alpha / ((1.0 - alpha) * LN_BASE * f)
+    """(I_a, -dI_a/df) with I_a = a/(a-1) log2 f, elementwise; I_a = +inf at f <= 0."""
+    with np.errstate(divide="ignore"):
+        return (
+            alpha / (alpha - 1.0) * np.log(np.maximum(f, 0.0)) / LN_BASE,
+            alpha / ((1.0 - alpha) * LN_BASE * f),
+        )
 
 
 def _renyi_surrogate(powers: np.ndarray, alpha: float) -> ConvexSurrogate:
@@ -260,30 +254,6 @@ def _holevo_surrogate(channel: CQChannel) -> ConvexSurrogate:
     return ConvexSurrogate(derivatives)
 
 
-def _report(result: SimplexMaximum, alpha: float = 1.0) -> OptimizationReport:
-    """Wrap a solve; turn its Frank-Wolfe gap G into a bound on I* - I(p) in bits.
-
-    At alpha = 1 the objective is concave and G is the bound. Below 1,
-    I_a = a/(a-1) log2 f with f(p) = tr[(sum_x p_x rho_x^a)^(1/a)] convex.
-    The Frank-Wolfe gap of f, (1-a) ln2 f G / a, bounds f - f*, so
-    I* - I_a = a/(1-a) log2(f/f*) <= -a/(1-a) log2(1 - (1-a) ln2 G / a).
-    """
-    gap = result.gap
-    if alpha < 1.0:
-        shrink = (1.0 - alpha) * LN_BASE * gap / alpha
-        if shrink < 1.0:
-            gap = -alpha / (1.0 - alpha) * math.log1p(-shrink) / LN_BASE
-        else:
-            gap = math.inf
-    return OptimizationReport(
-        value=result.value,
-        prior=result.point,
-        iterations=result.iterations,
-        converged=result.converged,
-        gap=gap,
-    )
-
-
 def _check_alphabet(channel: CQChannel) -> None:
     if channel.size > MAX_OPT_ALPHABET:
         raise TooLarge(f"alphabet {channel.size} exceeds optimization cap {MAX_OPT_ALPHABET}")
@@ -292,7 +262,7 @@ def _check_alphabet(channel: CQChannel) -> None:
 def holevo_capacity(channel: CQChannel, *, start: np.ndarray | None = None) -> OptimizationReport:
     """Classical capacity: maximize the Holevo quantity over input priors."""
     _check_alphabet(channel)
-    return _report(maximize_on_simplex(_holevo_surrogate(channel), channel.size, start=start))
+    return maximize_on_simplex(_holevo_surrogate(channel), channel.size, start=start)
 
 
 def renyi_mi_channel(channel: CQChannel, alpha: float, *, start: np.ndarray | None = None) -> OptimizationReport:
@@ -308,7 +278,7 @@ def renyi_mi_channel(channel: CQChannel, alpha: float, *, start: np.ndarray | No
         return holevo_capacity(channel, start=start)
     _check_alphabet(channel)
     surrogate = _renyi_surrogate(letter_powers(channel, alpha), alpha)
-    return _report(maximize_on_simplex(surrogate, channel.size, start=start), alpha)
+    return maximize_on_simplex(surrogate, channel.size, start=start)
 
 
 # ---------------------------------------------------------------------------
@@ -335,24 +305,23 @@ def _renyi_rows(channel: CQChannel, alphas, starts):
     ``_row_stacks`` at a time; a stack in which no row certifies takes no slope.
     """
     for alpha, points, (f, grad, _, e0_slope) in _row_stacks(channel, alphas, starts):
-        value, slope = _renyi_maximand(alpha, f)
-        results = certified_starts(points, f, grad, value, slope)
-        e0 = e0_slope(letter_power_logs(channel, alpha)).tolist() if any(results) else [None] * len(alpha)
-        for a, result, row_slope in zip(alpha, results, e0):
-            yield (None, None) if result is None else (_report(result, float(a)), row_slope)
+        reports = certified_starts(points, f, grad, lambda f: _renyi_maximand(alpha, f))
+        e0 = e0_slope(letter_power_logs(channel, alpha)).tolist() if any(reports) else [None] * len(alpha)
+        for rep, row_slope in zip(reports, e0):
+            yield (None, None) if rep is None else (rep, row_slope)
 
 
 class ChannelAnalysis:
     """Session object caching the inner prior optimizations of one channel.
 
-    Both bounds read one solve of ``ALPHA_GRID``, made down from alpha = 1
-    (the capacity), each point warm-started from the one above it. Warm
-    starts for off-grid alpha values are taken from that grid only, never
-    from other refinement results. The E0' slope at each solved alpha is
-    cached next to its report; a row that its start certifies takes it from
-    the same decomposition. All methods are deterministic for a fixed
-    channel and call order; another call order moves a cached value by no
-    more than its reported gap.
+    Both bounds and the critical rate read one solve of ``ALPHA_GRID``, made
+    down from alpha = 1 (the capacity), each point warm-started from the one
+    above it. Warm starts for off-grid alpha values are taken from that grid
+    only, never from other refinement results. The E0' slope at each solved
+    alpha is cached next to its report; a row that its start certifies takes
+    it from the same decomposition. The grid owns its points: it overwrites a
+    grid point that ``mutual_info`` solved before it, so no call order moves
+    a bound, the critical rate or a curve row.
     """
 
     def __init__(self, channel: CQChannel):
@@ -364,16 +333,19 @@ class ChannelAnalysis:
     # -- inner optimizations -------------------------------------------------
 
     def _grid(self) -> list[OptimizationReport]:
-        """The reports at the ``ALPHA_GRID`` points, in grid order.
+        """The reports at the ``ALPHA_GRID`` points, in grid order; each is
+        cached, with its E0' slope where it has one already (the capacity at
+        alpha = 1).
 
         Each point is solved from the prior of the point above it. While
         those priors stay the capacity prior, every point that its start
         certifies comes, with its E0' slope, from one stack of ``_renyi_rows``;
-        from the first point that needs Newton steps, or a cached point at
-        another prior, the chain goes on one solve at a time.
+        from the first point that needs Newton steps the chain goes on one
+        solve at a time.
         """
         if not self._grid_reports:
             reports = [self.capacity()]
+            self._slope_cache[1.0] = reports[0].value
             alphas = [float(a) for a in ALPHA_GRID[-2::-1]]
             # The start of each point while every point above keeps its own:
             # maximize_on_simplex divides the prior above by its sum.
@@ -381,31 +353,31 @@ class ChannelAnalysis:
             for _ in alphas:
                 start = start_point(self.channel.size, start)
                 starts.append(start)
-            fresh = [i for i, alpha in enumerate(alphas) if alpha not in self._mi_cache]
-            tests = _renyi_rows(self.channel, [alphas[i] for i in fresh], [starts[i] for i in fresh])
+            tests = _renyi_rows(self.channel, alphas, starts)
             chained = True
-            for alpha, start in zip(alphas, starts):
-                rep = self._mi_cache.get(alpha)
-                if rep is None and chained:
-                    rep, slope = next(tests)
-                    if rep is not None:
-                        self._mi_cache[alpha], self._slope_cache[alpha] = rep, slope
-                if rep is None:
-                    rep = self._mi_point(alpha, start=reports[-1].prior)
-                chained = chained and np.array_equal(rep.prior, start)
+            for alpha in alphas:
+                rep, slope = next(tests) if chained else (None, None)
+                chained = rep is not None
+                if chained:
+                    self._slope_cache[alpha] = slope
+                else:
+                    rep = self._solve(alpha, start=reports[-1].prior)
+                self._mi_cache[alpha] = rep
                 reports.append(rep)
             self._grid_reports = reports[::-1]
         return self._grid_reports
 
+    def _solve(self, alpha: float, start: np.ndarray | None = None) -> OptimizationReport:
+        rep = renyi_mi_channel(self.channel, alpha, start=start)
+        if not rep.converged:
+            raise NumericalInstability(f"prior optimization did not converge at alpha={alpha}")
+        return rep
+
     def _mi_point(self, alpha: float, start: np.ndarray | None = None) -> OptimizationReport:
         key = float(alpha)
-        rep = self._mi_cache.get(key)
-        if rep is None:
-            rep = renyi_mi_channel(self.channel, key, start=start)
-            if not rep.converged:
-                raise NumericalInstability(f"prior optimization did not converge at alpha={key}")
-            self._mi_cache[key] = rep
-        return rep
+        if key not in self._mi_cache:
+            self._mi_cache[key] = self._solve(key, start=start)
+        return self._mi_cache[key]
 
     def _mi_points(self, alphas, starts) -> list[OptimizationReport]:
         """``_mi_point`` at each (alpha, start) row; the uncached rows whose
@@ -422,15 +394,12 @@ class ChannelAnalysis:
         return [self._mi_point(key, start=start) for key, start in zip(keys, starts)]
 
     def _slopes(self, alphas) -> np.ndarray:
-        """E0' at the cached report of each alpha, cached by alpha. Rows that
-        their start certified brought theirs; E0'(0), at alpha = 1, is the
-        capacity chi(p*); the rows that Newton steps moved take one stack of
-        ``_row_stacks`` at their solved priors."""
+        """E0' at the cached report of each alpha, cached by alpha. The grid
+        and the rows that their start certified brought theirs; the rows that
+        Newton steps moved take one stack of ``_row_stacks`` at their solved
+        priors."""
         keys = [float(a) for a in alphas]
         missing = [key for key in dict.fromkeys(keys) if key not in self._slope_cache]
-        if 1.0 in missing:
-            missing.remove(1.0)
-            self._slope_cache[1.0] = self.capacity().value
         priors = [self._mi_cache[key].prior for key in missing]
         for alpha, _, (*_, e0_slope) in _row_stacks(self.channel, missing, priors):
             self._slope_cache.update(zip(alpha.tolist(), e0_slope(letter_power_logs(self.channel, alpha)).tolist()))
@@ -445,34 +414,36 @@ class ChannelAnalysis:
 
     # -- exponent machinery ---------------------------------------------------
 
-    def _bound(self, alpha_min: float, rates) -> list[BoundResult]:
-        """Maximum of E0(s) - s r over the grid points alpha >= ``alpha_min``,
-        refined to the root of E0'(s) = r, at each of the ``rates``.
+    def _bound(self, floors, rates) -> list[BoundResult]:
+        """Maximum of E0(s) - s r over the grid points alpha at or above the
+        floor, refined to the root of E0'(s) = r, at each (floor, r) row of
+        ``floors`` and ``rates``.
 
         The sign of E0' - r at the grid maximum picks the neighbouring cell
-        (the objective rises toward larger s where E0' > r). If the sign
-        changes across it, the Illinois method (regula falsi halving the stale
-        end) shrinks that alpha bracket to ``ALPHA_TOL``. The brackets of all
-        rates move in lockstep: each round takes the probes of every open
-        bracket as one stack (``_mi_points``, whose certified rows bring their
-        slopes, then ``_slopes`` for the rows Newton steps moved), each
-        warm-started from its nearest grid point. Both bounds share the grid,
-        the caches and so, where they take the same cell, every probe. A bound
-        is saturated when its alpha ends within 10 ``ALPHA_TOL`` of the
-        sphere-packing floor.
+        (the objective rises toward larger s where E0' > r), which must not
+        leave the floor. If the sign changes across it, the Illinois method
+        (regula falsi halving the stale end) shrinks that alpha bracket to
+        ``ALPHA_TOL``. The brackets of all rows, of both bound kinds, move in
+        lockstep: each round takes the probes of every open bracket as one
+        stack (``_mi_points``, whose certified rows bring their slopes, then
+        ``_slopes`` for the rows Newton steps moved), each warm-started from
+        its nearest grid point. A probe is cached by alpha, so rows that take
+        the same cell share every probe. A bound is saturated when its alpha
+        ends within 10 ``ALPHA_TOL`` of the sphere-packing floor.
         """
-        start = int(np.searchsorted(ALPHA_GRID, alpha_min))
-        alphas, reports = ALPHA_GRID[start:], self._grid()[start:]
-        slopes = self._slopes(ALPHA_GRID)[start:]
+        alphas, reports = ALPHA_GRID, self._grid()
+        slopes = self._slopes(alphas)
         mis = np.asarray([rep.value for rep in reports])
         r = np.asarray(rates, dtype=float)
+        lo = np.searchsorted(alphas, floors)
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.where(alphas >= 1.0, 0.0, (1.0 - alphas) / alphas * (mis - r[:, None]))
+        vals[np.arange(len(alphas)) < lo[:, None]] = -np.inf
         best = np.argmax(vals, axis=1)
         alpha_star, val_star = alphas[best], vals[np.arange(len(r)), best]
         a, ga = alpha_star.copy(), slopes[best] - r
         other = np.where(ga > 0, best - 1, best + 1)
-        inside = (ga != 0.0) & (other >= 0) & (other < len(alphas))
+        inside = (ga != 0.0) & (other >= lo) & (other < len(alphas))
         other = np.clip(other, 0, len(alphas) - 1)
         b = np.where(inside, alphas[other], a)
         gb = np.where(inside, slopes[other] - r, 0.0)
@@ -499,19 +470,19 @@ class ChannelAnalysis:
         """Achievability (random-coding style) exponent bound at rate r."""
         if not 0 <= r < math.inf:
             raise ValueError(f"rate must be finite and nonnegative, got {r}")
-        return self._bound(ACHIEVABILITY_ALPHA_MIN, [r])[0]
+        return self._bound([ACHIEVABILITY_ALPHA_MIN], [r])[0]
 
     def upper_bound(self, r: float) -> BoundResult:
         """Sphere-packing exponent bound at rate r."""
         if not 0 < r < math.inf:
             raise ValueError(f"rate must be finite and positive, got {r}")
-        return self._bound(SPHERE_PACKING_ALPHA_MIN, [r])[0]
+        return self._bound([SPHERE_PACKING_ALPHA_MIN], [r])[0]
 
     def critical_rate(self) -> float:
         """r_c = E0'(1), the slope of s * I_{1/(1+s)}(N) at s = 1, in closed form
-        at the prior maximizing I_{1/2} (Danskin's theorem): no solve beyond
-        alpha = 1/2, a point of the alpha grid."""
-        self._mi_point(0.5)
+        at the prior maximizing I_{1/2} (Danskin's theorem): the slope of the
+        alpha = 1/2 point of the alpha grid, with no solve of its own."""
+        self._grid()
         return float(self._slopes([0.5])[0])
 
     def reliability(self, r: float) -> ReliabilityResult:
@@ -526,12 +497,14 @@ class ChannelAnalysis:
         return ReliabilityResult(kind=kind, lower=row.lower, upper=row.upper)
 
     def _rows(self, rates, rc: float) -> tuple[ExponentRow, ...]:
-        """Both bounds at each rate; at or above the critical rate rc they must
-        agree within 1e-7, and the row is exact."""
-        lows = self._bound(ACHIEVABILITY_ALPHA_MIN, rates)
-        ups = self._bound(SPHERE_PACKING_ALPHA_MIN, rates)
+        """Both bounds at each rate, from one search over both floors; at or
+        above the critical rate rc they must agree within 1e-7, and the row is
+        exact."""
+        n = len(rates)
+        floors = np.repeat([ACHIEVABILITY_ALPHA_MIN, SPHERE_PACKING_ALPHA_MIN], n)
+        bounds = self._bound(floors, np.tile(rates, 2))
         rows = []
-        for r, low, up in zip(rates, lows, ups):
+        for r, low, up in zip(rates, bounds[:n], bounds[n:]):
             equal = r >= rc - 1e-9
             if equal and abs(low.value - up.value) > 1e-7:
                 raise NumericalInstability(

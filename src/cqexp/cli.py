@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import json as _json
+import math
 import sys
 
 import click
@@ -82,13 +83,19 @@ def _fmt(x) -> str:
     return f"{v:.9g}"
 
 
+def _json_value(v):
+    """A cell as JSON takes it: a non-finite float, which RFC 8259 JSON
+    cannot hold, becomes the token the CSV prints ("inf")."""
+    if isinstance(v, (str, int)):
+        return v
+    v = float(v) + 0.0  # normalize -0.0
+    return v if math.isfinite(v) else _fmt(v)
+
+
 def _emit(header: list[str], rows: list[list], json_mode: bool) -> None:
     if json_mode:
         for row in rows:
-            obj = {
-                k: (v if isinstance(v, (str, int)) else float(v) + 0.0)
-                for k, v in zip(header, row)
-            }
+            obj = {k: _json_value(v) for k, v in zip(header, row)}
             click.echo(_json.dumps(obj, separators=(",", ":")))
     else:
         click.echo(",".join(header))

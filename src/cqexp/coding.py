@@ -137,6 +137,8 @@ class ExponentEstimate:
     best_pe: float
     mean_pe: float
     implied_exponent: float
+    # One record per codebook drawn at this blocklength; none when M = 1.
+    trials: tuple[TrialRecord, ...] = ()
 
 
 def _draw_words(alphabet_size: int, n: int, size: int, mode, seeds) -> np.ndarray:
@@ -299,8 +301,7 @@ def estimate_exponent(
     seed: int,
     config: RunConfig = DEFAULT_CONFIG,
     analysis=None,
-    return_trials: bool = False,
-):
+) -> list[ExponentEstimate]:
     """Best-of-trials error exponents at a fixed rate.
 
     For each blocklength the simulation draws ``trials_per_n`` codebooks in
@@ -316,9 +317,9 @@ def estimate_exponent(
     ``config.check`` holds M on the Gram path and d^n on the others to the
     caps of the module docstring.
 
-    Returns a list of :class:`ExponentEstimate`; with ``return_trials`` a
-    second list of :class:`TrialRecord` (including exact ML errors on
-    commuting channels) is returned as well.
+    Returns one :class:`ExponentEstimate` per blocklength, carrying the
+    :class:`TrialRecord` of each codebook (with exact ML errors on commuting
+    channels).
     """
     if trials_per_n < 1:
         raise ValueError("trials_per_n must be >= 1")
@@ -347,7 +348,6 @@ def estimate_exponent(
         return [_pgm_error_dense(channel, _as_codebook(book), config) for book in words], [None] * books
 
     estimates: list[ExponentEstimate] = []
-    all_records: list[TrialRecord] = []
     for n in n_list:
         n = int(n)
         # 2^(nR) overflows a float from nR = 1024 on, far past every cap.
@@ -375,7 +375,7 @@ def estimate_exponent(
             axis=1,
         ).reshape(-1, size, n)
         pes, mls = errors(words, gram)
-        all_records.extend(
+        trials = tuple(
             TrialRecord(n=n, trial=b // 2, mode=names[b % 2], pe=pe, ml_pe=ml)
             for b, (pe, ml) in enumerate(zip(pes, mls))
         )
@@ -383,9 +383,8 @@ def estimate_exponent(
         implied = math.inf if best <= 0.0 else -math.log(best) / (n * LN_BASE)
         estimates.append(
             ExponentEstimate(
-                n=n, size=size, best_pe=best, mean_pe=float(np.mean(pes)), implied_exponent=implied
+                n=n, size=size, best_pe=best, mean_pe=float(np.mean(pes)), implied_exponent=implied,
+                trials=trials,
             )
         )
-    if return_trials:
-        return estimates, all_records
     return estimates

@@ -71,17 +71,21 @@ class ConvexSurrogate:
 
 
 @dataclass(frozen=True)
-class SimplexMaximum:
+class OptimizationReport:
     """Outcome of a simplex maximization.
 
-    ``value`` is phi(f) at ``point`` and ``gap`` is the Frank-Wolfe gap of
-    phi(f) there. ``converged`` means the gap met the tolerance, or the
-    rounding floor under it; the iteration cap and a failed descent leave
-    it False. ``start_count`` is always 1.
+    ``value`` is phi(f) at ``prior``. ``gap`` is phi(f - G) - phi(f), with G
+    the Frank-Wolfe gap of f there: f is convex, so f* >= f - G, and phi is
+    decreasing, so ``gap`` bounds the distance of ``value`` to the optimum
+    (G itself for phi(f) = -f; +inf where phi(f - G) is unbounded).
+    ``converged`` means the Frank-Wolfe gap of phi(f), -phi'(f) G, met the
+    tolerance, or the rounding floor under it; the iteration cap and a
+    failed descent leave it False.
+    ``start_count`` is always 1.
     """
 
     value: float
-    point: np.ndarray
+    prior: np.ndarray
     iterations: int
     converged: bool
     start_count: int
@@ -169,16 +173,19 @@ def _certified(gap, floor):
     return (gap <= GAP_TOL) | (gap <= floor)
 
 
-def certified_starts(points: np.ndarray, f: np.ndarray, grad: np.ndarray, value, slope):
-    """For a stack of starts, with f, its gradient, phi(f) and -phi'(f) at each,
-    the outcome ``maximize_on_simplex`` returns where the start already meets
-    the stop rule (0 iterations), and None where Newton steps are needed."""
-    gap, floor, _ = _certify(points, f, grad, slope)
+def certified_starts(points: np.ndarray, f: np.ndarray, grad: np.ndarray, maximand):
+    """For a stack of starts, with f and its gradient at each and ``maximand``
+    the elementwise (phi(f), -phi'(f)), the report ``maximize_on_simplex``
+    returns where the start already meets the stop rule (0 iterations), and
+    None where Newton steps are needed."""
+    value, slope = maximand(f)
+    gap, floor, gap_f = _certify(points, f, grad, slope)
+    bound = maximand(f - gap_f)[0] - value
     return [
-        SimplexMaximum(
-            value=float(v), point=p.copy(), iterations=0, converged=True, start_count=1, gap=float(g)
+        OptimizationReport(
+            value=float(v), prior=p.copy(), iterations=0, converged=True, start_count=1, gap=float(g)
         ) if ok else None
-        for p, v, g, ok in zip(points, value, gap, _certified(gap, floor))
+        for p, v, g, ok in zip(points, value, bound, _certified(gap, floor))
     ]
 
 
@@ -239,7 +246,7 @@ def maximize_on_simplex(
     dim: int,
     *,
     start: np.ndarray | None = None,
-) -> SimplexMaximum:
+) -> OptimizationReport:
     """Active-set Newton descent on f from ``start`` (see ``start_point``),
     or from the uniform prior.
 
@@ -258,11 +265,11 @@ def maximize_on_simplex(
             break
         at = stepped
 
-    return SimplexMaximum(
+    return OptimizationReport(
         value=at.value,
-        point=at.point.copy(),
+        prior=at.point.copy(),
         iterations=iterations,
         converged=bool(_certified(at.gap, at.floor)),
         start_count=1,
-        gap=at.gap,
+        gap=surrogate.maximand(at.f - at.gap_f)[0] - at.value,
     )

@@ -182,10 +182,12 @@ def test_criterion_6_channel_additivity():
     ch2 = random_channel(2, 2, rng)
     product = ch1.tensor(ch2)
     for alpha in (0.5, 0.75):
-        single = renyi_mi_channel(ch1, alpha).value + renyi_mi_channel(ch2, alpha).value
-        joint = renyi_mi_channel(product, alpha).value
+        reports = [renyi_mi_channel(ch, alpha) for ch in (ch1, ch2, product)]
+        single = reports[0].value + reports[1].value
+        joint = reports[2].value
         worst = max(worst, abs(joint - single))
-        assert abs(joint - single) <= 1e-3
+        # Each value is within its certified gap of its optimum.
+        assert abs(joint - single) <= sum(rep.gap for rep in reports) + 1e-12
     report(6, f"worst |I(N1xN2) - I(N1) - I(N2)| = {worst:.2e} at alpha in {{0.5, 0.75}}")
 
 
@@ -196,10 +198,8 @@ def test_criterion_7_coding_band(bsc_session):
     start = time.perf_counter()
     lower = bsc_session.lower_bound(rate).value
     upper = bsc_session.upper_bound(rate).value
-    rows, records = estimate_exponent(
-        channel, rate, [2, 4, 6, 8], 200, seed=1234,
-        analysis=bsc_session, return_trials=True,
-    )
+    rows = estimate_exponent(channel, rate, [2, 4, 6, 8], 200, seed=1234, analysis=bsc_session)
+    records = [rec for row in rows for rec in row.trials]
     for rec in records:
         assert rec.ml_pe is not None
         assert rec.pe >= rec.ml_pe - 1e-12

@@ -22,7 +22,9 @@ from cqexp import (
     renyi_mi_channel_prior,
 )
 from cqexp import analysis
-from cqexp.analysis import _renyi_derivatives, _renyi_surrogate, _row_stacks
+from cqexp.analysis import (
+    _holevo_surrogate, _renyi_derivatives, _renyi_maximand, _renyi_surrogate, _row_stacks,
+)
 from cqexp.channel_io import load_channel
 from cqexp.config import LN_BASE
 from cqexp.divergences import letter_power_logs, letter_powers
@@ -229,6 +231,31 @@ class TestPriorCertificate:
         # The gap is a bound on I* - I(p); 1e-12 absorbs rounding in the probes.
         assert _mi_of_priors(ch, probes, alpha).max() <= rep.value + rep.gap + 1e-12
 
+    @pytest.mark.parametrize("case", range(5))
+    @pytest.mark.parametrize("cap", [1, None])
+    def test_gap_matches_the_log1p_bound(self, monkeypatch, case, cap):
+        # The reported phi(f - G) - phi(f) against its closed form from the
+        # Frank-Wolfe gap G_phi = -phi'(f) G of the maximand: G_phi at
+        # alpha = 1, -a/(1-a) log2(1 - (1-a) ln2 G_phi / a) below. A run cut
+        # after one iteration leaves gaps far above the tolerance.
+        if cap is not None:
+            monkeypatch.setattr("cqexp.simplex_opt.MAX_ITERATIONS", cap)
+        rng = np.random.default_rng([4099, case])
+        ch = _letters_of_mixed_rank(int(rng.integers(2, 6)), int(rng.integers(2, 4)), rng)
+        for alpha in (0.05, 0.3, 0.7, 0.99, 1.0):
+            rep = renyi_mi_channel(ch, alpha)
+            surrogate = _holevo_surrogate(ch) if alpha == 1.0 else _renyi_surrogate(letter_powers(ch, alpha), alpha)
+            f, grad, _ = surrogate.derivatives(rep.prior)
+            gap = surrogate.maximand(f)[1] * max(rep.prior @ grad - grad.min(), 0.0)
+            if alpha < 1.0:
+                shrink = (1.0 - alpha) * LN_BASE * gap / alpha
+                gap = -alpha / (1.0 - alpha) * math.log1p(-shrink) / LN_BASE if shrink < 1.0 else math.inf
+            assert rep.gap == pytest.approx(gap, rel=0, abs=1e-15)
+
+    def test_gap_past_the_zero_of_f_is_infinite(self):
+        # f - G <= 0 bounds nothing: I_a = +inf there, and so is the gap.
+        assert _renyi_maximand(0.5, np.array([0.0, -1e-3]))[0].tolist() == [math.inf, math.inf]
+
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_warm_start_off_the_optimal_support(self, rng, alpha):
         ch = random_channel(3, 2, rng)
@@ -300,7 +327,7 @@ class TestPriorCertificate:
         assert result.start_count == 1
         assert result.converged
         assert result.gap <= 1e-6
-        np.testing.assert_allclose(result.point, target, atol=1e-6)
+        np.testing.assert_allclose(result.prior, target, atol=1e-6)
 
     def test_line_search_rejects_full_steps(self):
         # f = log sum_x exp(c w_x p_x) / c + sum_x p_x^4 is convex and far from
@@ -330,7 +357,7 @@ class TestPriorCertificate:
             # One evaluation at the start and one per accepted step, plus at
             # least one for a rejected trial.
             assert calls > result.iterations + 1
-            points.append(result.point)
+            points.append(result.prior)
         for point in points[1:]:
             np.testing.assert_allclose(point, points[0], rtol=0, atol=1e-6)
 
@@ -569,10 +596,10 @@ class TestLetterSpectra:
         assert _row_slopes(ch, [alpha], [prior])[0] == pytest.approx(expected, rel=1e-11, abs=1e-11)
 
     def test_curve_decomposition_cap(self, monkeypatch):
-        # The letter cut, the capacity, the cold alpha = 1/2 solve and r_c, one
-        # stack for the values, certificates and slopes of the whole grid, and
-        # one stack per Illinois round of each bound kind, plus one slope stack
-        # when a probe needs Newton steps: a certified probe is decomposed once.
+        # The capacity, one stack for the values, certificates and slopes of
+        # the whole grid (r_c is its alpha = 1/2 slope), and one stack per
+        # Illinois round of both bound kinds, plus one slope stack when a probe
+        # needs Newton steps: a certified probe is decomposed once.
         count = 0
 
         def counting(fn):
@@ -583,11 +610,15 @@ class TestLetterSpectra:
 
             return wrapped
 
-        session = ChannelAnalysis(load_channel(CHANNELS_DIR / "bsc01.json"))
+        sessions = {
+            name: ChannelAnalysis(load_channel(CHANNELS_DIR / f"{name}.json")) for name in ("bsc01", "pure_pair")
+        }
         monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
-        session.curve(np.linspace(0.05, 0.5, 10))
-        assert count <= 20
+        for name, most in (("bsc01", 9), ("pure_pair", 8)):
+            count = 0
+            sessions[name].curve(np.linspace(0.05, 0.5, 10))
+            assert count <= most, name
 
 
 def _reference_channels() -> list[CQChannel]:
@@ -609,6 +640,7 @@ class TestStackedPaths:
             assert np.array_equal(got.prior, want.prior)
             assert (got.iterations, got.converged) == (want.iterations, want.converged)
             assert got.value == pytest.approx(want.value, rel=0, abs=1e-14)
+            assert got.gap == pytest.approx(want.gap, rel=0, abs=1e-15)
 
     @pytest.mark.parametrize("index", range(8))
     def test_stacked_slopes_match_one_row(self, index):
@@ -629,17 +661,35 @@ class TestStackedPaths:
         session = ChannelAnalysis(channel)
         rates = np.linspace(0.05, 0.95, 10) * session.capacity().value
         curve = session.curve(rates)
-        # A fresh session with curve's own first step, the cold alpha = 1/2
-        # solve of r_c, which the grid then keeps.
         single = ChannelAnalysis(channel)
-        single.critical_rate()
         for r, row in zip(rates, curve.rows):
             low, up = single.lower_bound(r), single.upper_bound(r)
             assert row.lower == pytest.approx(low.value, rel=0, abs=1e-12)
             assert row.upper == pytest.approx(low.value if row.equal else up.value, rel=0, abs=1e-12)
-            assert row.alpha_lower == pytest.approx(low.alpha, rel=0, abs=2 * analysis.ALPHA_TOL)
-            assert row.alpha_upper == pytest.approx(up.alpha, rel=0, abs=2 * analysis.ALPHA_TOL)
+            assert row.alpha_lower == pytest.approx(low.alpha, rel=0, abs=1e-12)
+            assert row.alpha_upper == pytest.approx(up.alpha, rel=0, abs=1e-12)
             assert row.upper_saturated == up.saturated
+
+    @pytest.mark.parametrize("index", range(8))
+    @pytest.mark.parametrize("solve_first", [False, True])
+    def test_call_order_does_not_move_results(self, index, solve_first):
+        # The grid owns its points and r_c: a mutual_info at a grid point
+        # before it, or bounds asked in another order, read the same grid.
+        channel = _reference_channels()[index]
+        session = ChannelAnalysis(channel)
+        rates = np.linspace(0.05, 0.95, 10) * session.capacity().value
+        curve = session.curve(rates)
+        other = ChannelAnalysis(channel)
+        if solve_first:
+            other.mutual_info(0.5)
+        ups = [other.upper_bound(r) for r in rates[::-1]][::-1]
+        lows = [other.lower_bound(r) for r in rates]
+        assert other.critical_rate() == pytest.approx(curve.critical_rate, rel=0, abs=1e-12)
+        for row, low, up in zip(curve.rows, lows, ups):
+            assert row.lower == pytest.approx(low.value, rel=0, abs=1e-12)
+            assert row.upper == pytest.approx(low.value if row.equal else up.value, rel=0, abs=1e-12)
+            assert row.alpha_lower == pytest.approx(low.alpha, rel=0, abs=1e-12)
+            assert row.alpha_upper == pytest.approx(up.alpha, rel=0, abs=1e-12)
 
 
 class TestDiagonalLetters:
@@ -985,6 +1035,26 @@ class TestAdditivity:
         product = ch.tensor(orthogonal_pair)
         joint = renyi_mi_channel(product, alpha).value
         assert joint == pytest.approx(single + 1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("case", ["bsc01", "pure_pair", 0, 1, 2])
+    def test_product_curve_is_twice_the_curve(self, case):
+        # E0 of N (x) N is 2 E0 of N, so every bound, r_c and C double along
+        # the whole pipeline: grid, root search and rows. The optimizing alpha
+        # sits on a flat maximum and is not compared.
+        if isinstance(case, str):
+            channel = load_channel(CHANNELS_DIR / f"{case}.json")
+        else:
+            channel = random_channel(2, 2, np.random.default_rng([6060, case]))
+        session = ChannelAnalysis(channel)
+        rates = np.linspace(0.05, 0.95, 10) * session.capacity().value
+        one = session.curve(rates)
+        two = ChannelAnalysis(channel.tensor(channel)).curve(2.0 * rates)
+        assert two.critical_rate == pytest.approx(2.0 * one.critical_rate, rel=0, abs=1e-12)
+        assert two.capacity == pytest.approx(2.0 * one.capacity, rel=0, abs=1e-12)
+        for a, b in zip(one.rows, two.rows):
+            assert b.lower == pytest.approx(2.0 * a.lower, rel=0, abs=1e-12)
+            assert b.upper == pytest.approx(2.0 * a.upper, rel=0, abs=1e-12)
+            assert b.equal == a.equal
 
 
 def test_analysis_does_not_import_coding():

@@ -282,7 +282,8 @@ class TestSimulate:
         assert res.exit_code == 0
         channel = load_channel(path)
         assert not channel.is_classical()
-        rows, records = estimate_exponent(channel, 0.3, [2, 4], 2, 1, return_trials=True)
+        rows = estimate_exponent(channel, 0.3, [2, 4], 2, 1)
+        records = [rec for row in rows for rec in row.trials]
         session = ChannelAnalysis(channel)
         prior = session.mutual_info(session.lower_bound(0.3).alpha).prior
         for rec in records:
@@ -415,6 +416,26 @@ class TestFormatting:
             res = runner.invoke(main, [args[0], str(path), *args[1:]])
             assert res.exit_code == 0, res.output
             assert zero in res.output and "-0.0" not in res.output, (args, res.output)
+
+    def test_json_lines_are_strict_json(self, runner):
+        # RFC 8259 has no Infinity or NaN: a non-finite cell prints as the
+        # CSV token. Every M = 1 row has an infinite implied exponent.
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        for args in (
+            ["simulate", NOISELESS, "--rate", "0.5", "--n-list", "2,4", "--trials", "2", "--seed", "1"],
+            ["exponent", BSC, "--rmin", "0.05", "--rmax", "0.5", "--steps", "3"],
+            ["besttype", PURE_PAIR, "--alpha", "0.5", "--nmax", "3"],
+            ["capacity", BSC],
+            ["renyi", BSC, "--alpha", "0.5"],
+        ):
+            res = runner.invoke(main, [*args, "--json"])
+            assert res.exit_code == 0, res.output
+            lines = res.stdout.strip().splitlines()
+            docs = [json.loads(line, parse_constant=reject) for line in lines]
+            if args[0] == "simulate":
+                assert [doc["implied_exponent"] for doc in docs] == ["inf", "inf"]
 
 
 class TestRerunsAndSaturation:

@@ -266,9 +266,8 @@ class TestEstimateExponent:
         assert a == b
 
     def test_records_and_ml_dominance(self, bsc_channel):
-        rows, records = estimate_exponent(
-            bsc_channel, 0.3, [2, 4], 15, seed=3, return_trials=True
-        )
+        rows = estimate_exponent(bsc_channel, 0.3, [2, 4], 15, seed=3)
+        records = [rec for row in rows for rec in row.trials]
         assert len(records) == 2 * 15 * 2  # two n values, two modes
         for rec in records:
             assert rec.ml_pe is not None
@@ -299,7 +298,8 @@ class TestPackingLimit:
         # path runs, and the same packing floor holds.
         gram = TestPathSelection._spy(monkeypatch, "_gram_errors")
         dense = TestPathSelection._spy(monkeypatch, "_pgm_error_dense")
-        rows, records = estimate_exponent(pure_pair, 1.2, [1, 2, 3], 5, seed=4, return_trials=True)
+        rows = estimate_exponent(pure_pair, 1.2, [1, 2, 3], 5, seed=4)
+        records = [rec for row in rows for rec in row.trials]
         assert [row.size for row in rows] == [2, 5, 12]
         assert [args[1].shape[2] for args, _ in gram] == [1]
         assert len(dense) == sum(rec.n > 1 for rec in records)
@@ -521,7 +521,7 @@ class TestPathSelection:
     def test_pure_channel_takes_gram_path(self, monkeypatch, pure_pair):
         dense = self._spy(monkeypatch, "_pgm_error_dense")
         gram = self._spy(monkeypatch, "_gram_errors")
-        _, records = estimate_exponent(pure_pair, 0.3, [2, 4], 3, seed=5, return_trials=True)
+        records = [rec for row in estimate_exponent(pure_pair, 0.3, [2, 4], 3, seed=5) for rec in row.trials]
         assert not dense
         assert sum(len(out) for _, out in gram) == len(records)
         _check_against_references(pure_pair, 0.3, 5, records)
@@ -534,7 +534,7 @@ class TestPathSelection:
         assert pure_letter_overlaps(ch) is None
         dense = self._spy(monkeypatch, "_pgm_error_dense")
         gram = self._spy(monkeypatch, "_gram_errors")
-        _, records = estimate_exponent(ch, 0.3, [2, 4], 3, seed=5, return_trials=True)
+        records = [rec for row in estimate_exponent(ch, 0.3, [2, 4], 3, seed=5) for rec in row.trials]
         assert not gram
         assert [out for _, out in dense] == [rec.pe for rec in records]
 
@@ -562,7 +562,7 @@ class TestSequenceTable:
 
     def test_one_table_per_codebook(self, monkeypatch, bsc_channel):
         tables = TestPathSelection._spy(monkeypatch, "_sequence_table")
-        _, records = estimate_exponent(bsc_channel, 0.3, [4, 6], 4, seed=2, return_trials=True)
+        records = [rec for row in estimate_exponent(bsc_channel, 0.3, [4, 6], 4, seed=2) for rec in row.trials]
         assert sum(len(q) for _, q in tables) == len(records)
         _check_against_references(bsc_channel, 0.3, 2, records)
 
@@ -583,10 +583,12 @@ class TestBatching:
     @pytest.mark.parametrize("name, kernel", [("bsc01", "_sequence_table"), ("pure_pair", "_gram_errors")])
     def test_chunks_of_one_match_default(self, monkeypatch, name, kernel):
         channel = load_channel(CHANNELS_DIR / f"{name}.json")
-        rows, records = estimate_exponent(channel, 0.3, [2, 4, 6, 8], 6, seed=8, return_trials=True)
+        rows = estimate_exponent(channel, 0.3, [2, 4, 6, 8], 6, seed=8)
+        records = [rec for row in rows for rec in row.trials]
         monkeypatch.setattr(coding, "CHUNK_ENTRIES", 1)
         calls = TestPathSelection._spy(monkeypatch, kernel)
-        chunked_rows, chunked = estimate_exponent(channel, 0.3, [2, 4, 6, 8], 6, seed=8, return_trials=True)
+        chunked_rows = estimate_exponent(channel, 0.3, [2, 4, 6, 8], 6, seed=8)
+        chunked = [rec for row in chunked_rows for rec in row.trials]
         assert len(calls) == len(records)  # every codebook a chunk of its own
         assert [(r.n, r.trial, r.mode) for r in chunked] == [(r.n, r.trial, r.mode) for r in records]
         for a, b in zip(chunked, records):
@@ -596,7 +598,7 @@ class TestBatching:
 
     def test_default_chunks_hold_at_most_the_bound(self, monkeypatch, bsc_channel):
         tables = TestPathSelection._spy(monkeypatch, "_sequence_table")
-        _, records = estimate_exponent(bsc_channel, 0.3, [8], 100, seed=3, return_trials=True)
+        records = [rec for row in estimate_exponent(bsc_channel, 0.3, [8], 100, seed=3) for rec in row.trials]
         sizes = [q.size for _, q in tables]
         assert len(sizes) > 1 and max(sizes) <= coding.CHUNK_ENTRIES
         assert sum(len(q) for _, q in tables) == len(records) == 200
@@ -637,7 +639,8 @@ class TestBatching:
         # under every codeword of a book, so s = 0 columns sit in the stack.
         channel = load_channel(CHANNELS_DIR / "noiseless_bit.json")
         tables = TestPathSelection._spy(monkeypatch, "_sequence_table")
-        rows, records = estimate_exponent(channel, 0.5, [2, 4, 6], 10, seed=12, return_trials=True)
+        rows = estimate_exponent(channel, 0.5, [2, 4, 6], 10, seed=12)
+        records = [rec for row in rows for rec in row.trials]
         monkeypatch.undo()
         assert any((q.sum(axis=1) == 0).any() for _, q in tables)
         for rec in records:
@@ -652,7 +655,7 @@ class TestClassicalDetection:
         assert channel.is_classical()
         tables = TestPathSelection._spy(monkeypatch, "_sequence_table")
         dense = TestPathSelection._spy(monkeypatch, "_pgm_error_dense")
-        _, records = estimate_exponent(channel, 0.3, [2, 4], 3, seed=6, return_trials=True)
+        records = [rec for row in estimate_exponent(channel, 0.3, [2, 4], 3, seed=6) for rec in row.trials]
         assert not dense
         assert sum(len(q) for _, q in tables) == len(records)
         assert all(rec.ml_pe is not None for rec in records)
@@ -671,7 +674,7 @@ class TestClassicalDetection:
             channel.common_eigenbasis()
         tables = TestPathSelection._spy(monkeypatch, "_sequence_table")
         dense = TestPathSelection._spy(monkeypatch, "_pgm_error_dense")
-        _, records = estimate_exponent(channel, 0.3, [2, 4], 3, seed=6, return_trials=True)
+        records = [rec for row in estimate_exponent(channel, 0.3, [2, 4], 3, seed=6) for rec in row.trials]
         assert not tables
         assert [out for _, out in dense] == [rec.pe for rec in records]
 
