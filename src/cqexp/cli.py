@@ -4,13 +4,14 @@ Exit codes: 0 success, 2 validation failure, 3 numerical failure,
 4 resource cap exceeded. CSV goes to stdout (header always included,
 numeric fields with 9 significant digits); diagnostics go to stderr.
 ``--json`` switches to one JSON object per row; ``--nats`` converts
-bit-valued outputs to nats on emission only. ``--seed`` (simulate) seeds
-the codebooks; ``--max-dim`` (simulate, besttype) overrides the cap on
-the dimension of the matrix decomposed at blocklength n: for pure letters
-the codebook or type-class size while it is at most d^n, the state
-dimension d^n otherwise. Every decomposed matrix (d^n x d^n states and
-Gram matrices) has a fixed ceiling, ``config.MAX_TENSOR_DIM``, that
-``--max-dim`` does not raise; ``simulate`` holds the codebook size M to it too.
+bit-valued outputs to nats on emission only. ``--seed`` (simulate), a
+non-negative integer, seeds the codebooks; ``--max-dim`` (simulate,
+besttype) overrides the cap on the dimension of the matrix decomposed at
+blocklength n: for pure letters the codebook or type-class size while it
+is at most d^n, the state dimension d^n otherwise. Every decomposed
+matrix (d^n x d^n states and Gram matrices) has a fixed ceiling,
+``config.MAX_TENSOR_DIM``, that ``--max-dim`` does not raise; ``simulate``
+holds the codebook size M to it too.
 """
 
 from __future__ import annotations

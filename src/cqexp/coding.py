@@ -141,35 +141,87 @@ class ExponentEstimate:
     trials: tuple[TrialRecord, ...] = ()
 
 
+def _seed_words(seed) -> np.ndarray:
+    """The uint32 entropy words that ``np.random.SeedSequence`` reads from ``seed``.
+
+    ``seed`` is a non-negative integer, a sequence of them, or a uint32
+    array, which is already its words. Each integer gives its 32-bit words,
+    low word first (0 gives one zero word), and the words of a sequence
+    follow each other, so ``SeedSequence`` of the result seeds the same
+    stream as ``SeedSequence(seed)``.
+    """
+    if isinstance(seed, np.ndarray) and seed.dtype == np.uint32:
+        return seed
+    if isinstance(seed, (int, np.integer)):
+        entries = (seed,)
+    elif isinstance(seed, (list, tuple, np.ndarray)):
+        entries = seed
+    else:
+        raise TypeError(f"seed must be a non-negative integer or a sequence of them, got {seed!r}")
+    words = []
+    for value in entries:
+        if not isinstance(value, (int, np.integer)):
+            raise TypeError(f"seed entries must be integers, got {value!r}")
+        value = int(value)
+        if value < 0:
+            raise ValueError(f"expected non-negative integer seed entries, got {value}")
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+        while value:
+            words.append(value & 0xFFFFFFFF)
+            value >>= 32
+    return np.array(words, dtype=np.uint32)
+
+
 def _draw_words(alphabet_size: int, n: int, size: int, mode, seeds) -> np.ndarray:
-    """(len(seeds), size, n) letters: one random codebook per seed, each from its own stream."""
+    """(len(seeds), size, n) letters: one random codebook per seed, each from its own stream.
+
+    Codebook b is drawn from ``Generator(PCG64(SeedSequence(seeds[b])))``,
+    the stream of ``np.random.default_rng(seeds[b])``; each seed is a
+    non-negative integer, a sequence of them, or a uint32 array of
+    ``SeedSequence`` words (see ``_seed_words``).
+
+    * i.i.d.: letter (m, i) is the inverse CDF of the prior (negative
+      weights clipped to 0, then normalised) at draw (m, i) of the stream's
+      ``random((size, n))``. One ``searchsorted`` serves the whole stack.
+    * constant-composition: codeword m is row m of the stream's
+      ``permuted`` of the (size, n) array whose rows are the sorted type,
+      so each row is an independent uniform permutation.
+
+    The prior and the composition are checked before any stream is built.
+    """
     if size < 1 or n < 1:
         raise ValueError("need size >= 1 and n >= 1")
-    streams = [
-        np.random.default_rng(seed if isinstance(seed, (int, np.integer)) else list(seed))
-        for seed in seeds
-    ]
-    words = np.empty((len(streams), size, n), dtype=np.intp)
     if isinstance(mode, IID):
         prior = np.asarray(mode.prior, dtype=float)
         if prior.shape != (alphabet_size,):
             raise DimensionError(f"prior length {prior.shape} != alphabet {alphabet_size}")
         prior = np.clip(prior, 0.0, None)
-        prior = prior / prior.sum()
-        for book, rng in zip(words, streams):
-            book[:] = rng.choice(alphabet_size, size=(size, n), p=prior)
+        total = prior.sum()
+        if not (np.isfinite(total) and total > 0.0):
+            raise ValueError(f"prior must be finite with a positive weight, got {mode.prior!r}")
+        cdf = np.cumsum(prior / total)
+        cdf /= cdf[-1]
     elif isinstance(mode, ConstantComposition):
         t = mode.composition
         if t.n != n:
             raise ValueError(f"composition blocklength {t.n} != n {n}")
         if t.alphabet_size != alphabet_size:
             raise DimensionError("composition alphabet does not match")
-        base = np.repeat(np.arange(alphabet_size), t.counts)
-        for book, rng in zip(words, streams):
-            for word in book:
-                word[:] = rng.permutation(base)
+        rows = np.broadcast_to(np.repeat(np.arange(alphabet_size), t.counts), (size, n))
     else:
         raise TypeError(f"unknown codebook mode {mode!r}")
+    # numpy loads np.random on first use; looked up here, it stays out of `import cqexp`.
+    rnd = np.random
+    streams = [rnd.Generator(rnd.PCG64(rnd.SeedSequence(words))) for words in map(_seed_words, seeds)]
+    if isinstance(mode, IID):
+        u = np.empty((len(streams), size, n))
+        for book, rng in zip(u, streams):
+            rng.random(out=book)
+        return cdf.searchsorted(u, side="right")
+    words = np.empty((len(streams), size, n), dtype=np.intp)
+    for book, rng in zip(words, streams):
+        rng.permuted(rows, axis=1, out=book)
     return words
 
 
@@ -308,8 +360,13 @@ def estimate_exponent(
     both modes: i.i.d. from the prior optimizing the achievability bound at
     this rate, and constant-composition at the nearest type. The reported
     statistic is the minimum exact PGM error over all draws, mirroring the
-    infimum over codes; the mean is kept for diagnostics. Each trial derives
-    its RNG stream from (seed, n, trial, mode). All 2 x ``trials_per_n``
+    infimum over codes; the mean is kept for diagnostics. ``seed`` is a
+    non-negative integer; a negative one raises ``ValueError`` before any
+    work. Codebook ``trial`` of mode m (0 i.i.d., 1 constant-composition)
+    is drawn by ``_draw_words`` from the stream of ``[seed, n, trial, m]``:
+    i.i.d. letters are the prior's inverse CDF at the stream's
+    ``random((M, n))``, and constant-composition codewords are the rows of
+    the sorted type, each permuted by the stream. All 2 x ``trials_per_n``
     codebooks of one blocklength are drawn into one letter stack and
     evaluated together on the diagonal or Gram path of the module docstring,
     in chunks of at most ``CHUNK_ENTRIES`` entries; the dense path takes them
@@ -323,6 +380,7 @@ def estimate_exponent(
     """
     if trials_per_n < 1:
         raise ValueError("trials_per_n must be >= 1")
+    _seed_words(seed)  # a bad seed fails before any work, even when no codebook is drawn
     if analysis is None:
         analysis = ChannelAnalysis(channel)
     low = analysis.lower_bound(rate)
@@ -364,15 +422,16 @@ def estimate_exponent(
             )
             continue
         modes = (IID(prior=prior), ConstantComposition(nearest_type(prior, n)))
+        # keys[mode, trial] holds the SeedSequence words of [seed, n, trial, mode];
+        # trial and mode are below 2^32, so each is one word.
+        prefix = _seed_words([seed, n])
+        keys = np.zeros((2, trials_per_n, len(prefix) + 2), dtype=np.uint32)
+        keys[..., :-2] = prefix
+        keys[..., -2] = np.arange(trials_per_n)
+        keys[1, :, -1] = 1
         # (trials, mode, M, n), flattened so that codebook b is trial b // 2 in mode b % 2.
         words = np.stack(
-            [
-                _draw_words(
-                    channel.size, n, size, mode, [[seed, n, trial, mode_idx] for trial in range(trials_per_n)]
-                )
-                for mode_idx, mode in enumerate(modes)
-            ],
-            axis=1,
+            [_draw_words(channel.size, n, size, mode, keys[m]) for m, mode in enumerate(modes)], axis=1
         ).reshape(-1, size, n)
         pes, mls = errors(words, gram)
         trials = tuple(

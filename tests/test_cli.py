@@ -238,6 +238,27 @@ class TestSimulate:
         assert a.exit_code == b.exit_code == 0
         assert a.output == b.output
 
+    @pytest.mark.parametrize("n_list", ["2,4", "1"])
+    def test_negative_seed_exit_2(self, runner, n_list):
+        # n = 1 at R = 0.3 draws no codebook; the seed is rejected all the same.
+        res = runner.invoke(main, [
+            "simulate", BSC, "--rate", "0.3", "--n-list", n_list, "--trials", "2", "--seed", "-1",
+        ])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: expected non-negative integer")
+
+    def test_seed_past_32_bits(self, runner):
+        res = runner.invoke(main, [
+            "simulate", BSC, "--rate", "0.3", "--n-list", "2,4", "--trials", "3", "--seed", str(2 ** 32),
+        ])
+        assert res.exit_code == 0
+        low = runner.invoke(main, [
+            "simulate", BSC, "--rate", "0.3", "--n-list", "2,4", "--trials", "3", "--seed", "0",
+        ])
+        assert len(rows_of(res.output)[1]) == 2
+        assert res.output != low.output  # 2^32 is the words [0, 1], not a wrapped 0
+
     def test_resource_cap_exit_4(self, runner):
         res = runner.invoke(main, [
             "simulate", BSC, "--rate", "0.3", "--n-list", "20", "--trials", "2", "--seed", "1",

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from functools import reduce
 from pathlib import Path
 
@@ -96,6 +97,94 @@ class TestGenerateCodebook:
     def test_composition_blocklength_mismatch(self):
         with pytest.raises(ValueError):
             generate_codebook(2, 3, 4, ConstantComposition(TypeClass(4, (2, 2))), seed=0)
+
+
+def _draw_with_choice(alphabet_size, n, size, mode, seeds):
+    """The stream contract as numpy's own samplers state it: one ``default_rng`` per seed,
+    then ``choice(p=...)`` for i.i.d. codebooks or one ``permutation`` per constant-composition word."""
+    streams = [np.random.default_rng(seed if isinstance(seed, int) else list(seed)) for seed in seeds]
+    words = np.empty((len(streams), size, n), dtype=np.intp)
+    if isinstance(mode, IID):
+        prior = np.clip(np.asarray(mode.prior, dtype=float), 0.0, None)
+        prior = prior / prior.sum()
+        for book, rng in zip(words, streams):
+            book[:] = rng.choice(alphabet_size, size=(size, n), p=prior)
+    else:
+        base = np.repeat(np.arange(alphabet_size), mode.composition.counts)
+        for book, rng in zip(words, streams):
+            for word in book:
+                word[:] = rng.permutation(base)
+    return words
+
+
+class TestDrawStreams:
+    """``_draw_words`` draws every codebook bit for bit as ``choice``/``permutation`` on its own stream."""
+
+    SEEDS = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3)
+    MODES = [
+        (2, 5, IID(prior=np.array([0.0, 1.0]))),  # zero entry
+        (2, 5, IID(prior=np.array([3.0, 7.0]))),  # not normalised
+        (3, 5, IID(prior=np.array([0.2, 0.3, 0.5]))),
+        (3, 5, IID(prior=np.array([0.25, 0.0, 0.75]))),
+        (2, 6, ConstantComposition(TypeClass(6, (2, 4)))),
+        (3, 5, ConstantComposition(TypeClass(5, (2, 0, 3)))),  # zero count
+        (3, 4, ConstantComposition(TypeClass(4, (1, 1, 2)))),
+    ]
+
+    @pytest.mark.parametrize("size", [1, 7])
+    @pytest.mark.parametrize("alphabet_size, n, mode", MODES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_numpy_samplers(self, seed, alphabet_size, n, mode, size):
+        for seeds in ([seed], [[seed, n, trial, 1] for trial in range(3)]):
+            got = coding._draw_words(alphabet_size, n, size, mode, seeds)
+            assert got.shape == (len(seeds), size, n)
+            assert np.array_equal(got, _draw_with_choice(alphabet_size, n, size, mode, seeds))
+
+    def test_word_rows_are_their_seed_lists(self):
+        # A uint32 row is already SeedSequence words: [seed, n, trial, mode]
+        # as one row draws what the list itself draws.
+        mode = IID(prior=np.array([0.4, 0.6]))
+        for seed in self.SEEDS:
+            keys = np.array([coding._seed_words([seed, 4, trial, 0]) for trial in range(3)])
+            assert keys.dtype == np.uint32
+            lists = [[seed, 4, trial, 0] for trial in range(3)]
+            assert np.array_equal(coding._draw_words(2, 4, 6, mode, keys), _draw_with_choice(2, 4, 6, mode, lists))
+
+    @pytest.mark.parametrize("seed, words", [
+        (0, [0]),
+        (2 ** 32 - 1, [2 ** 32 - 1]),
+        (2 ** 32, [0, 1]),
+        (2 ** 64 + 3, [3, 0, 1]),
+        ([7, 0, 2 ** 32 + 5], [7, 0, 5, 1]),
+    ])
+    def test_seed_words(self, seed, words):
+        assert coding._seed_words(seed).tolist() == words
+
+    @pytest.mark.parametrize("prior", [[0.0, 0.0], [-1.0, -2.0], [np.nan, 1.0], [np.inf, 1.0]])
+    def test_unusable_prior_fails_before_any_stream(self, monkeypatch, prior):
+        def no_stream(*args):
+            raise AssertionError("stream built for an unusable prior")
+
+        monkeypatch.setattr(np.random, "PCG64", no_stream)
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="prior must be finite with a positive weight"):
+                generate_codebook(2, 3, 4, IID(prior=np.array(prior)), seed=0)
+
+    @pytest.mark.parametrize("seed", [1.5, [1, 2.0], "7", None])
+    def test_non_integer_seed_is_a_type_error(self, seed):
+        with pytest.raises(TypeError, match="seed"):
+            generate_codebook(2, 3, 4, IID(prior=np.array([0.5, 0.5])), seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, [3, -1]])
+    def test_negative_seed_is_a_value_error(self, seed):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            generate_codebook(2, 3, 4, IID(prior=np.array([0.5, 0.5])), seed=seed)
+
+    def test_estimate_rejects_a_negative_seed_without_drawing(self, bsc_channel):
+        # n = 1 at R = 0.3 is a single-message row, which draws no codebook.
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            estimate_exponent(bsc_channel, 0.3, [1], 2, seed=-1)
 
 
 class TestPGMDecoder:
