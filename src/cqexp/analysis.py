@@ -552,6 +552,9 @@ def constant_composition_mi(
     letters give a diagonal average in their common eigenbasis: the mean
     over T of the d^n output-sequence rows of W^a, a table capped by
     ``max_sim_dim`` alone, as on the coding table path.
+
+    A class of one sequence is exactly 0 on every path, with nothing built:
+    its average is a product state, and tr[(rho_xn^a)^(1/a)] = 1.
     """
     alpha = check_alpha(alpha, allow_one=False)
     if alpha <= 0.0:
@@ -561,6 +564,8 @@ def constant_composition_mi(
     n = t.n
     full_dim = channel.dim ** n
     count = t.sequence_count()
+    if count == 1:
+        return 0.0
     overlaps = pure_letter_overlaps(channel)
     if overlaps is not None and count <= full_dim:
         config.check(count)
@@ -580,7 +585,7 @@ def constant_composition_mi(
         for seq in enumerate_sequences(t):
             avg += tensor_all([powers[x] for x in seq])
         total = float(np.trace(mat_power(avg / count, 1.0 / alpha)).real)
-    # + 0.0 turns the -0.0 of a one-sequence class (total exactly 1) into 0.0.
+    # + 0.0 turns a -0.0 (total exactly 1) into 0.0.
     return alpha / (alpha - 1.0) / n * math.log(total) / LN_BASE + 0.0
 
 

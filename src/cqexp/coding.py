@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -137,8 +137,20 @@ class ExponentEstimate:
     best_pe: float
     mean_pe: float
     implied_exponent: float
-    # One record per codebook drawn at this blocklength; none when M = 1.
-    trials: tuple[TrialRecord, ...] = ()
+    # The PGM error of each codebook drawn at this blocklength, codebook
+    # b = 2 * trial + mode (mode 0 i.i.d., 1 constant-composition), and its
+    # exact ML error on commuting channels (None elsewhere); empty when M = 1.
+    pgm_errors: tuple[float, ...] = ()
+    ml_errors: tuple[float, ...] | None = None
+
+    @property
+    def trials(self) -> tuple[TrialRecord, ...]:
+        """One :class:`TrialRecord` per codebook, built when read."""
+        mls = self.ml_errors or (None,) * len(self.pgm_errors)
+        return tuple(
+            TrialRecord(n=self.n, trial=b // 2, mode=("iid", "cc")[b % 2], pe=pe, ml_pe=ml)
+            for b, (pe, ml) in enumerate(zip(self.pgm_errors, mls))
+        )
 
 
 def _seed_words(seed) -> np.ndarray:
@@ -173,13 +185,121 @@ def _seed_words(seed) -> np.ndarray:
     return np.array(words, dtype=np.uint32)
 
 
+# The hash constants of numpy's ``SeedSequence`` (NumPy's bit_generator.pyx):
+# hashmix multipliers of pool mixing (A) and of state generation (B), and the
+# two multipliers of ``mix``.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL = 4  # SeedSequence's default pool size, in words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult^k mod 2^32 for k = 0..count: the constant that each of ``count``
+    hashmix calls in a row reads, and the one after the last."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+def _hashmix(value: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of uint32 ``value`` rows with a column of constants,
+    one more than rows: row i is xored with constant i and multiplied by constant i + 1."""
+    value = (value ^ const[:-1]) * const[1:]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_L - y * _MIX_R
+    return out ^ (out >> 16)
+
+
+def _seed_states(words: np.ndarray) -> np.ndarray:
+    """(B, 4) uint64: ``SeedSequence(row).generate_state(4, np.uint64)`` for each row of a
+    (B, L) uint32 word stack, in one pass over the stack.
+
+    The pool of 4 words takes the hashmix of the first 4 words (0 for a
+    missing word, which is zero-padding), then each pool word mixes in the
+    hashmix of every other one, then the hashmix of each word past the
+    fourth; state word j is the B-hashmix of pool word j mod 4, and pairs
+    of words are read as little-endian uint64s. Every hashmix call takes
+    the next constant of its chain, as ``SeedSequence`` does. The work runs
+    on (word, B) rows, so every step is one operation over all B streams.
+    """
+    books, length = words.shape
+    entropy = np.zeros((max(length, _POOL), books), dtype=np.uint32)
+    entropy[:length] = words.T
+    const = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * max(length - _POOL, 0))[:, None]
+    pool = _hashmix(entropy[:_POOL], const[:_POOL + 1])
+    k = _POOL
+    for src in range(_POOL):  # pool word src into every other pool word, in order
+        hashed = _hashmix(pool[src], const[k:k + _POOL])
+        pool[:src] = _mix(pool[:src], hashed[:src])
+        pool[src + 1:] = _mix(pool[src + 1:], hashed[src:])
+        k += _POOL - 1
+    for src in range(_POOL, length):
+        pool = _mix(pool, _hashmix(entropy[src], const[k:k + _POOL + 1]))
+        k += _POOL
+    state = _hashmix(np.concatenate((pool, pool)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)[:, None])
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _stream_states(seeds) -> np.ndarray:
+    """(len(seeds), 4) uint64 PCG64 seed states of ``seeds`` (see ``_draw_words``).
+
+    A 2-D uint32 array is a stack of word rows and is hashed as it is;
+    otherwise each seed gives its words (``_seed_words``), every seed is
+    checked before any is hashed, and the rows are hashed in one pass per
+    word count.
+    """
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint32 and seeds.ndim == 2:
+        return _seed_states(seeds)
+    rows = [_seed_words(seed) for seed in seeds]
+    states = np.empty((len(rows), 4), dtype=np.uint64)
+    for length in {len(row) for row in rows}:
+        at = [b for b, row in enumerate(rows) if len(row) == length]
+        states[at] = _seed_states(np.array([rows[b] for b in at], dtype=np.uint32).reshape(len(at), length))
+    return states
+
+
+@cache
+def _seed_state_type() -> type:
+    """numpy's ``ISeedSequence`` for one precomputed state row.
+
+    ``PCG64`` seeds itself from ``generate_state(4, np.uint64)`` of its
+    seed sequence; this one returns its row, so numpy does the PCG64
+    seeding itself. Defined on first use, so ``import cqexp`` does not load
+    ``numpy.random``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedState(ISeedSequence):
+        __slots__ = ("state",)
+
+        def __init__(self, state: np.ndarray) -> None:
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, dtype) != (4, np.uint64):
+                raise ValueError(f"a seed state holds 4 uint64 words, not {n_words} of {dtype}")
+            return self.state
+
+    return SeedState
+
+
 def _draw_words(alphabet_size: int, n: int, size: int, mode, seeds) -> np.ndarray:
     """(len(seeds), size, n) letters: one random codebook per seed, each from its own stream.
 
     Codebook b is drawn from ``Generator(PCG64(SeedSequence(seeds[b])))``,
     the stream of ``np.random.default_rng(seeds[b])``; each seed is a
     non-negative integer, a sequence of them, or a uint32 array of
-    ``SeedSequence`` words (see ``_seed_words``).
+    ``SeedSequence`` words (see ``_seed_words``), and a 2-D uint32 array is
+    a stack of such rows. cqexp computes the ``SeedSequence`` states of all
+    seeds itself, in one pass (``_seed_states``), and hands each to numpy's
+    ``PCG64`` through numpy's ``ISeedSequence`` interface; numpy seeds PCG64
+    and draws. The streams are those of numpy's stream policy (NEP 19), and
+    the tests compare states and draws against numpy's own ``SeedSequence``.
 
     * i.i.d.: letter (m, i) is the inverse CDF of the prior (negative
       weights clipped to 0, then normalised) at draw (m, i) of the stream's
@@ -188,7 +308,8 @@ def _draw_words(alphabet_size: int, n: int, size: int, mode, seeds) -> np.ndarra
       ``permuted`` of the (size, n) array whose rows are the sorted type,
       so each row is an independent uniform permutation.
 
-    The prior and the composition are checked before any stream is built.
+    The prior, the composition and the seeds are checked before any stream
+    is built.
     """
     if size < 1 or n < 1:
         raise ValueError("need size >= 1 and n >= 1")
@@ -211,15 +332,17 @@ def _draw_words(alphabet_size: int, n: int, size: int, mode, seeds) -> np.ndarra
         rows = np.broadcast_to(np.repeat(np.arange(alphabet_size), t.counts), (size, n))
     else:
         raise TypeError(f"unknown codebook mode {mode!r}")
+    states = _stream_states(seeds)
     # numpy loads np.random on first use; looked up here, it stays out of `import cqexp`.
-    rnd = np.random
-    streams = [rnd.Generator(rnd.PCG64(rnd.SeedSequence(words))) for words in map(_seed_words, seeds)]
+    rnd, seeded = np.random, _seed_state_type()
+    # One stream at a time: a stream lives only while it fills its codebook.
+    streams = (rnd.Generator(rnd.PCG64(seeded(state))) for state in states)
     if isinstance(mode, IID):
-        u = np.empty((len(streams), size, n))
+        u = np.empty((len(states), size, n))
         for book, rng in zip(u, streams):
             rng.random(out=book)
         return cdf.searchsorted(u, side="right")
-    words = np.empty((len(streams), size, n), dtype=np.intp)
+    words = np.empty((len(states), size, n), dtype=np.intp)
     for book, rng in zip(words, streams):
         rng.permuted(rows, axis=1, out=book)
     return words
@@ -363,10 +486,15 @@ def estimate_exponent(
     infimum over codes; the mean is kept for diagnostics. ``seed`` is a
     non-negative integer; a negative one raises ``ValueError`` before any
     work. Codebook ``trial`` of mode m (0 i.i.d., 1 constant-composition)
-    is drawn by ``_draw_words`` from the stream of ``[seed, n, trial, m]``:
-    i.i.d. letters are the prior's inverse CDF at the stream's
-    ``random((M, n))``, and constant-composition codewords are the rows of
-    the sorted type, each permuted by the stream. All 2 x ``trials_per_n``
+    is drawn by ``_draw_words`` from the stream of ``[seed, n, trial, m]``,
+    numpy's ``Generator(PCG64(SeedSequence([seed, n, trial, m])))``. cqexp
+    computes the ``SeedSequence`` states of all streams of a blocklength
+    itself, in one pass, and hands them to numpy's ``PCG64`` through
+    ``ISeedSequence``; numpy's stream policy (NEP 19) keeps the streams
+    stable, and the tests fail loudly if numpy's seeding drifts. i.i.d.
+    letters are the prior's inverse CDF at the stream's ``random((M, n))``,
+    and constant-composition codewords are the rows of the sorted type,
+    each permuted by the stream. All 2 x ``trials_per_n``
     codebooks of one blocklength are drawn into one letter stack and
     evaluated together on the diagonal or Gram path of the module docstring,
     in chunks of at most ``CHUNK_ENTRIES`` entries; the dense path takes them
@@ -375,8 +503,9 @@ def estimate_exponent(
     caps of the module docstring.
 
     Returns one :class:`ExponentEstimate` per blocklength, carrying the
-    :class:`TrialRecord` of each codebook (with exact ML errors on commuting
-    channels).
+    PGM error of each codebook (and its exact ML error on commuting
+    channels); its ``trials`` property builds one
+    :class:`TrialRecord` per codebook when read.
     """
     if trials_per_n < 1:
         raise ValueError("trials_per_n must be >= 1")
@@ -390,20 +519,19 @@ def estimate_exponent(
     except NotClassical:
         w = None
     overlaps = None if w is not None else pure_letter_overlaps(channel)
-    names = ("iid", "cc")
 
-    def errors(words: np.ndarray, gram: bool) -> tuple[list[float], list[float | None]]:
+    def errors(words: np.ndarray, gram: bool) -> tuple[tuple[float, ...], tuple[float, ...] | None]:
         """PGM and ML errors (None off the diagonal path) of a (B, M, n) letter stack."""
-        books, size, n = words.shape
+        size, n = words.shape[1:]
         if w is not None:
             pe, ml = _in_chunks(
                 lambda part: _table_errors(_sequence_table(w, part)), words, size * w.shape[1] ** n
             )
-            return pe.tolist(), ml.tolist()
+            return tuple(pe.tolist()), tuple(ml.tolist())
         if gram:
             pe = _in_chunks(lambda part: _gram_errors(overlaps, part), words, size * size)
-            return pe.tolist(), [None] * books
-        return [_pgm_error_dense(channel, _as_codebook(book), config) for book in words], [None] * books
+            return tuple(pe.tolist()), None
+        return tuple(_pgm_error_dense(channel, _as_codebook(book), config) for book in words), None
 
     estimates: list[ExponentEstimate] = []
     for n in n_list:
@@ -434,16 +562,12 @@ def estimate_exponent(
             [_draw_words(channel.size, n, size, mode, keys[m]) for m, mode in enumerate(modes)], axis=1
         ).reshape(-1, size, n)
         pes, mls = errors(words, gram)
-        trials = tuple(
-            TrialRecord(n=n, trial=b // 2, mode=names[b % 2], pe=pe, ml_pe=ml)
-            for b, (pe, ml) in enumerate(zip(pes, mls))
-        )
         best = min(pes)
         implied = math.inf if best <= 0.0 else -math.log(best) / (n * LN_BASE)
         estimates.append(
             ExponentEstimate(
                 n=n, size=size, best_pe=best, mean_pe=float(np.mean(pes)), implied_exponent=implied,
-                trials=trials,
+                pgm_errors=pes, ml_errors=mls,
             )
         )
     return estimates

@@ -121,12 +121,19 @@ def _sequence_table(w: np.ndarray, words: np.ndarray) -> np.ndarray:
 
     Row (b, m) is w[x_1] (x) ... (x) w[x_n] for codeword m of codebook b: with
     w a stochastic matrix, the output-sequence probabilities of that codeword.
-    It is built one position at a time for the whole stack at once.
+    It is built one position at a time for the whole stack at once: step i
+    writes column k * d + y of the next table as column k of the last one
+    times w[x_i, y], one multiply over all k per output letter y.
     """
     books, size, n = words.shape
+    d = w.shape[1]
     q = w[words[:, :, 0]]
     for i in range(1, n):
-        q = (q[:, :, :, None] * w[words[:, :, i]][:, :, None, :]).reshape(books, size, -1)
+        step = w[words[:, :, i]]
+        new = np.empty(q.shape + (d,), dtype=q.dtype)
+        for y in range(d):
+            np.multiply(q, step[:, :, y, None], out=new[..., y])
+        q = new.reshape(books, size, -1)
     return q
 
 

@@ -864,6 +864,28 @@ class TestConstantComposition:
         with pytest.raises(TooLarge):
             constant_composition_mi(orthogonal_pair, TypeClass(4, (2, 2)), 0.5, tight)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    def test_one_sequence_classes_exactly_zero_on_every_path(self, monkeypatch, alpha):
+        # A one-sequence class averages to a product state, so its trace is
+        # exactly 1. The Gram (pure_pair), table (bsc01) and dense (a mixed
+        # non-commuting 3-dimensional pair) bodies each gave rounding noise
+        # here, such as 6.9e-17 on bsc01 and -1.4e-16 on the dense pair at
+        # alpha = 0.3; none of them runs now.
+        channels = [
+            load_channel(CHANNELS_DIR / "pure_pair.json"),
+            load_channel(CHANNELS_DIR / "bsc01.json"),
+            random_channel(2, 3, np.random.default_rng([20, 3])),
+        ]
+        assert not channels[2].is_classical() and pure_letter_overlaps(channels[2]) is None
+        for name in ("gram_stack", "_sequence_table", "tensor_all", "mat_power"):
+            monkeypatch.setattr(analysis, name, None)  # any body call fails
+        for ch in channels:
+            for n in (1, 3):
+                for x in range(ch.size):
+                    counts = tuple(n if a == x else 0 for a in range(ch.size))
+                    v = constant_composition_mi(ch, TypeClass(n, counts), alpha)
+                    assert v == 0.0 and math.copysign(1.0, v) == 1.0
+
 
 class TestConstantCompositionGram:
     """The Gram path for pure letters against the dense d^n body."""

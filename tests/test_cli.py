@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -549,3 +551,75 @@ class TestGoldenOutputs:
         res = runner.invoke(main, ["besttype", PURE_PAIR, "--alpha", "0.5", "--nmax", "8"])
         assert res.exit_code == 0
         assert res.stdout == GOLDEN_BESTTYPE_PURE_PAIR
+
+
+# Stdout of the two golden simulate commands at seeds whose stream keys
+# [seed, n, trial, mode] hash as rows of 4, 5 and 6 SeedSequence words.
+GOLDEN_SIMULATE_SEEDS = {
+    ("pure_pair", 0): """\
+n,M,best_pe,mean_pe,implied_exponent,lower_bound,upper_bound
+2,2,0.0669872981,0.238406572,1.94998431,0.115037499,0.115043006
+4,2,0.0158770817,0.111820406,1.49422761,0.115037499,0.115043006
+6,3,0.0285954792,0.102832717,0.854678185,0.115037499,0.115043006
+8,5,0.037001576,0.102358961,0.594533684,0.115037499,0.115043006
+""",
+    ("bsc01", 0): """\
+n,M,best_pe,mean_pe,implied_exponent,lower_bound,upper_bound
+2,2,0.109756098,0.265678049,1.5938135,0.0520626224,0.0520626224
+4,2,0.0316121646,0.14310315,1.24584409,0.0520626224,0.0520626224
+6,3,0.0562454593,0.145097666,0.692019926,0.0520626224,0.0520626224
+8,5,0.0725068263,0.152907631,0.47321742,0.0520626224,0.0520626224
+""",
+    ("pure_pair", 4294967296): """\
+n,M,best_pe,mean_pe,implied_exponent,lower_bound,upper_bound
+2,2,0.0669872981,0.264387334,1.94998431,0.115037499,0.115043006
+4,2,0.0158770817,0.110345631,1.49422761,0.115037499,0.115043006
+6,3,0.0285954792,0.115868167,0.854678185,0.115037499,0.115043006
+8,5,0.0432019006,0.114879869,0.566595176,0.115037499,0.115043006
+""",
+    ("bsc01", 4294967296): """\
+n,M,best_pe,mean_pe,implied_exponent,lower_bound,upper_bound
+2,2,0.109756098,0.289287805,1.5938135,0.0520626224,0.0520626224
+4,2,0.0316121646,0.150348397,1.24584409,0.0520626224,0.0520626224
+6,3,0.0562454593,0.147316053,0.692019926,0.0520626224,0.0520626224
+8,5,0.072355491,0.154608116,0.47359421,0.0520626224,0.0520626224
+""",
+    ("pure_pair", 18446744073709551619): """\
+n,M,best_pe,mean_pe,implied_exponent,lower_bound,upper_bound
+2,2,0.0669872981,0.229389156,1.94998431,0.115037499,0.115043006
+4,2,0.0158770817,0.0829447622,1.49422761,0.115037499,0.115043006
+6,3,0.0285954792,0.0961933876,0.854678185,0.115037499,0.115043006
+8,5,0.0353779427,0.0977557275,0.602625755,0.115037499,0.115043006
+""",
+    ("bsc01", 18446744073709551619): """\
+n,M,best_pe,mean_pe,implied_exponent,lower_bound,upper_bound
+2,2,0.109756098,0.272839024,1.5938135,0.0520626224,0.0520626224
+4,2,0.0316121646,0.132714042,1.24584409,0.0520626224,0.0520626224
+6,3,0.0562454593,0.141775691,0.692019926,0.0520626224,0.0520626224
+8,5,0.0713552027,0.14698494,0.476104696,0.0520626224,0.0520626224
+""",
+}
+
+
+@pytest.mark.parametrize("name, seed", list(GOLDEN_SIMULATE_SEEDS))
+def test_golden_simulate_seeds(runner, name, seed):
+    channel, trials = {"pure_pair": (PURE_PAIR, "50"), "bsc01": (BSC, "200")}[name]
+    res = runner.invoke(main, [
+        "simulate", channel, "--rate", "0.3", "--n-list", "2,4,6,8", "--trials", trials, "--seed", str(seed),
+    ])
+    assert res.exit_code == 0
+    assert res.stdout == GOLDEN_SIMULATE_SEEDS[name, seed]
+
+
+def test_import_loads_no_numpy_random():
+    # numpy.random adds its own import time to every CLI start; cqexp loads
+    # it when it first draws a codebook, as the second line shows.
+    code = (
+        f"import sys; sys.path.insert(0, {str(Path(cli.__file__).resolve().parents[1])!r})\n"
+        "import cqexp.cli\n"
+        "print(sorted(name for name in sys.modules if name.startswith('numpy.random')))\n"
+        "cqexp.coding.generate_codebook(2, 3, 2, cqexp.coding.IID(prior=[0.5, 0.5]), seed=0)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["[]", "True"]

@@ -160,6 +160,17 @@ class TestDrawStreams:
     def test_seed_words(self, seed, words):
         assert coding._seed_words(seed).tolist() == words
 
+    @pytest.mark.parametrize("mode", [MODES[2][2], ConstantComposition(TypeClass(5, (1, 1, 3)))])
+    def test_seeds_of_mixed_word_counts(self, mode):
+        # 1, 3 and 5 words: one hash pass per word count, rows back in seed order.
+        seeds = [0, 2 ** 64 + 3, [1, 2, 3, 4, 5], 7]
+        assert np.array_equal(coding._draw_words(3, 5, 4, mode, seeds), _draw_with_choice(3, 5, 4, mode, seeds))
+
+    def test_no_seeds_no_codebooks(self):
+        for mode in (self.MODES[0][2], self.MODES[4][2]):
+            alphabet_size, n = (2, 5) if isinstance(mode, IID) else (2, 6)
+            assert coding._draw_words(alphabet_size, n, 3, mode, []).shape == (0, 3, n)
+
     @pytest.mark.parametrize("prior", [[0.0, 0.0], [-1.0, -2.0], [np.nan, 1.0], [np.inf, 1.0]])
     def test_unusable_prior_fails_before_any_stream(self, monkeypatch, prior):
         def no_stream(*args):
@@ -186,6 +197,44 @@ class TestDrawStreams:
         with pytest.raises(ValueError, match="expected non-negative integer"):
             estimate_exponent(bsc_channel, 0.3, [1], 2, seed=-1)
 
+
+
+class TestSeedStates:
+    """``_seed_states`` computes numpy's ``SeedSequence`` states, and numpy's PCG64 seeds from them
+    as from the ``SeedSequence`` itself. These fail loudly if numpy's seeding drifts."""
+
+    @staticmethod
+    def _check(words, states):
+        assert states.dtype == np.uint64 and states.shape == (len(words), 4)
+        for row, state in zip(words, states):
+            reference = np.random.SeedSequence(row)
+            assert np.array_equal(state, reference.generate_state(4, np.uint64))
+            seeded = coding._seed_state_type()(state)
+            assert np.random.PCG64(seeded).state == np.random.PCG64(reference).state
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_word_rows(self, length):
+        words = np.random.default_rng([77, length]).integers(0, 2 ** 32, size=(5, length), dtype=np.uint32)
+        words[0], words[1] = 0, 2 ** 32 - 1
+        self._check(words, coding._seed_states(words))
+
+    def test_stream_keys_of_the_draw_seeds(self):
+        for seed in TestDrawStreams.SEEDS:
+            keys = [seed] + [[seed, 8, trial, mode] for trial in (0, 199) for mode in (0, 1)]
+            self._check([coding._seed_words(key) for key in keys], coding._stream_states(keys))
+
+    def test_mixed_word_counts_keep_seed_order(self):
+        seeds = [0, 2 ** 64 + 3, [1, 2, 3, 4, 5], 2 ** 32, 9]
+        self._check([coding._seed_words(seed) for seed in seeds], coding._stream_states(seeds))
+
+    def test_empty_stack(self):
+        assert coding._seed_states(np.zeros((0, 4), dtype=np.uint32)).shape == (0, 4)
+        assert coding._stream_states([]).shape == (0, 4)
+
+    def test_state_serves_only_the_pcg64_request(self):
+        seeded = coding._seed_state_type()(np.zeros(4, dtype=np.uint64))
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            seeded.generate_state(8, np.uint32)
 
 class TestPGMDecoder:
     def test_single_message_identity(self, bsc_channel):

@@ -14,6 +14,7 @@ from cqexp import (
     von_neumann_entropy,
 )
 from cqexp.errors import DimensionError, InvalidOperator, NotPSD
+from cqexp.linalg import _sequence_table
 
 from conftest import random_density_matrix, random_unitary
 
@@ -200,3 +201,25 @@ class TestEntropy:
         rho = random_density_matrix(4, rng)
         h = von_neumann_entropy(rho)
         assert 0.0 <= h <= 2.0
+
+
+def _broadcast_table(w, words):
+    """The sequence table with one broadcast multiply per position: the reference for
+    ``_sequence_table``, whose products and column order it shares."""
+    books, size, n = words.shape
+    q = w[words[:, :, 0]]
+    for i in range(1, n):
+        q = (q[:, :, :, None] * w[words[:, :, i]][:, :, None, :]).reshape(books, size, -1)
+    return q
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sequence_table_matches_broadcast(d, n):
+    rng = np.random.default_rng([d, n])
+    w = rng.dirichlet(np.ones(d), size=3)
+    for books, size in [(3, 4), (1, 4), (3, 1), (1, 1)]:
+        words = rng.integers(0, 3, size=(books, size, n))
+        table = _sequence_table(w, words)
+        assert table.shape == (books, size, d ** n)
+        assert np.array_equal(table, _broadcast_table(w, words))
