@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -28,13 +27,11 @@ from .channel import CQChannel, pure_letter_overlaps
 from .config import CHUNK_ENTRIES, DEFAULT_CONFIG, LN_BASE, RunConfig
 from .divergences import _per_row, check_alpha, letter_power_logs, letter_powers
 from .errors import InvalidGrid, NumericalInstability, RateAboveCapacity, TooLarge
-from .linalg import (
-    _sequence_table, _support_clip, gram_stack, mat_power, spectral_entropy, tensor_all,
-)
+from .linalg import _support_clip, gram_stack, mat_power, spectral_entropy, tensor_all
 from .simplex_opt import (
     ConvexSurrogate, OptimizationReport, certified_starts, maximize_on_simplex, start_point,
 )
-from .typeclasses import TypeClass, enumerate_sequences, enumerate_types
+from .typeclasses import TypeClass, compositions, enumerate_sequences, type_count, type_counts, type_index
 
 # Largest input alphabet that a prior optimization takes.
 MAX_OPT_ALPHABET = 8
@@ -348,10 +345,16 @@ class ChannelAnalysis:
             self._slope_cache[1.0] = reports[0].value
             alphas = [float(a) for a in ALPHA_GRID[-2::-1]]
             # The start of each point while every point above keeps its own:
-            # maximize_on_simplex divides the prior above by its sum.
-            starts, start = [], reports[0].prior
-            for _ in alphas:
+            # maximize_on_simplex divides the prior above by its sum. That map
+            # is fixed, so once a start repeats bit for bit the chain cycles.
+            starts, seen, start = [], {}, reports[0].prior
+            while len(starts) < len(alphas):
                 start = start_point(self.channel.size, start)
+                first = seen.setdefault(start.tobytes(), len(starts))
+                if first < len(starts):
+                    cycle = starts[first:]
+                    starts += [cycle[i % len(cycle)] for i in range(len(alphas) - len(starts))]
+                    break
                 starts.append(start)
             tests = _renyi_rows(self.channel, alphas, starts)
             chained = True
@@ -536,71 +539,227 @@ class ChannelAnalysis:
 # Type-restricted channel information.
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """ln j! for j = 0..n."""
+    return np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
+
+
+def _logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """ln sum exp x along ``axis``; -inf where every entry is -inf."""
+    top = np.max(x, axis=axis, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(x - top).sum(axis=axis)) + np.squeeze(top, axis)
+
+
+def _pure_pair_log_traces(c2: float, ns: np.ndarray, small: np.ndarray, alpha: float) -> np.ndarray:
+    """ln tr[rho_T^(1/alpha)] for the classes of two pure letters with
+    |<psi_0|psi_1>|^2 = c2, one per row: blocklength ``ns``, and ``small`` =
+    min(k, n - k) for k the count of either letter.
+
+    rho_T has the nonzero spectrum of G_T/|T|, and G_T, a function of the
+    Hamming distance alone, lies in the Bose-Mesner algebra of the Johnson
+    scheme J(n, k) (Delsarte, Philips Res. Rep. Suppl. 10, 1973). Its
+    eigenvalue on the i-th eigenspace, of multiplicity C(n, i) - C(n, i-1),
+    i <= min(k, n - k), is the positive sum
+    theta_i = (1 - c2)^i sum_m C(k-i, m) C(n-k-i, m) c2^m,
+    taken here in log space. Rows of equal (n, min(k, n - k)) are one row,
+    and the rows go in stacks of at most ``CHUNK_ENTRIES`` table entries.
+    """
+    lf = _log_factorials(int(ns.max()))
+    span = int(ns.max()) + 1
+    keys, back = np.unique(ns * span + small, return_inverse=True)
+    with np.errstate(divide="ignore"):
+        log_c2, log_s2 = np.log(c2), np.log1p(-c2)
+    out = np.empty(len(keys))
+    lo = 0
+    while lo < len(keys):
+        hi, side = lo + 1, keys[lo] % span + 1
+        while hi < len(keys) and (hi + 1 - lo) * max(side, keys[hi] % span + 1) ** 2 <= CHUNK_ENTRIES:
+            side = max(side, keys[hi] % span + 1)
+            hi += 1
+        n, k = (keys[lo:hi, None] // span), (keys[lo:hi, None] % span)
+        j = np.arange(side)
+        a, m = j[:, None], j[None, :]
+        with np.errstate(invalid="ignore"):
+            tilt = np.where(j == 0, 0.0, j * log_c2), np.where(j == 0, 0.0, j * log_s2)
+        # ln C(a, m) C(b, m) c2^m = pair[a, m] + ln b! - ln (b - m)!, b = a + n - 2k
+        pair = np.where(m <= a, lf[a] - 2 * lf[m] - lf[np.maximum(a - m, 0)] + tilt[0], -np.inf)
+        b = np.minimum(a + (n - 2 * k)[:, :, None], n[:, :, None])  # a > k is never read
+        log_sums = _logsumexp(pair + lf[b] - lf[np.maximum(b - m, 0)])  # ln sum_m at a = k - i
+        log_theta = tilt[1] + np.take_along_axis(log_sums, np.maximum(k - j, 0), axis=1)
+        on = j <= k
+        i = np.where(on, j, 0)
+        log_mult = lf[n] - lf[i] - lf[n - i] + np.log((n - 2 * i + 1) / (n - i + 1))
+        log_count = lf[n] - lf[k] - lf[n - k]
+        out[lo:hi] = _logsumexp(np.where(on, log_mult + (log_theta - log_count) / alpha, -np.inf))
+        lo = hi
+    return out[back]
+
+
+def _commuting_log_traces(log_w: np.ndarray, n: int, counts: np.ndarray, alpha: float) -> np.ndarray:
+    """ln tr[rho_T^(1/alpha)] for commuting letters, one class of type P per row
+    of ``counts``; ``log_w`` is alpha ln W (|X|, d), W the letters' spectra
+    in their common eigenbasis, -inf where W = 0.
+
+    rho_T is diagonal there, and its entry at an output sequence depends on
+    its type Q alone: |T|^-1 [z^P] prod_b (sum_x z_x W(b|x)^alpha)^(Q_b), the
+    sum over the joint types R (row sums P, column sums Q) of
+    prod_b Q_b!/prod_x R_xb! prod_xb W(b|x)^(alpha R_xb). So
+    tr[rho_T^(1/alpha)] = sum_Q |T_Q| rho_T(y_Q)^(1/alpha). Each class takes
+    only its own joint types, in stacks of at most ``CHUNK_ENTRIES`` joint
+    types or (class, Q) cells, but at least one class.
+    """
+    size, d = log_w.shape
+    lf = _log_factorials(n)
+    outputs = type_count(n, d)
+    log_count = lf[n] - lf[counts].sum(axis=1)
+    # cell[x, b, r] = ln W(b|x)^(alpha r) / r!, the share of R_xb = r in a term.
+    r = np.arange(n + 1)
+    with np.errstate(invalid="ignore"):
+        cell = np.where(r > 0, r * log_w[:, :, None], 0.0) - lf
+    per_letter = np.array([math.comb(c + d - 1, d - 1) for c in range(n + 1)], dtype=float)
+    joints = per_letter[counts].prod(axis=1)
+    out = np.empty(len(counts))
+    lo = 0
+    while lo < len(counts):
+        hi, held = lo + 1, joints[lo]
+        while hi < len(counts) and held + joints[hi] <= CHUNK_ENTRIES and (hi + 1 - lo) * outputs <= CHUNK_ENTRIES:
+            held += joints[hi]
+            hi += 1
+        rows = np.arange(hi - lo)[:, None]  # the class of each joint type, then R row by row
+        for x in range(size):
+            rows = compositions(rows, counts[lo + rows[:, 0], x], d)
+        joint = rows[:, 1:].T.reshape(size, d, -1)  # joint[x, b] holds R_xb
+        q_counts = joint.sum(axis=0)
+        log_q = sum(lf[q] for q in q_counts)  # ln prod_b Q_b!
+        terms = log_q + sum(cell[x, b][joint[x, b]] for x in range(size) for b in range(d))
+        key = rows[:, 0] * outputs + type_index(q_counts.T, n)
+        cells = np.full((hi - lo) * outputs, -np.inf)
+        np.maximum.at(cells, key, terms)
+        shift = np.where(np.isfinite(cells), cells, 0.0)
+        sums = np.bincount(key, np.exp(terms - shift[key]), minlength=len(cells))
+        log_tq = np.zeros(outputs)
+        log_tq[key % outputs] = lf[n] - log_q
+        with np.errstate(divide="ignore"):
+            log_f = (np.log(sums) + shift).reshape(hi - lo, outputs)
+        out[lo:hi] = _logsumexp(log_tq + (log_f - log_count[lo:hi, None]) / alpha)
+        lo = hi
+    return out
+
+
+def _decomposed_trace(channel: CQChannel, t: TypeClass, alpha: float, overlaps, config: RunConfig) -> float:
+    """tr[rho_T^(1/a)] from the class's sequences, for letters that neither
+    symmetric path takes: the |T| x |T| Gram matrix of pure letters while
+    |T| <= d^n, capped at |T|, else the d^n x d^n average, capped at d^n."""
+    full_dim = channel.dim ** t.n
+    count = t.sequence_count()
+    if overlaps is not None and count <= full_dim:
+        config.check(count)
+        avg = gram_stack(overlaps, np.asarray(list(enumerate_sequences(t)))[None])[0] / count
+        return float(np.trace(mat_power(avg, 1.0 / alpha)).real)
+    config.check(full_dim)
+    powers = letter_powers(channel, alpha)
+    avg = np.zeros((full_dim, full_dim), dtype=complex)
+    for seq in enumerate_sequences(t):
+        avg += tensor_all([powers[x] for x in seq])
+    return float(np.trace(mat_power(avg / count, 1.0 / alpha)).real)
+
+
+def _class_values(
+    channel: CQChannel, ns: np.ndarray, counts: np.ndarray, alpha: float, config: RunConfig
+) -> np.ndarray:
+    """``constant_composition_mi`` of the class of each row of ``counts``, at
+    blocklength ``ns``, in one stack where a symmetric path takes the channel."""
+    alpha = check_alpha(alpha, allow_one=False)
+    if alpha <= 0.0:
+        raise ValueError("alpha must be positive")
+    values = np.zeros(len(counts))
+    spread = np.flatnonzero(counts.max(axis=1) < ns)  # classes of more than one sequence
+    if spread.size == 0:
+        return values
+    ns, counts = ns[spread], counts[spread]
+    overlaps = pure_letter_overlaps(channel)
+    if overlaps is not None and channel.size == 2:
+        small = counts.min(axis=1)
+        config.check(int(small.max()) + 1, table=True)
+        log_traces = _pure_pair_log_traces(min(float(abs(overlaps[0, 1]) ** 2), 1.0), ns, small, alpha)
+    elif channel.is_classical():
+        config.check(type_count(int(ns.max()), channel.dim), table=True)
+        with np.errstate(divide="ignore"):
+            log_w = alpha * np.log(channel.induced_stochastic_matrix())
+        log_traces = np.empty(len(ns))
+        for n in np.unique(ns).tolist():
+            at = ns == n
+            log_traces[at] = _commuting_log_traces(log_w, n, counts[at], alpha)
+    else:
+        log_traces = np.array([
+            math.log(_decomposed_trace(channel, TypeClass(n, tuple(row)), alpha, overlaps, config))
+            for n, row in zip(ns.tolist(), counts.tolist())
+        ])
+    # + 0.0 turns a -0.0 (trace exactly 1) into 0.0.
+    values[spread] = alpha / (alpha - 1.0) / ns * log_traces / LN_BASE + 0.0
+    return values
+
+
 def constant_composition_mi(
     channel: CQChannel, t: TypeClass, alpha: float, config: RunConfig = DEFAULT_CONFIG
 ) -> float:
     """Per-use Renyi information of the n-fold channel under the uniform
     distribution over the type class of ``t``.
 
-    Evaluates (a/(a-1)) (1/n) log2 tr[(mean over T_n^t of rho_xn^a)^(1/a)].
-    For pure letters rho^a = rho, and the class average has the nonzero
-    spectrum of G_T/|T|, G_T the Gram matrix of the class's sequence
-    vectors. While |T| <= d^n the |T| x |T| matrix replaces the d^n x d^n
-    one, and ``config.check`` caps |T| instead of d^n; so for pure letters
-    ``max_sim_dim`` caps min(|T|, d^n). Either matrix is also held to
-    ``MAX_TENSOR_DIM``, before any of it is built. Otherwise, commuting
-    letters give a diagonal average in their common eigenbasis: the mean
-    over T of the d^n output-sequence rows of W^a, a table capped by
-    ``max_sim_dim`` alone, as on the coding table path.
+    Evaluates (a/(a-1)) (1/n) log2 tr[rho_T^(1/a)], rho_T the mean over T of
+    rho_xn^a. rho_T commutes with every permutation of the n positions, so
+    two paths take its spectrum from counts alone, in time polynomial in n,
+    and decompose nothing:
+
+    * two pure letters: the Johnson-scheme eigenvalues of the class's Gram
+      matrix (``_pure_pair_log_traces``), min(k, n - k) + 1 distinct ones;
+    * commuting letters, any |X|: the diagonal of rho_T in the common
+      eigenbasis, one value per output type (``_commuting_log_traces``),
+      C(n + d - 1, d - 1) distinct ones.
+
+    Each path holds one entry per distinct eigenvalue, and ``config.check``
+    caps that count like a table: by ``max_sim_dim`` alone. Other pure
+    letters take the |T| x |T| Gram matrix while |T| <= d^n, capped at
+    |T|; everything else takes the d^n x d^n average, capped at d^n; both
+    are also held to ``MAX_TENSOR_DIM`` before any of it is built.
 
     A class of one sequence is exactly 0 on every path, with nothing built:
     its average is a product state, and tr[(rho_xn^a)^(1/a)] = 1.
     """
-    alpha = check_alpha(alpha, allow_one=False)
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
     if t.alphabet_size != channel.size:
         raise InvalidGrid(f"type alphabet {t.alphabet_size} != channel alphabet {channel.size}")
-    n = t.n
-    full_dim = channel.dim ** n
-    count = t.sequence_count()
-    if count == 1:
-        return 0.0
-    overlaps = pure_letter_overlaps(channel)
-    if overlaps is not None and count <= full_dim:
-        config.check(count)
-        avg = gram_stack(overlaps, np.asarray(list(enumerate_sequences(t)))[None])[0] / count
-        total = float(np.trace(mat_power(avg, 1.0 / alpha)).real)
-    elif channel.is_classical():
-        config.check(full_dim, table=True)
-        w_alpha = channel.induced_stochastic_matrix() ** alpha
-        sequences, row_sum = enumerate_sequences(t), 0.0
-        while chunk := list(islice(sequences, max(1, CHUNK_ENTRIES // full_dim))):
-            row_sum = row_sum + _sequence_table(w_alpha, np.asarray(chunk)[None])[0].sum(axis=0)
-        total = float(((row_sum / count) ** (1.0 / alpha)).sum())
-    else:
-        config.check(full_dim)
-        powers = letter_powers(channel, alpha)
-        avg = np.zeros((full_dim, full_dim), dtype=complex)
-        for seq in enumerate_sequences(t):
-            avg += tensor_all([powers[x] for x in seq])
-        total = float(np.trace(mat_power(avg / count, 1.0 / alpha)).real)
-    # + 0.0 turns a -0.0 (total exactly 1) into 0.0.
-    return alpha / (alpha - 1.0) / n * math.log(total) / LN_BASE + 0.0
+    return float(_class_values(channel, np.array([t.n]), np.array([t.counts]), alpha, config)[0])
+
+
+def _best_types(
+    channel: CQChannel, blocklengths, alpha: float, config: RunConfig
+) -> list[tuple[TypeClass, float]]:
+    """The type maximizing the constant-composition information at each
+    blocklength, the first in ``type_counts`` order among equal values.
+
+    The types of every blocklength are evaluated as one stack, and only the
+    winners become ``TypeClass`` objects.
+    """
+    if not blocklengths:
+        return []
+    counts = type_counts(blocklengths, channel.size)
+    sizes = [type_count(n, channel.size) for n in blocklengths]
+    values = _class_values(channel, np.repeat(blocklengths, sizes), counts, alpha, config)
+    out, lo = [], 0
+    for n, size in zip(blocklengths, sizes):
+        best = lo + int(np.argmax(values[lo:lo + size]))
+        out.append((TypeClass(n, tuple(counts[best].tolist())), float(values[best])))
+        lo += size
+    return out
 
 
 def best_type(
     channel: CQChannel, n: int, alpha: float, config: RunConfig = DEFAULT_CONFIG
 ) -> tuple[TypeClass, float]:
     """Type of blocklength n maximizing the constant-composition information."""
-    best_t: TypeClass | None = None
-    best_v = -math.inf
-    for t in enumerate_types(n, channel.size):
-        v = constant_composition_mi(channel, t, alpha, config)
-        if v > best_v:
-            best_t, best_v = t, v
-    assert best_t is not None
-    return best_t, best_v
+    return _best_types(channel, [n], alpha, config)[0]
 
 
 def best_type_up_to(
@@ -616,8 +775,7 @@ def best_type_up_to(
     rows: list[tuple[int, TypeClass, float]] = []
     best_t: TypeClass | None = None
     best_v = -math.inf
-    for n in range(1, n_max + 1):
-        t, v = best_type(channel, n, alpha, config)
+    for n, (t, v) in enumerate(_best_types(channel, list(range(1, n_max + 1)), alpha, config), start=1):
         if v > best_v:
             best_t, best_v = t, v
         rows.append((n, best_t, best_v))

@@ -11,7 +11,10 @@ blocklength n: for pure letters the codebook or type-class size while it
 is at most d^n, the state dimension d^n otherwise. Every decomposed
 matrix (d^n x d^n states and Gram matrices) has a fixed ceiling,
 ``config.MAX_TENSOR_DIM``, that ``--max-dim`` does not raise; ``simulate``
-holds the codebook size M to it too.
+holds the codebook size M to it too. ``besttype`` on two pure letters or
+on commuting letters decomposes nothing: it sums the distinct eigenvalues
+of each type-class average in closed form, min(k, n - k) + 1 or one per
+output type, and ``--max-dim`` alone caps their number.
 """
 
 from __future__ import annotations
@@ -64,7 +67,9 @@ MAX_DIM_HELP = (
     "Cap on the dimension of the matrix decomposed at blocklength n (default "
     f"{DEFAULT_CONFIG.max_sim_dim}). Values above {MAX_TENSOR_DIM} "
     f"(2^{MAX_TENSOR_DIM.bit_length() - 1}) do not raise the ceiling of the "
-    "d^n x d^n states and Gram matrices, which exit 4 past it."
+    "d^n x d^n states and Gram matrices, which exit 4 past it. besttype on two "
+    "pure letters or on commuting letters decomposes nothing: there it caps the "
+    "number of distinct eigenvalues of a type-class average, with no ceiling."
 )
 
 

@@ -63,7 +63,10 @@ class RunConfig:
 
     ``max_sim_dim`` bounds M codewords or |T| sequences for pure letters
     while that is at most d^n, d^n otherwise; every decomposed matrix stays
-    within ``MAX_TENSOR_DIM`` whatever it is. ``check`` applies both.
+    within ``MAX_TENSOR_DIM`` whatever it is. The symmetric type-class paths
+    decompose nothing and hold one entry per distinct eigenvalue of the
+    class average, so ``max_sim_dim`` alone bounds that count, as it bounds
+    a table. ``check`` applies all of these.
     """
 
     max_sim_dim: int = 256
@@ -75,7 +78,9 @@ class RunConfig:
     def check(self, dim: int, *, table: bool = False) -> int:
         """``dim``, the side of the matrix built at blocklength n (M or |T| on the Gram
         paths, d^n otherwise), or TooLarge past ``max_sim_dim``, or past
-        ``MAX_TENSOR_DIM`` unless it is a ``table`` (the diagonal path: never decomposed)."""
+        ``MAX_TENSOR_DIM`` unless it is a ``table``, never decomposed: the
+        diagonal coding path, or the distinct eigenvalues that a symmetric
+        type-class path sums."""
         cap = self.max_sim_dim if table else min(self.max_sim_dim, MAX_TENSOR_DIM)
         if dim > cap:
             raise TooLarge(f"dimension {format_dim(dim)} exceeds simulation cap {cap}")

@@ -68,24 +68,58 @@ def type_count(n: int, alphabet_size: int) -> int:
     return math.comb(n + alphabet_size - 1, alphabet_size - 1)
 
 
+def type_counts(blocklengths: Sequence[int], alphabet_size: int) -> np.ndarray:
+    """Every composition of each n of ``blocklengths`` into |X| nonnegative
+    parts, one row each, stacked in the order of ``blocklengths``; within
+    one n, first letter descending: the types of ``enumerate_types``."""
+    blocklengths = list(blocklengths)
+    if alphabet_size < 1 or min(blocklengths, default=1) < 1:
+        raise ValueError("need n >= 1 and alphabet_size >= 1")
+    for n in blocklengths:
+        if type_count(n, alphabet_size) > ENUMERATION_CAP:
+            raise TooLarge(f"{type_count(n, alphabet_size)} types exceeds cap {ENUMERATION_CAP}")
+    rows = np.empty((len(blocklengths), 0), dtype=np.int64)
+    return compositions(rows, np.array(blocklengths, dtype=np.int64), alphabet_size)
+
+
+def compositions(rows: np.ndarray, totals: np.ndarray, parts: int) -> np.ndarray:
+    """Each row of ``rows`` followed by every composition of its entry of
+    ``totals`` into ``parts`` nonnegative parts, first part descending.
+
+    The compositions of one row stay together, in the order of its row, so a
+    stack of rows comes out grouped by row.
+    """
+    cols = rows.T  # built one part per row, transposed at the end
+    for _ in range(parts - 1):
+        reps = totals + 1
+        ramp = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        cols = np.vstack([np.repeat(cols, reps, axis=1), np.repeat(totals, reps) - ramp])
+        totals = ramp
+    return np.vstack([cols, totals]).T
+
+
+def type_index(counts: np.ndarray, n: int) -> np.ndarray:
+    """Row of each type in ``counts`` (rows of |X| counts summing to n) in the
+    order of ``type_counts([n], |X|)``.
+
+    The types ahead of one are those that agree with it before letter a and
+    have more of letter a; with r letters left after a and p = |X| - a - 1
+    letters to fill, they number C(r - 1 + p, p) (hockey stick).
+    """
+    size = counts.shape[1]
+    left = np.full(len(counts), n)
+    index = np.zeros(len(counts), dtype=np.int64)
+    for a in range(size - 1):
+        p = size - a - 1
+        left = left - counts[:, a]
+        ahead = np.array([math.comb(r - 1 + p, p) if r > 0 else 0 for r in range(n + 1)], dtype=np.int64)
+        index += ahead[left]
+    return index
+
+
 def enumerate_types(n: int, alphabet_size: int) -> list[TypeClass]:
     """All compositions of n into |X| nonnegative parts, first letter descending."""
-    if alphabet_size < 1 or n < 1:
-        raise ValueError("need n >= 1 and alphabet_size >= 1")
-    if type_count(n, alphabet_size) > ENUMERATION_CAP:
-        raise TooLarge(f"{type_count(n, alphabet_size)} types exceeds cap {ENUMERATION_CAP}")
-
-    out: list[TypeClass] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(TypeClass(n=n, counts=tuple(prefix + [remaining])))
-            return
-        for c in range(remaining, -1, -1):
-            rec(prefix + [c], remaining - c, slots - 1)
-
-    rec([], n, alphabet_size)
-    return out
+    return [TypeClass(n=n, counts=tuple(row)) for row in type_counts([n], alphabet_size).tolist()]
 
 
 def enumerate_sequences(t: TypeClass) -> Iterator[tuple[int, ...]]:

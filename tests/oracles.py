@@ -249,3 +249,54 @@ def pure_state_sphere_packing_exponent(overlaps, r: float, s_max: float = 99.0) 
     coarse points are even in alpha = 1/(1+s), as the bound's alpha grid is."""
     ss = 1.0 / np.linspace(1.0 / (1.0 + s_max), 1.0, 64) - 1.0
     return _max_over_s(lambda s: pure_state_best_e0(s, overlaps) - s * r, ss[::-1])
+
+
+def class_sequences(counts) -> np.ndarray:
+    """Every sequence of the type ``counts`` (letter a appears counts[a] times), one per row."""
+    rows = [(-1,) * sum(counts)]
+    for a, c in enumerate(counts):
+        grown = []
+        for row in rows:
+            for spots in itertools.combinations([i for i, x in enumerate(row) if x < 0], c):
+                new = list(row)
+                for i in spots:
+                    new[i] = a
+                grown.append(tuple(new))
+        rows = grown
+    return np.array(rows, dtype=int)
+
+
+def type_class_table_mi(w, counts, alpha: float, chunk: int = 256) -> float:
+    """(a/(a-1)) (1/n) log2 sum_y (mean over T of prod_i W(y_i|x_i)^a)^(1/a): the
+    information of the type class of ``counts`` for the classical channel ``w``,
+    from the table of output-sequence rows of every sequence of the class."""
+    wa = np.asarray(w, float) ** alpha
+    seqs = class_sequences(counts)
+    n = seqs.shape[1]
+    total = 0.0
+    for lo in range(0, len(seqs), chunk):
+        part = seqs[lo:lo + chunk]
+        table = wa[part[:, 0]]
+        for i in range(1, n):
+            table = (table[:, :, None] * wa[part[:, i]][:, None, :]).reshape(len(part), -1)
+        total = total + table.sum(axis=0)
+    trace = ((total / len(seqs)) ** (1.0 / alpha)).sum()
+    return float(alpha / (alpha - 1.0) / n * np.log(trace) / LN2)
+
+
+def channel_dispersion(states, prior) -> float:
+    """V = sum_x p_x (tr[rho_x L_x^2] - (tr[rho_x L_x])^2), L_x = log2 rho_x - log2 rho_p,
+    in bits^2, with log2 rho_x taken on its support; rho_p = sum_x p_x rho_x."""
+    states = [np.asarray(rho, dtype=complex) for rho in states]
+
+    def log2(rho):
+        w, v = np.linalg.eigh(rho)
+        on = w > 1e-12 * w.max()
+        return (v * np.where(on, np.log2(np.where(on, w, 1.0)), 0.0)) @ v.conj().T
+
+    log_mix = log2(sum(p * rho for p, rho in zip(prior, states)))
+    total = 0.0
+    for p, rho in zip(prior, states):
+        lx = log2(rho) - log_mix
+        total += p * (np.trace(rho @ lx @ lx).real - np.trace(rho @ lx).real ** 2)
+    return float(total)

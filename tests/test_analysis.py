@@ -21,7 +21,7 @@ from cqexp import (
     renyi_mi_channel,
     renyi_mi_channel_prior,
 )
-from cqexp import analysis
+from cqexp import analysis, linalg, typeclasses
 from cqexp.analysis import (
     _holevo_surrogate, _renyi_derivatives, _renyi_maximand, _renyi_surrogate, _row_stacks,
 )
@@ -33,9 +33,10 @@ from cqexp.linalg import log_base_psd, mat_power, spectral_map
 from cqexp.simplex_opt import GAP_TOL, ConvexSurrogate, maximize_on_simplex
 
 from cqexp.channel import pure_letter_overlaps
-from conftest import draw_letters, pure_channels, random_channel, random_unitary
+from conftest import draw_letters, pure_channels, random_channel, random_pure_channel, random_unitary
 from oracles import (
     best_prior_e0,
+    channel_dispersion,
     classical_channel_renyi_mi,
     classical_critical_rate,
     classical_random_coding_exponent,
@@ -43,6 +44,7 @@ from oracles import (
     pure_state_random_coding_exponent,
     pure_state_sphere_packing_exponent,
     renyi_half_prior,
+    type_class_table_mi,
 )
 
 W_BSC = np.array([[0.9, 0.1], [0.1, 0.9]])
@@ -448,6 +450,19 @@ class TestExponentBounds:
             session.lower_bound(0.1)
         assert not session._mi_cache
 
+    @pytest.mark.parametrize("name", ["bsc01", "pure_pair"])
+    def test_near_capacity_dispersion(self, name):
+        # E(r) = (C - r)^2 / (2 V ln 2) (1 + O(C - r)) as r -> C, V the
+        # channel dispersion at the capacity prior, in bits^2.
+        channel = load_channel(CHANNELS_DIR / f"{name}.json")
+        session = ChannelAnalysis(channel)
+        cap = session.capacity()
+        v = channel_dispersion(channel.outputs, cap.prior)
+        for eps in (0.1, 0.01, 0.001):
+            r = cap.value * (1.0 - eps)
+            ratio = session.lower_bound(r).value * 2.0 * v * math.log(2.0) / (cap.value - r) ** 2
+            assert abs(ratio - 1.0) <= 0.5 * eps
+
     @pytest.mark.parametrize("case", ["bsc01", "pure_pair", 0, 1, 2])
     def test_refinement_solves_per_bound(self, case):
         # Past the alpha grid, each bound is a short root search on
@@ -641,6 +656,43 @@ class TestStackedPaths:
             assert (got.iterations, got.converged) == (want.iterations, want.converged)
             assert got.value == pytest.approx(want.value, rel=0, abs=1e-14)
             assert got.gap == pytest.approx(want.gap, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("step", ["start_point", "roll", "drift"])
+    def test_start_chain_matches_the_full_chain(self, monkeypatch, step):
+        # The grid's starts stop at the first one that repeats bit for bit and
+        # repeat its cycle; they must be the 99 starts of the full chain. The
+        # real map settles at once; a roll cycles with period |X|; a drift
+        # toward letter 0 repeats nothing in 99 steps.
+        base = analysis.start_point
+        maps = {
+            "start_point": base,
+            "roll": lambda dim, start: np.roll(base(dim, start), 1),
+            "drift": lambda dim, start: base(dim, start + 1e-3 * (np.arange(dim) == 0)),
+        }
+        calls = []
+
+        def step_map(dim, start):
+            calls.append(1)
+            return maps[step](dim, start)
+
+        seen = []
+
+        def spy(channel, alphas, starts):
+            seen.extend(starts)
+            return real(channel, alphas, seen)
+
+        real = analysis._renyi_rows
+        channel = random_channel(3, 2, np.random.default_rng([77, 3]))
+        monkeypatch.setattr(analysis, "start_point", step_map)
+        monkeypatch.setattr(analysis, "_renyi_rows", spy)
+        session = ChannelAnalysis(channel)
+        session._grid()
+        chain, start = [], session.capacity().prior
+        for _ in range(len(analysis.ALPHA_GRID) - 1):
+            start = maps[step](channel.size, start)
+            chain.append(start)
+        assert [s.tobytes() for s in seen] == [s.tobytes() for s in chain]
+        assert (len(calls) < len(chain)) == (step != "drift")
 
     @pytest.mark.parametrize("index", range(8))
     def test_stacked_slopes_match_one_row(self, index):
@@ -857,27 +909,28 @@ class TestConstantComposition:
         v = constant_composition_mi(orthogonal_pair, TypeClass(2, (1, 1)), 0.5)
         assert v == pytest.approx(0.5, abs=1e-12)
 
-    def test_dimension_cap(self, orthogonal_pair):
-        import dataclasses as dc
-
-        tight = dc.replace(DEFAULT_CONFIG, max_sim_dim=4)
+    def test_dimension_cap(self):
+        # Mixed non-commuting letters take the dense body, capped at d^n = 16.
+        ch = random_channel(2, 2, np.random.default_rng([20, 3]))
+        assert not ch.is_classical() and pure_letter_overlaps(ch) is None
+        tight = dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=4)
         with pytest.raises(TooLarge):
-            constant_composition_mi(orthogonal_pair, TypeClass(4, (2, 2)), 0.5, tight)
+            constant_composition_mi(ch, TypeClass(4, (2, 2)), 0.5, tight)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
     def test_one_sequence_classes_exactly_zero_on_every_path(self, monkeypatch, alpha):
         # A one-sequence class averages to a product state, so its trace is
-        # exactly 1. The Gram (pure_pair), table (bsc01) and dense (a mixed
-        # non-commuting 3-dimensional pair) bodies each gave rounding noise
-        # here, such as 6.9e-17 on bsc01 and -1.4e-16 on the dense pair at
-        # alpha = 0.3; none of them runs now.
+        # exactly 1. The pure-pair (pure_pair), commuting (bsc01) and dense
+        # (a mixed non-commuting 3-dimensional pair) paths would each give
+        # rounding noise here, such as -1.4e-16 on the dense pair at
+        # alpha = 0.3; none of them runs.
         channels = [
             load_channel(CHANNELS_DIR / "pure_pair.json"),
             load_channel(CHANNELS_DIR / "bsc01.json"),
             random_channel(2, 3, np.random.default_rng([20, 3])),
         ]
         assert not channels[2].is_classical() and pure_letter_overlaps(channels[2]) is None
-        for name in ("gram_stack", "_sequence_table", "tensor_all", "mat_power"):
+        for name in ("gram_stack", "tensor_all", "mat_power", "_pure_pair_log_traces", "_commuting_log_traces"):
             monkeypatch.setattr(analysis, name, None)  # any body call fails
         for ch in channels:
             for n in (1, 3):
@@ -924,12 +977,14 @@ class TestConstantCompositionGram:
         t, v = best_type(pure_pair, 1, 0.5)
         assert t.counts == (1, 0) and v == 0.0
 
-    def test_cap_is_type_class_size(self, pure_pair):
-        t = TypeClass(4, (2, 2))  # |T| = 6 sequences in a 16-dimensional space
-        at_size = dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=6)
-        assert constant_composition_mi(pure_pair, t, 0.5, at_size) == constant_composition_mi(pure_pair, t, 0.5)
+    def test_cap_is_type_class_size(self):
+        ch = pure_channels()[2]  # three pure qubit letters: the Gram path
+        assert ch.size == 3 and ch.dim == 2 and not ch.is_classical()
+        t = TypeClass(4, (2, 1, 1))  # |T| = 12 sequences in a 16-dimensional space
+        at_size = dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=12)
+        assert constant_composition_mi(ch, t, 0.5, at_size) == constant_composition_mi(ch, t, 0.5)
         with pytest.raises(TooLarge):
-            constant_composition_mi(pure_pair, t, 0.5, dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=5))
+            constant_composition_mi(ch, t, 0.5, dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=11))
 
     def test_class_larger_than_space_takes_dense_body(self, monkeypatch):
         # Three pure qubit letters, type (3, 3, 2): |T| = 560 sequences in a
@@ -957,6 +1012,19 @@ class TestConstantCompositionGram:
         with pytest.raises(TooLarge):
             constant_composition_mi(ch, t, 0.5, dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=7))
 
+    def test_pure_letters_past_two_keep_the_gram_path(self, monkeypatch):
+        # {|0>, |1>, |+>}: pure letters that do not commute, three of them.
+        zero, one = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+        ch = CQChannel.from_states([zero, one, np.full((2, 2), 0.5, dtype=complex)])
+        for name in ("_commuting_log_traces", "tensor_all"):
+            monkeypatch.setattr(analysis, name, None)  # any commuting or dense call fails
+        # Uniform over {01, 10}: two orthogonal sequence states, 1 bit over 2 uses.
+        assert constant_composition_mi(ch, TypeClass(2, (1, 1, 0)), 0.5) == pytest.approx(0.5, abs=1e-12)
+        with pytest.raises(TooLarge):  # the cap is still |T| = 12, not d^n = 16
+            constant_composition_mi(
+                ch, TypeClass(4, (2, 1, 1)), 0.5, dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=11)
+            )
+
 
 def _rotated_classical(k: int, d: int, seed: int) -> CQChannel:
     """Commuting letters U diag(W[x]) U^dagger, neither diagonal nor pure."""
@@ -967,7 +1035,7 @@ def _rotated_classical(k: int, d: int, seed: int) -> CQChannel:
 
 
 class TestConstantCompositionTable:
-    """The output-sequence table path for commuting letters against the dense d^n body."""
+    """The commuting-letter path, one diagonal entry per output type, against the dense d^n body."""
 
     # (channel, blocklengths): bsc01 and three seeded rotated binary-input
     # channels at every n <= 8, and a three-letter one where 3^n classes stay small.
@@ -1000,20 +1068,107 @@ class TestConstantCompositionTable:
         monkeypatch.setattr(analysis, "CHUNK_ENTRIES", 1)
         assert constant_composition_mi(ch, t, 0.3) == pytest.approx(whole, abs=1e-15)
 
-    def test_cap_is_state_dimension(self):
+    def test_cap_is_output_type_count(self):
+        # rho_T holds one distinct value per output type: n + 1 = 10 of them
+        # at n = 9, not d^n = 512, so the default cap of 256 admits it.
         ch = load_channel(CHANNELS_DIR / "bsc01.json")
+        t = TypeClass(9, (5, 4))
+        at_count = dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=10)
+        assert constant_composition_mi(ch, t, 0.3, at_count) == constant_composition_mi(ch, t, 0.3) > 0.0
         with pytest.raises(TooLarge):
-            constant_composition_mi(ch, TypeClass(9, (5, 4)), 0.3)
-        at_dim = dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=512)
-        assert constant_composition_mi(ch, TypeClass(9, (5, 4)), 0.3, at_dim) > 0.0
+            constant_composition_mi(ch, t, 0.3, dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=9))
 
-    def test_pure_commuting_letters_keep_the_gram_path(self, monkeypatch, orthogonal_pair):
-        monkeypatch.setattr(analysis, "_sequence_table", None)  # any table call fails
-        assert constant_composition_mi(orthogonal_pair, TypeClass(2, (1, 1)), 0.5) == pytest.approx(0.5, abs=1e-12)
-        with pytest.raises(TooLarge):  # the cap is still |T| = 6, not d^n = 16
-            constant_composition_mi(
-                orthogonal_pair, TypeClass(4, (2, 2)), 0.5, dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=5)
-            )
+
+class TestSymmetricPaths:
+    """The pure-pair (Johnson scheme) and commuting (output type) paths against
+    the Gram body and the table oracle, at every type with n <= 10."""
+
+    WIDE = dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=4096)
+    ALPHAS = (0.1, 0.5, 0.9)
+
+    @staticmethod
+    def _gram(channel, t, alpha):
+        overlaps = pure_letter_overlaps(channel)
+        trace = analysis._decomposed_trace(channel, t, alpha, overlaps, TestSymmetricPaths.WIDE)
+        return alpha / (alpha - 1.0) / t.n * math.log(trace) / LN_BASE
+
+    @pytest.mark.parametrize("case", ["pure_pair", "noiseless_bit", (2, 0), (2, 1), (3, 2)])
+    def test_pure_pairs_match_gram(self, case):
+        # (d, seed): seeded pure letter pairs in d dimensions.
+        if isinstance(case, str):
+            ch = load_channel(CHANNELS_DIR / f"{case}.json")
+        else:
+            ch = random_pure_channel(2, case[0], np.random.default_rng([4343, *case]))
+        assert pure_letter_overlaps(ch) is not None and ch.size == 2
+        worst = 0.0
+        for n in range(2, 11):
+            for t in enumerate_types(n, 2):
+                for alpha in self.ALPHAS:
+                    worst = max(worst, abs(constant_composition_mi(ch, t, alpha) - self._gram(ch, t, alpha)))
+        assert worst <= 1e-12
+
+    # (|X|, d, seed, n_max): bsc01, noiseless_bit (patched off the pure-pair
+    # path), and seeded rotated commuting channels with |X| = 2 and 3.
+    @pytest.mark.parametrize("case", ["bsc01", "noiseless_bit", (2, 2, 5, 10), (2, 3, 6, 8), (3, 2, 7, 10)])
+    def test_commuting_matches_table_oracle(self, monkeypatch, case):
+        if isinstance(case, str):
+            ch, n_max = load_channel(CHANNELS_DIR / f"{case}.json"), 10
+        else:
+            ch, n_max = _rotated_classical(*case[:3]), case[3]
+        monkeypatch.setattr(analysis, "pure_letter_overlaps", lambda channel: None)
+        assert ch.is_classical()
+        w = ch.induced_stochastic_matrix()
+        worst = 0.0
+        for n in range(2, n_max + 1):
+            for t in enumerate_types(n, ch.size):
+                if t.sequence_count() == 1:
+                    continue
+                for alpha in self.ALPHAS:
+                    value = constant_composition_mi(ch, t, alpha, self.WIDE)
+                    worst = max(worst, abs(value - type_class_table_mi(w, t.counts, alpha)))
+        assert worst <= 1e-12
+
+    def test_stack_matches_one_class_at_a_time(self):
+        # best_type takes every type of every blocklength as one stack; each
+        # value must be the one constant_composition_mi gives that class alone.
+        for name in ("pure_pair", "bsc01"):
+            ch = load_channel(CHANNELS_DIR / f"{name}.json")
+            for n in range(1, 9):
+                t, v = best_type(ch, n, 0.3)
+                values = [constant_composition_mi(ch, u, 0.3) for u in enumerate_types(n, 2)]
+                assert v == max(values) and t == enumerate_types(n, 2)[values.index(v)]
+
+    @pytest.mark.parametrize("name", ["pure_pair", "noiseless_bit", "bsc01"])
+    def test_no_sequence_is_enumerated(self, monkeypatch, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a symmetric path enumerated sequences or built a matrix")
+
+        for module in (linalg, typeclasses, analysis):
+            for attr in ("gram_stack", "_sequence_table", "tensor_all", "enumerate_sequences"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+        ch = load_channel(CHANNELS_DIR / f"{name}.json")
+        target = renyi_mi_channel(ch, 0.5).value
+        values = [v for _, _, v in best_type_up_to(ch, 40, 0.5)]
+        assert all(b >= a for a, b in zip(values, values[1:]))
+        assert 0.0 < values[-1] <= target + 1e-9
+
+    def test_gap_to_channel_information_shrinks_to_n_200(self):
+        ch = load_channel(CHANNELS_DIR / "pure_pair.json")
+        target = renyi_mi_channel(ch, 0.5).value
+        rows = best_type_up_to(ch, 200, 0.5)
+        gaps = [target - rows[n - 1][2] for n in (10, 20, 50, 100, 200)]
+        assert all(0.0 < b < a for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] < 1e-3
+        assert rows[-1][1].counts == (100, 100)
+
+    def test_cap_is_distinct_eigenvalue_count(self, pure_pair):
+        # G_T of type (4, 2) has min(k, n - k) + 1 = 3 distinct eigenvalues.
+        t = TypeClass(6, (4, 2))
+        at_count = dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=3)
+        assert constant_composition_mi(pure_pair, t, 0.5, at_count) == constant_composition_mi(pure_pair, t, 0.5)
+        with pytest.raises(TooLarge):
+            constant_composition_mi(pure_pair, t, 0.5, dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=2))
 
 
 class TestBestType:

@@ -522,11 +522,14 @@ class TestStateCeiling:
             estimate_exponent(pure_pair, 0.9, [14], 1, seed=1, config=RunConfig(100000))
         assert not calls
 
-    def test_gram_type_class(self, monkeypatch, pure_pair):
-        # |T| = C(15, 7) = 6435 sequences in a 2^15-dimensional space.
+    def test_gram_type_class(self, monkeypatch):
+        # Three pure qubit letters, type (9, 2, 2): |T| = 4290 sequences in a
+        # 2^13-dimensional space, so the Gram path, past the ceiling.
+        ch = pure_channels()[2]
+        assert ch.size == 3 and ch.dim == 2 and not ch.is_classical()
         calls = self._forbid_gram_stack(monkeypatch)
         with pytest.raises(TooLarge):
-            constant_composition_mi(pure_pair, TypeClass(15, (8, 7)), 0.5, RunConfig(100000))
+            constant_composition_mi(ch, TypeClass(13, (9, 2, 2)), 0.5, RunConfig(100000))
         assert not calls
 
 

@@ -15,6 +15,7 @@ from cqexp import (
     type_probability,
 )
 from cqexp.errors import InvalidSequence, TooLarge
+from cqexp.typeclasses import compositions, type_counts, type_index
 
 
 class TestTypeOf:
@@ -135,3 +136,22 @@ class TestNearestType:
         mine = np.abs(t.frequencies() - p).sum()
         for other in enumerate_types(7, 2):
             assert mine <= np.abs(other.frequencies() - p).sum() + 1e-12
+
+
+class TestTypeCounts:
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_rows_descend_and_type_index_inverts_them(self, n, k):
+        counts = type_counts([n], k)
+        expected = sorted((c for c in product(range(n + 1), repeat=k) if sum(c) == n), reverse=True)
+        assert [tuple(row) for row in counts.tolist()] == expected
+        np.testing.assert_array_equal(type_index(counts, n), np.arange(len(counts)))
+        np.testing.assert_array_equal(type_index(counts[::-1], n), np.arange(len(counts))[::-1])
+
+    def test_blocklengths_stack_in_order(self):
+        counts = type_counts([3, 1, 2], 2)
+        assert counts.tolist() == [[3, 0], [2, 1], [1, 2], [0, 3], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]]
+
+    def test_compositions_stay_grouped_by_row(self):
+        rows = compositions(np.array([[7], [8]]), np.array([2, 1]), 2)
+        assert rows.tolist() == [[7, 2, 0], [7, 1, 1], [7, 0, 2], [8, 1, 0], [8, 0, 1]]
