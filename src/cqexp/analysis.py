@@ -607,8 +607,8 @@ def _commuting_log_traces(log_w: np.ndarray, n: int, counts: np.ndarray, alpha: 
     sum over the joint types R (row sums P, column sums Q) of
     prod_b Q_b!/prod_x R_xb! prod_xb W(b|x)^(alpha R_xb). So
     tr[rho_T^(1/alpha)] = sum_Q |T_Q| rho_T(y_Q)^(1/alpha). Each class takes
-    only its own joint types, in stacks of at most ``CHUNK_ENTRIES`` joint
-    types or (class, Q) cells, but at least one class.
+    only its own joint types, in stacks of at most ``CHUNK_ENTRIES`` entries
+    (|X| d counts per joint type) or (class, Q) cells, but at least one class.
     """
     size, d = log_w.shape
     lf = _log_factorials(n)
@@ -619,13 +619,13 @@ def _commuting_log_traces(log_w: np.ndarray, n: int, counts: np.ndarray, alpha: 
     with np.errstate(invalid="ignore"):
         cell = np.where(r > 0, r * log_w[:, :, None], 0.0) - lf
     per_letter = np.array([math.comb(c + d - 1, d - 1) for c in range(n + 1)], dtype=float)
-    joints = per_letter[counts].prod(axis=1)
+    entries = per_letter[counts].prod(axis=1) * size * d
     out = np.empty(len(counts))
     lo = 0
     while lo < len(counts):
-        hi, held = lo + 1, joints[lo]
-        while hi < len(counts) and held + joints[hi] <= CHUNK_ENTRIES and (hi + 1 - lo) * outputs <= CHUNK_ENTRIES:
-            held += joints[hi]
+        hi, held = lo + 1, entries[lo]
+        while hi < len(counts) and held + entries[hi] <= CHUNK_ENTRIES and (hi + 1 - lo) * outputs <= CHUNK_ENTRIES:
+            held += entries[hi]
             hi += 1
         rows = np.arange(hi - lo)[:, None]  # the class of each joint type, then R row by row
         for x in range(size):
@@ -666,6 +666,35 @@ def _decomposed_trace(channel: CQChannel, t: TypeClass, alpha: float, overlaps, 
     return float(np.trace(mat_power(avg / count, 1.0 / alpha)).real)
 
 
+def _symmetric_path(channel: CQChannel, overlaps) -> str | None:
+    """"pair" for two pure letters, "commuting" for commuting letters, or
+    None for letters that the decomposed bodies take."""
+    if overlaps is not None and channel.size == 2:
+        return "pair"
+    return "commuting" if channel.is_classical() else None
+
+
+def _class_entries(path: str, n: int, size: int, d: int) -> int:
+    """Table entries that ``path`` builds for every class of blocklength n:
+    a (min(k, n - k) + 1)^2 table of binomial logs per class of two pure
+    letters, sum_k (min(k, n - k) + 1)^2 = 2 S(m) - [n even] m^2 with
+    m = n // 2 + 1 and S(m) = m (m + 1) (2m + 1) / 6; or |X| d counts per
+    joint type R of commuting letters, C(n + |X| d - 1, |X| d - 1) of them."""
+    if path == "pair":
+        m = n // 2 + 1
+        return m * (m + 1) * (2 * m + 1) // 3 - (m * m if n % 2 == 0 else 0)
+    return size * d * type_count(n, size * d)
+
+
+def _check_classes(channel: CQChannel, path: str, ns: np.ndarray, counts: np.ndarray, config: RunConfig) -> None:
+    """``config.check_classes`` on the classes of the rows of ``counts`` at
+    blocklength ``ns``: the distinct eigenvalues of the largest class
+    average, and the table entries of every class of the largest ``ns``."""
+    n = int(ns.max())
+    eigenvalues = int(counts.min(axis=1).max()) + 1 if path == "pair" else type_count(n, channel.dim)
+    config.check_classes(eigenvalues, _class_entries(path, n, channel.size, channel.dim))
+
+
 def _class_values(
     channel: CQChannel, ns: np.ndarray, counts: np.ndarray, alpha: float, config: RunConfig
 ) -> np.ndarray:
@@ -680,12 +709,13 @@ def _class_values(
         return values
     ns, counts = ns[spread], counts[spread]
     overlaps = pure_letter_overlaps(channel)
-    if overlaps is not None and channel.size == 2:
-        small = counts.min(axis=1)
-        config.check(int(small.max()) + 1, table=True)
-        log_traces = _pure_pair_log_traces(min(float(abs(overlaps[0, 1]) ** 2), 1.0), ns, small, alpha)
-    elif channel.is_classical():
-        config.check(type_count(int(ns.max()), channel.dim), table=True)
+    path = _symmetric_path(channel, overlaps)
+    if path is not None:
+        _check_classes(channel, path, ns, counts, config)
+    if path == "pair":
+        c2 = min(float(abs(overlaps[0, 1]) ** 2), 1.0)
+        log_traces = _pure_pair_log_traces(c2, ns, counts.min(axis=1), alpha)
+    elif path == "commuting":
         with np.errstate(divide="ignore"):
             log_w = alpha * np.log(channel.induced_stochastic_matrix())
         log_traces = np.empty(len(ns))
@@ -719,11 +749,14 @@ def constant_composition_mi(
       eigenbasis, one value per output type (``_commuting_log_traces``),
       C(n + d - 1, d - 1) distinct ones.
 
-    Each path holds one entry per distinct eigenvalue, and ``config.check``
-    caps that count like a table: by ``max_sim_dim`` alone. Other pure
-    letters take the |T| x |T| Gram matrix while |T| <= d^n, capped at
-    |T|; everything else takes the d^n x d^n average, capped at d^n; both
-    are also held to ``MAX_TENSOR_DIM`` before any of it is built.
+    ``config.check_classes`` caps both paths before they build anything:
+    ``max_sim_dim`` bounds the distinct eigenvalues of the class average, and
+    ``MAX_CLASS_ENTRIES`` the table entries that the classes of blocklength
+    n take (``_class_entries``), which bounds the work at n whatever
+    ``max_sim_dim`` is. Other pure letters take the |T| x |T| Gram matrix
+    while |T| <= d^n, capped at |T|; everything else takes the d^n x d^n
+    average, capped at d^n; both are also held to ``MAX_TENSOR_DIM`` before
+    any of it is built.
 
     A class of one sequence is exactly 0 on every path, with nothing built:
     its average is a product state, and tr[(rho_xn^a)^(1/a)] = 1.
@@ -736,22 +769,40 @@ def constant_composition_mi(
 def _best_types(
     channel: CQChannel, blocklengths, alpha: float, config: RunConfig
 ) -> list[tuple[TypeClass, float]]:
-    """The type maximizing the constant-composition information at each
-    blocklength, the first in ``type_counts`` order among equal values.
+    """The type maximizing the constant-composition information at each of
+    the increasing ``blocklengths``, the first in ``type_counts`` order among
+    equal values.
 
-    The types of every blocklength are evaluated as one stack, and only the
-    winners become ``TypeClass`` objects.
+    On a symmetric path the caps are checked at the largest blocklength
+    before any type is built. The types then go in stacks of whole
+    blocklengths, at most ``CHUNK_ENTRIES`` types or one blocklength each,
+    and only the winners become ``TypeClass`` objects.
     """
     if not blocklengths:
         return []
-    counts = type_counts(blocklengths, channel.size)
-    sizes = [type_count(n, channel.size) for n in blocklengths]
-    values = _class_values(channel, np.repeat(blocklengths, sizes), counts, alpha, config)
+    n_max, size = blocklengths[-1], channel.size
+    path = _symmetric_path(channel, pure_letter_overlaps(channel))
+    if path is not None and n_max >= 2 and size >= 2:
+        balanced = np.array([[n_max // size + (x < n_max % size) for x in range(size)]])
+        _check_classes(channel, path, np.array([n_max]), balanced, config)
     out, lo = [], 0
-    for n, size in zip(blocklengths, sizes):
-        best = lo + int(np.argmax(values[lo:lo + size]))
-        out.append((TypeClass(n, tuple(counts[best].tolist())), float(values[best])))
-        lo += size
+    while lo < len(blocklengths):
+        sizes, held = [], 0
+        for n in blocklengths[lo:]:
+            count = type_count(n, size)
+            if sizes and held + count > CHUNK_ENTRIES:
+                break
+            sizes.append(count)
+            held += count
+        chunk = blocklengths[lo:lo + len(sizes)]
+        counts = type_counts(chunk, size)
+        values = _class_values(channel, np.repeat(chunk, sizes), counts, alpha, config)
+        start = 0
+        for n, count in zip(chunk, sizes):
+            best = start + int(np.argmax(values[start:start + count]))
+            out.append((TypeClass(n, tuple(counts[best].tolist())), float(values[best])))
+            start += count
+        lo += len(sizes)
     return out
 
 
@@ -775,7 +826,7 @@ def best_type_up_to(
     rows: list[tuple[int, TypeClass, float]] = []
     best_t: TypeClass | None = None
     best_v = -math.inf
-    for n, (t, v) in enumerate(_best_types(channel, list(range(1, n_max + 1)), alpha, config), start=1):
+    for n, (t, v) in enumerate(_best_types(channel, range(1, n_max + 1), alpha, config), start=1):
         if v > best_v:
             best_t, best_v = t, v
         rows.append((n, best_t, best_v))

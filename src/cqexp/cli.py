@@ -14,7 +14,9 @@ matrix (d^n x d^n states and Gram matrices) has a fixed ceiling,
 holds the codebook size M to it too. ``besttype`` on two pure letters or
 on commuting letters decomposes nothing: it sums the distinct eigenvalues
 of each type-class average in closed form, min(k, n - k) + 1 or one per
-output type, and ``--max-dim`` alone caps their number.
+output type. ``--max-dim`` caps their number, and
+``config.MAX_CLASS_ENTRIES``, which it does not raise, the table entries
+of one blocklength; both are checked at ``--nmax`` before any type is built.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .analysis import ChannelAnalysis, best_type_up_to, holevo_capacity, renyi_mi_channel
 from .channel_io import load_channel
 from .coding import estimate_exponent
-from .config import DEFAULT_CONFIG, LN_BASE, MAX_TENSOR_DIM, RunConfig
+from .config import DEFAULT_CONFIG, LN_BASE, MAX_CLASS_ENTRIES, MAX_TENSOR_DIM, RunConfig
 from .divergences import renyi_mi_channel_prior
 from .errors import (
     CqexpError,
@@ -69,7 +71,8 @@ MAX_DIM_HELP = (
     f"(2^{MAX_TENSOR_DIM.bit_length() - 1}) do not raise the ceiling of the "
     "d^n x d^n states and Gram matrices, which exit 4 past it. besttype on two "
     "pure letters or on commuting letters decomposes nothing: there it caps the "
-    "number of distinct eigenvalues of a type-class average, with no ceiling."
+    "number of distinct eigenvalues of a type-class average, and the tables of "
+    f"one blocklength have a fixed ceiling of {MAX_CLASS_ENTRIES} entries."
 )
 
 

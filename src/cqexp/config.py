@@ -45,6 +45,12 @@ MAX_TENSOR_DIM = 2 ** 12
 # Most table or Gram-matrix entries a stacked blocklength evaluation holds at once.
 CHUNK_ENTRIES = 2 ** 16
 
+# Ceiling on the table entries that a symmetric type-class path builds for the
+# classes of one blocklength, summed over them: as many as one
+# MAX_TENSOR_DIM x MAX_TENSOR_DIM matrix holds. It bounds both the work at
+# one blocklength and the largest single class.
+MAX_CLASS_ENTRIES = MAX_TENSOR_DIM ** 2
+
 
 def format_dim(dim: int) -> str:
     """A size for an error message: in full up to 10^15, else "about 10^k".
@@ -63,10 +69,11 @@ class RunConfig:
 
     ``max_sim_dim`` bounds M codewords or |T| sequences for pure letters
     while that is at most d^n, d^n otherwise; every decomposed matrix stays
-    within ``MAX_TENSOR_DIM`` whatever it is. The symmetric type-class paths
-    decompose nothing and hold one entry per distinct eigenvalue of the
-    class average, so ``max_sim_dim`` alone bounds that count, as it bounds
-    a table. ``check`` applies all of these.
+    within ``MAX_TENSOR_DIM`` whatever it is; ``check`` applies both. The
+    symmetric type-class paths decompose nothing: ``max_sim_dim`` bounds the
+    number of distinct eigenvalues of a class average, and the tables that
+    their sums take, over the classes of one blocklength, stay within
+    ``MAX_CLASS_ENTRIES``; ``check_classes`` applies both.
     """
 
     max_sim_dim: int = 256
@@ -78,13 +85,23 @@ class RunConfig:
     def check(self, dim: int, *, table: bool = False) -> int:
         """``dim``, the side of the matrix built at blocklength n (M or |T| on the Gram
         paths, d^n otherwise), or TooLarge past ``max_sim_dim``, or past
-        ``MAX_TENSOR_DIM`` unless it is a ``table``, never decomposed: the
-        diagonal coding path, or the distinct eigenvalues that a symmetric
-        type-class path sums."""
+        ``MAX_TENSOR_DIM`` unless it is a ``table`` (the diagonal path: never decomposed)."""
         cap = self.max_sim_dim if table else min(self.max_sim_dim, MAX_TENSOR_DIM)
         if dim > cap:
             raise TooLarge(f"dimension {format_dim(dim)} exceeds simulation cap {cap}")
         return dim
+
+    def check_classes(self, eigenvalues: int, entries: int) -> None:
+        """TooLarge unless a symmetric type-class path may sum ``eigenvalues``
+        distinct eigenvalues of one class average, at most ``max_sim_dim``,
+        and build ``entries`` table entries for the classes of one
+        blocklength, at most ``MAX_CLASS_ENTRIES``."""
+        if eigenvalues > self.max_sim_dim:
+            raise TooLarge(f"eigenvalue count {format_dim(eigenvalues)} exceeds cap {self.max_sim_dim}")
+        if entries > MAX_CLASS_ENTRIES:
+            raise TooLarge(
+                f"{format_dim(entries)} table entries at one blocklength exceed ceiling {MAX_CLASS_ENTRIES}"
+            )
 
 
 DEFAULT_CONFIG = RunConfig()

@@ -1075,7 +1075,7 @@ class TestConstantCompositionTable:
         t = TypeClass(9, (5, 4))
         at_count = dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=10)
         assert constant_composition_mi(ch, t, 0.3, at_count) == constant_composition_mi(ch, t, 0.3) > 0.0
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge, match="^eigenvalue count 10 exceeds cap 9$"):
             constant_composition_mi(ch, t, 0.3, dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=9))
 
 
@@ -1167,8 +1167,63 @@ class TestSymmetricPaths:
         t = TypeClass(6, (4, 2))
         at_count = dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=3)
         assert constant_composition_mi(pure_pair, t, 0.5, at_count) == constant_composition_mi(pure_pair, t, 0.5)
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge, match="^eigenvalue count 3 exceeds cap 2$"):
             constant_composition_mi(pure_pair, t, 0.5, dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=2))
+
+    @pytest.mark.parametrize("case", [("pair", 2, 2), ("commuting", 2, 2), ("commuting", 3, 2), ("commuting", 2, 3)])
+    def test_class_entries_closed_form(self, case):
+        # Against the sum over the classes: (min(k, n - k) + 1)^2 per class of
+        # two pure letters; |X| d per joint type, prod_x C(P_x + d - 1, d - 1)
+        # of them per class P, for commuting letters.
+        path, size, d = case
+        for n in range(1, 13):
+            if path == "pair":
+                want = sum((min(k, n - k) + 1) ** 2 for k in range(n + 1))
+            else:
+                want = sum(
+                    size * d * math.prod(math.comb(c + d - 1, d - 1) for c in t.counts)
+                    for t in enumerate_types(n, size)
+                )
+            assert analysis._class_entries(path, n, size, d) == want
+
+    def test_commuting_work_is_held_to_the_entry_ceiling(self, monkeypatch):
+        # Six commuting qubit letters: C(n + 11, 11) joint types of 12 counts
+        # at blocklength n, 16 224 936 entries at n = 12 and 29 953 728 at
+        # n = 13, past MAX_CLASS_ENTRIES = 2^24; the n + 1 output types stay
+        # far inside any --max-dim.
+        rng = np.random.default_rng([2207, 6])
+        ch = CQChannel.from_states([np.diag(w).astype(complex) for w in rng.dirichlet(np.ones(2), size=6)])
+        assert ch.is_classical() and ch.size == 6
+        wide = dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=10 ** 9)
+        assert constant_composition_mi(ch, TypeClass(12, (2, 2, 2, 2, 2, 2)), 0.5, wide) > 0.0
+        with pytest.raises(TooLarge, match="^29953728 table entries at one blocklength exceed ceiling 16777216$"):
+            constant_composition_mi(ch, TypeClass(13, (3, 2, 2, 2, 2, 2)), 0.5, wide)
+        monkeypatch.setattr(analysis, "_commuting_log_traces", None)  # nothing may be evaluated
+        monkeypatch.setattr(analysis, "type_counts", None)  # nor any type built
+        for n_max in (13, 10 ** 6):
+            with pytest.raises(TooLarge, match="table entries at one blocklength exceed"):
+                best_type_up_to(ch, n_max, 0.5, wide)
+
+    @pytest.mark.parametrize("name", ["pure_pair", "bsc01"])
+    def test_caps_are_checked_before_any_type_is_built(self, monkeypatch, name):
+        ch = load_channel(CHANNELS_DIR / f"{name}.json")
+        monkeypatch.setattr(analysis, "type_counts", None)  # any type stack fails
+        with pytest.raises(TooLarge, match="^eigenvalue count"):
+            best_type_up_to(ch, 100_000, 0.5)
+        with pytest.raises(TooLarge, match="table entries at one blocklength exceed ceiling 16777216$"):
+            best_type_up_to(ch, 100_000, 0.5, dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=10 ** 9))
+
+    def test_stacks_of_whole_blocklengths_match_one_stack(self, monkeypatch):
+        # CHUNK_ENTRIES = 1 puts each blocklength in a stack of its own (and
+        # each table in one of its own, which moves sums by an ulp).
+        for name in ("pure_pair", "bsc01"):
+            ch = load_channel(CHANNELS_DIR / f"{name}.json")
+            whole = best_type_up_to(ch, 30, 0.3)
+            with monkeypatch.context() as patch:
+                patch.setattr(analysis, "CHUNK_ENTRIES", 1)
+                parts = best_type_up_to(ch, 30, 0.3)
+            assert [row[:2] for row in parts] == [row[:2] for row in whole]
+            assert [row[2] for row in parts] == pytest.approx([row[2] for row in whole], rel=0, abs=1e-15)
 
 
 class TestBestType:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cqexp import ChannelAnalysis, cli
+from cqexp import ChannelAnalysis, analysis, cli
 from cqexp.channel_io import load_channel
 from cqexp.cli import main
 from conftest import draw_letters
@@ -391,6 +391,18 @@ class TestBestType:
         target = float(rows[0][3])
         assert all(b >= a - 1e-6 for a, b in zip(values, values[1:]))
         assert all(v <= target + 1e-8 for v in values)
+
+    @pytest.mark.parametrize("channel, max_dim, message", [
+        (PURE_PAIR, "256", "eigenvalue count 50001 exceeds cap 256"),
+        (BSC, "256", "eigenvalue count 100001 exceeds cap 256"),
+        (PURE_PAIR, "1000000000", "83338333450001 table entries at one blocklength exceed ceiling 16777216"),
+        (BSC, "1000000000", "666706667400004 table entries at one blocklength exceed ceiling 16777216"),
+    ])
+    def test_huge_nmax_exit_4_before_any_type_is_built(self, runner, monkeypatch, channel, max_dim, message):
+        monkeypatch.setattr(analysis, "type_counts", None)  # a type stack would exit 1
+        res = runner.invoke(main, ["besttype", channel, "--alpha", "0.5", "--nmax", "100000", "--max-dim", max_dim])
+        assert res.exit_code == 4
+        assert res.stderr == f"error: {message}\n"
 
     def test_alpha_one_rejected(self, runner):
         res = runner.invoke(main, ["besttype", PURE_PAIR, "--alpha", "1", "--nmax", "3"])
