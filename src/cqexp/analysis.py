@@ -9,11 +9,11 @@ s I_{1/(1+s)}(N); the critical rate E0'(1) and the root of E0'(s) = r that
 refines each bound come from the closed-form slope at the optimal prior
 (Danskin's theorem); E0'(0) is the capacity. Each evaluation of I_a(N) is
 itself a maximization over priors, so a :class:`ChannelAnalysis` session
-caches those inner optimizations and warm-starts nearby ones. It takes them
-as stacks of (alpha, prior) rows: one ``eigh`` per stack gives the value,
-the certificate and the E0' slope of every row, so a row whose warm start
-is already optimal costs nothing more, and only the other rows are solved
-one at a time.
+caches those inner optimizations and warm-starts nearby ones. It solves
+them as stacks of (alpha, start) rows, all rows of a stack in lockstep
+(``simplex_opt.maximize_rows``): each round is one ``eigh`` of the live
+rows, a row whose start is already optimal costs that one evaluation, and
+each row's E0' slope comes from the decomposition of its last iterate.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ from .config import CHUNK_ENTRIES, DEFAULT_CONFIG, LN_BASE, RunConfig
 from .divergences import _per_row, check_alpha, letter_power_logs, letter_powers
 from .errors import InvalidGrid, NumericalInstability, RateAboveCapacity, TooLarge
 from .linalg import _support_clip, gram_stack, mat_power, spectral_entropy, tensor_all
-from .simplex_opt import (
-    ConvexSurrogate, OptimizationReport, certified_starts, maximize_on_simplex, start_point,
-)
+from .simplex_opt import ConvexSurrogate, OptimizationReport, maximize_on_simplex, maximize_rows, start_point
 from .typeclasses import TypeClass, compositions, enumerate_sequences, type_count, type_counts, type_index
 
 # Largest input alphabet that a prior optimization takes.
@@ -124,21 +122,22 @@ def _noise_floor(lam: np.ndarray) -> np.ndarray:
 
 def _divided_differences(lam: np.ndarray, fn, dfn) -> np.ndarray:
     """Gamma_ij = (fn(l_i) - fn(l_j)) / (l_i - l_j) on supp(A), zero off it, for one
-    spectrum.
+    spectrum or a stack of them (last axis).
 
-    fn has a singular derivative at 0, so Gamma is taken on supp(A) only.
-    Where two eigenvalues agree to about sqrt(eps) the quotient loses its
-    digits, so dfn at their midpoint stands in for it.
+    The eigenvalues ascend, as ``eigh`` returns them. fn has a singular
+    derivative at 0, so Gamma is taken on supp(A) only. Where two
+    eigenvalues agree to about sqrt(eps) the quotient loses its digits, so
+    dfn at their midpoint, a (..., d, d) array, stands in for it.
     """
-    top = lam.max()
+    top = lam[..., -1:]
     on = lam > _noise_floor(lam)
     lam = np.where(on, lam, top)
-    diff = lam[:, None] - lam[None, :]
-    close = np.abs(diff) <= 1e-8 * top
+    diff = lam[..., :, None] - lam[..., None, :]
+    close = np.abs(diff) <= 1e-8 * top[..., None]
     values = fn(lam)
-    gamma = np.divide(values[:, None] - values[None, :], diff, out=np.zeros_like(diff), where=~close)
-    gamma[close] = dfn((lam[:, None] + lam[None, :])[close] / 2)
-    return np.where(on[:, None] & on[None, :], gamma, 0.0)
+    quotient = (values[..., :, None] - values[..., None, :]) / np.where(close, 1.0, diff)
+    gamma = np.where(close, dfn((lam[..., :, None] + lam[..., None, :]) / 2), quotient)
+    return np.where(on[..., :, None] & on[..., None, :], gamma, 0.0)
 
 
 def _letter_derivatives(mats: np.ndarray, lam: np.ndarray, vec: np.ndarray, fn, dfn, scale):
@@ -148,18 +147,19 @@ def _letter_derivatives(mats: np.ndarray, lam: np.ndarray, vec: np.ndarray, fn, 
     Gamma the divided differences of fn.
 
     fn is called on every eigenvalue, so it also sets the derivative off
-    supp(A). The gradient is taken for one row or a stack of them, with
-    ``scale`` broadcast against it; only the diagonals of P_x enter it. The
-    Hessian, which forms the full P_x, is taken for one row, when a Newton
-    step asks for it.
+    supp(A). Both are taken for one row or a stack of them, with ``scale``
+    broadcast against the gradient; only the diagonals of P_x enter it. The
+    Hessian, which forms the full P_x, is taken when a Newton step asks for
+    it.
     """
     rotated = mats @ vec[..., None, :, :]
     grad = scale * np.einsum("...ai,...xai,...i->...x", vec.conj(), rotated, fn(lam)).real
 
     def hessian() -> np.ndarray:
-        flat = (vec.conj().T @ rotated).reshape(len(mats), -1)
+        flat = (np.swapaxes(vec.conj(), -1, -2)[..., None, :, :] @ rotated).reshape(rotated.shape[:-2] + (-1,))
         gamma = _divided_differences(lam, fn, dfn)
-        return scale * ((gamma.ravel() * flat) @ flat.conj().T).real
+        weighted = gamma.reshape(gamma.shape[:-2] + (1, -1)) * flat
+        return np.asarray(scale)[..., None] * (weighted @ np.swapaxes(flat.conj(), -1, -2)).real
 
     return grad, hessian
 
@@ -168,19 +168,19 @@ def _renyi_derivatives(powers: np.ndarray, alpha, prior: np.ndarray):
     """f(p) = tr[A^b], A = sum_x p_x rho_x^a, b = 1/a, its gradient, a
     function forming its Hessian and one giving E0' at p, from one ``eigh``
     of A; ``powers`` holds rho_x^a, (..., X, d, d) against ``alpha`` (...)
-    and ``prior`` (..., X). The Hessian is for one row: a scalar ``alpha``."""
+    and ``prior`` (..., X)."""
     beta = 1.0 / _per_row(alpha, 1)
     lam, vec = np.linalg.eigh(_mix(prior, powers))
     lam = np.clip(lam, 0.0, None)
-    b1, b2 = beta - 1.0, beta - 2.0
 
     def slope(t: np.ndarray) -> np.ndarray:
         # Off supp(A) the derivative is 0: an eigenvalue that grows from 0
         # like t enters f like t^b, b > 1.
-        return np.where(t > _noise_floor(t), t, 0.0) ** b1
+        return np.where(t > _noise_floor(t), t, 0.0) ** (beta - 1.0)
 
     def curvature(t: np.ndarray) -> np.ndarray:
-        return b1 * t ** b2
+        pair_beta = 1.0 / _per_row(alpha, 2)  # against pairs of eigenvalues
+        return (pair_beta - 1.0) * t ** (pair_beta - 2.0)
 
     def e0_slope(power_logs: np.ndarray) -> np.ndarray:
         """d/ds E0(s, p) in bits at s = 1/a - 1, for E0 = -log2 tr[A^(1+s)],
@@ -213,18 +213,19 @@ def _renyi_maximand(alpha, f):
         )
 
 
-def _renyi_surrogate(powers: np.ndarray, alpha: float) -> ConvexSurrogate:
-    """f(p) = tr[A^b], A = sum_x p_x rho_x^a, b = 1/a; I_a = a/(a-1) log2 f."""
+def _renyi_surrogate(channel: CQChannel, alpha, *, slopes: bool = False) -> ConvexSurrogate:
+    """f(p) = tr[A^b], A = sum_x p_x rho_x^a, b = 1/a, I_a = a/(a-1) log2 f, for
+    one alpha or a stack of them, one per row; with ``slopes``, a row's
+    extra quantity is its E0' slope."""
+    powers = letter_powers(channel, alpha)
+    power_logs = letter_power_logs(channel, alpha) if slopes else None
 
-    def maximand(f: float) -> tuple[float, float]:
-        mi, slope = _renyi_maximand(alpha, f)
-        return float(mi), float(slope)
+    def derivatives(prior: np.ndarray, rows=...):
+        a = alpha if rows is ... else alpha[rows]
+        f, grad, hessian, e0_slope = _renyi_derivatives(powers[rows], a, prior)
+        return f, grad, hessian, None if power_logs is None else lambda: e0_slope(power_logs[rows])
 
-    def derivatives(prior: np.ndarray):
-        f, grad, hessian, _ = _renyi_derivatives(powers, alpha, prior)
-        return float(f), grad, hessian
-
-    return ConvexSurrogate(derivatives, maximand)
+    return ConvexSurrogate(derivatives, lambda f, rows=...: _renyi_maximand(alpha if rows is ... else alpha[rows], f))
 
 
 def _holevo_surrogate(channel: CQChannel) -> ConvexSurrogate:
@@ -239,14 +240,14 @@ def _holevo_surrogate(channel: CQChannel) -> ConvexSurrogate:
         # multiplier test admit that letter.
         return np.log(np.maximum(lam, _noise_floor(lam)))
 
-    def derivatives(prior: np.ndarray):
+    def derivatives(prior: np.ndarray, rows=...):
         lam, vec = np.linalg.eigh(_mix(prior, outputs))
         lam = np.clip(lam, 0.0, None)
         traces, hessian = _letter_derivatives(outputs, lam, vec, log, np.reciprocal, 1.0 / LN_BASE)
         plogp = np.where(lam > 0, lam * np.log(np.maximum(lam, 1e-300)), 0.0)
-        chi = -plogp.sum() / LN_BASE - prior @ letter_entropy
+        chi = -plogp.sum(axis=-1) / LN_BASE - prior @ letter_entropy
         # chi = 0 may come out as -0.0 (equal pure letters), a capacity of -0.0.
-        return -float(chi), traces + 1.0 / LN_BASE + letter_entropy, hessian
+        return -chi, traces + 1.0 / LN_BASE + letter_entropy, hessian, None
 
     return ConvexSurrogate(derivatives)
 
@@ -254,6 +255,14 @@ def _holevo_surrogate(channel: CQChannel) -> ConvexSurrogate:
 def _check_alphabet(channel: CQChannel) -> None:
     if channel.size > MAX_OPT_ALPHABET:
         raise TooLarge(f"alphabet {channel.size} exceeds optimization cap {MAX_OPT_ALPHABET}")
+
+
+def _check_order(alpha: float) -> float:
+    """alpha as a float, if it lies in (0, 1]."""
+    alpha = check_alpha(alpha, hi=1.0)
+    if alpha <= 0.0:
+        raise ValueError("alpha must be positive")
+    return alpha
 
 
 def holevo_capacity(channel: CQChannel, *, start: np.ndarray | None = None) -> OptimizationReport:
@@ -268,152 +277,112 @@ def renyi_mi_channel(channel: CQChannel, alpha: float, *, start: np.ndarray | No
     Requires alpha in (0, 1]; alpha = 1 dispatches to the capacity
     maximization of the Holevo quantity.
     """
-    alpha = check_alpha(alpha, hi=1.0)
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    alpha = _check_order(alpha)
     if alpha == 1.0:
         return holevo_capacity(channel, start=start)
     _check_alphabet(channel)
-    surrogate = _renyi_surrogate(letter_powers(channel, alpha), alpha)
-    return maximize_on_simplex(surrogate, channel.size, start=start)
+    return maximize_on_simplex(_renyi_surrogate(channel, alpha), channel.size, start=start)
 
 
 # ---------------------------------------------------------------------------
 # Stacks of (alpha, prior) rows.
 
 
-def _row_stacks(channel: CQChannel, alphas, priors):
-    """Yield the (alpha < 1, prior) rows in stacks of ``CHUNK_ENTRIES``
-    letter-function entries (|X| d^2 per row): alpha, the priors and their
-    ``_renyi_derivatives``, from one ``eigh`` per stack."""
+def _row_stacks(channel: CQChannel, count: int):
+    """Slices of ``count`` (alpha < 1, prior) rows, in stacks of
+    ``CHUNK_ENTRIES`` letter-function entries (|X| d^2 per row)."""
     _check_alphabet(channel)
     step = max(1, CHUNK_ENTRIES // (channel.size * channel.dim ** 2))
-    for lo in range(0, len(alphas), step):
-        alpha = np.asarray(alphas[lo:lo + step], dtype=float)
-        points = np.asarray(priors[lo:lo + step], dtype=float)
-        yield alpha, points, _renyi_derivatives(letter_powers(channel, alpha), alpha, points)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-def _renyi_rows(channel: CQChannel, alphas, starts):
-    """Yield, row by row, for each (alpha < 1, start) row whose start already
-    meets the stop rule the report ``renyi_mi_channel`` gives, at 0
-    iterations, and E0' at the start; and (None, None) for a row that needs
-    Newton steps. ``starts`` are normalized priors, taken lazily, a stack of
-    ``_row_stacks`` at a time; a stack in which no row certifies takes no slope.
-    """
-    for alpha, points, (f, grad, _, e0_slope) in _row_stacks(channel, alphas, starts):
-        reports = certified_starts(points, f, grad, lambda f: _renyi_maximand(alpha, f))
-        e0 = e0_slope(letter_power_logs(channel, alpha)).tolist() if any(reports) else [None] * len(alpha)
-        for rep, row_slope in zip(reports, e0):
-            yield (None, None) if rep is None else (rep, row_slope)
+def _renyi_solve(channel: CQChannel, alphas, starts, leaders=None):
+    """The ``renyi_mi_channel`` report and E0' slope at each (alpha < 1, start
+    prior) row, one lockstep solve per stack of ``_row_stacks``; ``leaders``
+    as in ``maximize_rows``, where a leader in an earlier stack gives its
+    prior as the start. Each start is divided by its sum, as in ``start_point``."""
+    alphas = np.asarray(alphas, dtype=float)
+    points = np.array(starts, dtype=float)
+    points /= points.sum(axis=1, keepdims=True)
+    leaders = np.full(len(alphas), -1) if leaders is None else np.asarray(leaders)
+    reports, slopes = [], []
+    for rows in _row_stacks(channel, len(alphas)):
+        lead = leaders[rows] - rows.start
+        for i in np.flatnonzero((lead < 0) & (leaders[rows] >= 0)):
+            points[rows.start + i] = reports[leaders[rows.start + i]].prior
+        stack_reports, stack_slopes = maximize_rows(
+            _renyi_surrogate(channel, alphas[rows], slopes=True), points[rows], np.maximum(lead, -1)
+        )
+        reports += stack_reports
+        slopes += stack_slopes.tolist()
+    return reports, slopes
 
 
 class ChannelAnalysis:
     """Session object caching the inner prior optimizations of one channel.
 
-    Both bounds and the critical rate read one solve of ``ALPHA_GRID``, made
-    down from alpha = 1 (the capacity), each point warm-started from the one
-    above it. Warm starts for off-grid alpha values are taken from that grid
-    only, never from other refinement results. The E0' slope at each solved
-    alpha is cached next to its report; a row that its start certifies takes
-    it from the same decomposition. The grid owns its points: it overwrites a
-    grid point that ``mutual_info`` solved before it, so no call order moves
-    a bound, the critical rate or a curve row.
+    Each solved alpha is cached with its report and its E0' slope. Both
+    bounds and the critical rate read one solve of ``ALPHA_GRID``: the
+    capacity, then the other 99 points as one stack from the capacity prior,
+    each of 0.98, 0.96, ..., 0.02 following the point above it, as in a
+    sequential chain. E0' is first order in the error of the prior, and a near
+    start leaves the last Newton step less of it: the critical rate is E0' at
+    alpha = 1/2. Off-grid alpha values are warm-started from the grid only.
+    The grid overwrites a grid point that ``mutual_info`` solved before it,
+    so no call order moves a bound, the critical rate or a curve row.
     """
 
     def __init__(self, channel: CQChannel):
         self.channel = channel
-        self._mi_cache: dict[float, OptimizationReport] = {}
-        self._slope_cache: dict[float, float] = {}
-        self._grid_reports: list[OptimizationReport] = []
+        self._mi_cache: dict[float, tuple[OptimizationReport, float]] = {}
+        self._grid_rows: list[tuple[OptimizationReport, float]] = []
 
     # -- inner optimizations -------------------------------------------------
 
-    def _grid(self) -> list[OptimizationReport]:
-        """The reports at the ``ALPHA_GRID`` points, in grid order; each is
-        cached, with its E0' slope where it has one already (the capacity at
-        alpha = 1).
+    def _solve(self, alphas, starts, leaders=None) -> None:
+        """Solve the (alpha, start) rows, alpha < 1 (``leaders`` as in
+        ``maximize_rows``), and cache each (report, E0' slope); raise, caching
+        none, if any row did not converge."""
+        reports, slopes = _renyi_solve(self.channel, alphas, starts, leaders)
+        for alpha, rep in zip(alphas, reports):
+            if not rep.converged:
+                raise NumericalInstability(f"prior optimization did not converge at alpha={alpha}")
+        self._mi_cache.update(zip(alphas, zip(reports, slopes)))
 
-        Each point is solved from the prior of the point above it. While
-        those priors stay the capacity prior, every point that its start
-        certifies comes, with its E0' slope, from one stack of ``_renyi_rows``;
-        from the first point that needs Newton steps the chain goes on one
-        solve at a time.
-        """
-        if not self._grid_reports:
-            reports = [self.capacity()]
-            self._slope_cache[1.0] = reports[0].value
-            alphas = [float(a) for a in ALPHA_GRID[-2::-1]]
-            # The start of each point while every point above keeps its own:
-            # maximize_on_simplex divides the prior above by its sum. That map
-            # is fixed, so once a start repeats bit for bit the chain cycles.
-            starts, seen, start = [], {}, reports[0].prior
-            while len(starts) < len(alphas):
-                start = start_point(self.channel.size, start)
-                first = seen.setdefault(start.tobytes(), len(starts))
-                if first < len(starts):
-                    cycle = starts[first:]
-                    starts += [cycle[i % len(cycle)] for i in range(len(alphas) - len(starts))]
-                    break
-                starts.append(start)
-            tests = _renyi_rows(self.channel, alphas, starts)
-            chained = True
-            for alpha in alphas:
-                rep, slope = next(tests) if chained else (None, None)
-                chained = rep is not None
-                if chained:
-                    self._slope_cache[alpha] = slope
-                else:
-                    rep = self._solve(alpha, start=reports[-1].prior)
-                self._mi_cache[alpha] = rep
-                reports.append(rep)
-            self._grid_reports = reports[::-1]
-        return self._grid_reports
-
-    def _solve(self, alpha: float, start: np.ndarray | None = None) -> OptimizationReport:
-        rep = renyi_mi_channel(self.channel, alpha, start=start)
-        if not rep.converged:
-            raise NumericalInstability(f"prior optimization did not converge at alpha={alpha}")
-        return rep
-
-    def _mi_point(self, alpha: float, start: np.ndarray | None = None) -> OptimizationReport:
-        key = float(alpha)
-        if key not in self._mi_cache:
-            self._mi_cache[key] = self._solve(key, start=start)
-        return self._mi_cache[key]
-
-    def _mi_points(self, alphas, starts) -> list[OptimizationReport]:
-        """``_mi_point`` at each (alpha, start) row; the uncached rows whose
-        start already meets the stop rule come, with their E0' slopes, from
-        one stack of ``_renyi_rows``."""
-        keys = [float(a) for a in alphas]
+    def _points(self, alphas, starts=None) -> list[tuple[OptimizationReport, float]]:
+        """(report, E0' slope) at each alpha in (0, 1]: the cached one, or
+        solved from its start prior (by default the uniform one), every fresh
+        alpha below 1 in one stack. E0' at alpha = 1 is the capacity."""
+        keys = [_check_order(a) for a in alphas]
+        if 1.0 in keys and 1.0 not in self._mi_cache:
+            rep = holevo_capacity(self.channel)
+            if not rep.converged:
+                raise NumericalInstability("prior optimization did not converge at alpha=1.0")
+            self._mi_cache[1.0] = (rep, rep.value)
         fresh: dict[float, np.ndarray] = {}
-        for key, start in zip(keys, starts):
-            if key < 1.0 and key not in self._mi_cache:
-                fresh.setdefault(key, start_point(self.channel.size, start))
-        for key, (rep, slope) in zip(fresh, _renyi_rows(self.channel, list(fresh), list(fresh.values()))):
-            if rep is not None:
-                self._mi_cache[key], self._slope_cache[key] = rep, slope
-        return [self._mi_point(key, start=start) for key, start in zip(keys, starts)]
+        for key, start in zip(keys, starts or [start_point(self.channel.size)] * len(keys)):
+            if key not in self._mi_cache:
+                fresh.setdefault(key, start)
+        if fresh:
+            self._solve(list(fresh), list(fresh.values()))
+        return [self._mi_cache[key] for key in keys]
 
-    def _slopes(self, alphas) -> np.ndarray:
-        """E0' at the cached report of each alpha, cached by alpha. The grid
-        and the rows that their start certified brought theirs; the rows that
-        Newton steps moved take one stack of ``_row_stacks`` at their solved
-        priors."""
-        keys = [float(a) for a in alphas]
-        missing = [key for key in dict.fromkeys(keys) if key not in self._slope_cache]
-        priors = [self._mi_cache[key].prior for key in missing]
-        for alpha, _, (*_, e0_slope) in _row_stacks(self.channel, missing, priors):
-            self._slope_cache.update(zip(alpha.tolist(), e0_slope(letter_power_logs(self.channel, alpha)).tolist()))
-        return np.array([self._slope_cache[key] for key in keys])
+    def _grid(self) -> list[tuple[OptimizationReport, float]]:
+        """(report, E0' slope) at the ``ALPHA_GRID`` points, in grid order."""
+        if not self._grid_rows:
+            cap = self._points([1.0])[0]
+            down = ALPHA_GRID[-2::-1].tolist()  # 0.99, 0.98, ..., 0.01
+            followed = [i - 1 if i % 2 else -1 for i in range(len(down))]
+            self._solve(down, [cap[0].prior] * len(down), followed)
+            self._grid_rows = [self._mi_cache[alpha] for alpha in ALPHA_GRID[:-1].tolist()] + [cap]
+        return self._grid_rows
 
     def mutual_info(self, alpha: float) -> OptimizationReport:
         """Cached I_alpha(N) report (alpha = 1 gives the capacity report)."""
-        return self._mi_point(float(alpha))
+        return self._points([alpha])[0][0]
 
     def capacity(self) -> OptimizationReport:
-        return self._mi_point(1.0)
+        return self._points([1.0])[0][0]
 
     # -- exponent machinery ---------------------------------------------------
 
@@ -427,16 +396,15 @@ class ChannelAnalysis:
         leave the floor. If the sign changes across it, the Illinois method
         (regula falsi halving the stale end) shrinks that alpha bracket to
         ``ALPHA_TOL``. The brackets of all rows, of both bound kinds, move in
-        lockstep: each round takes the probes of every open bracket as one
-        stack (``_mi_points``, whose certified rows bring their slopes, then
-        ``_slopes`` for the rows Newton steps moved), each warm-started from
-        its nearest grid point. A probe is cached by alpha, so rows that take
+        lockstep: each round takes the probes of every open bracket, with
+        their slopes, as one stack (``_points``), each warm-started from its
+        nearest grid point. A probe is cached by alpha, so rows that take
         the same cell share every probe. A bound is saturated when its alpha
         ends within 10 ``ALPHA_TOL`` of the sphere-packing floor.
         """
-        alphas, reports = ALPHA_GRID, self._grid()
-        slopes = self._slopes(alphas)
-        mis = np.asarray([rep.value for rep in reports])
+        alphas, grid = ALPHA_GRID, self._grid()
+        mis = np.asarray([rep.value for rep, _ in grid])
+        slopes = np.asarray([slope for _, slope in grid])
         r = np.asarray(rates, dtype=float)
         lo = np.searchsorted(alphas, floors)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -452,9 +420,10 @@ class ChannelAnalysis:
         gb = np.where(inside, slopes[other] - r, 0.0)
         while (live := np.flatnonzero((ga * gb < 0.0) & (np.abs(b - a) > ALPHA_TOL))).size:
             c = (a[live] * gb[live] - b[live] * ga[live]) / (gb[live] - ga[live])
-            starts = [reports[int(np.argmin(np.abs(alphas - x)))].prior for x in c]
-            values = np.array([rep.value for rep in self._mi_points(c, starts)])
-            gc = self._slopes(c) - r[live]
+            starts = [grid[int(np.argmin(np.abs(alphas - x)))][0].prior for x in c]
+            probes = self._points(c.tolist(), starts)
+            values = np.array([rep.value for rep, _ in probes])
+            gc = np.array([slope for _, slope in probes]) - r[live]
             val = (1.0 - c) / c * (values - r[live])
             better = val > val_star[live]
             alpha_star[live] = np.where(better, c, alpha_star[live])
@@ -485,8 +454,7 @@ class ChannelAnalysis:
         """r_c = E0'(1), the slope of s * I_{1/(1+s)}(N) at s = 1, in closed form
         at the prior maximizing I_{1/2} (Danskin's theorem): the slope of the
         alpha = 1/2 point of the alpha grid, with no solve of its own."""
-        self._grid()
-        return float(self._slopes([0.5])[0])
+        return float(self._grid()[int(np.searchsorted(ALPHA_GRID, 0.5))][1])
 
     def reliability(self, r: float) -> ReliabilityResult:
         """Exact exponent for r >= r_c, bounding interval below r_c."""

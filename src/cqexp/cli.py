@@ -169,26 +169,18 @@ def renyi(channel_file, alpha, prior_raw, json_mode, nats) -> None:
     channel = load_channel(channel_file)
     if prior_raw is not None:
         prior = _parse_prior(prior_raw)
-        value = _conv(renyi_mi_channel_prior(channel, prior, alpha), nats)
-        if json_mode:
-            click.echo(_json.dumps(
-                {"alpha": alpha, "renyi_mi": value, "prior": [float(p) for p in prior]},
-                separators=(",", ":"),
-            ))
-        else:
-            click.echo(f"renyi_mi: {value:.6f}")
+        value = renyi_mi_channel_prior(channel, prior, alpha)
     else:
         report = renyi_mi_channel(channel, alpha)
         if not report.converged:
             _fail(NUMERICAL_EXIT, "prior optimization did not converge")
-        value = _conv(report.value, nats)
-        prior = [float(p) for p in report.prior]
-        if json_mode:
-            click.echo(_json.dumps(
-                {"alpha": alpha, "renyi_mi": value, "prior": prior}, separators=(",", ":")
-            ))
-        else:
-            click.echo(f"renyi_mi: {value:.6f}")
+        value, prior = report.value, report.prior
+    value, prior = _conv(value, nats), [float(p) for p in prior]
+    if json_mode:
+        click.echo(_json.dumps({"alpha": alpha, "renyi_mi": value, "prior": prior}, separators=(",", ":")))
+    else:
+        click.echo(f"renyi_mi: {value:.6f}")
+        if prior_raw is None:
             click.echo("prior: " + ",".join(_fmt(p) for p in prior))
 
 

@@ -245,24 +245,6 @@ def _seed_states(words: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
-def _stream_states(seeds) -> np.ndarray:
-    """(len(seeds), 4) uint64 PCG64 seed states of ``seeds`` (see ``_draw_words``).
-
-    A 2-D uint32 array is a stack of word rows and is hashed as it is;
-    otherwise each seed gives its words (``_seed_words``), every seed is
-    checked before any is hashed, and the rows are hashed in one pass per
-    word count.
-    """
-    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint32 and seeds.ndim == 2:
-        return _seed_states(seeds)
-    rows = [_seed_words(seed) for seed in seeds]
-    states = np.empty((len(rows), 4), dtype=np.uint64)
-    for length in {len(row) for row in rows}:
-        at = [b for b, row in enumerate(rows) if len(row) == length]
-        states[at] = _seed_states(np.array([rows[b] for b in at], dtype=np.uint32).reshape(len(at), length))
-    return states
-
-
 @cache
 def _seed_state_type() -> type:
     """numpy's ``ISeedSequence`` for one precomputed state row.
@@ -288,18 +270,18 @@ def _seed_state_type() -> type:
     return SeedState
 
 
-def _draw_words(alphabet_size: int, n: int, size: int, mode, seeds) -> np.ndarray:
-    """(len(seeds), size, n) letters: one random codebook per seed, each from its own stream.
+def _draw_words(alphabet_size: int, n: int, size: int, mode, keys: np.ndarray) -> np.ndarray:
+    """(B, size, n) letters: one random codebook per row of ``keys``, each from its own stream.
 
-    Codebook b is drawn from ``Generator(PCG64(SeedSequence(seeds[b])))``,
-    the stream of ``np.random.default_rng(seeds[b])``; each seed is a
-    non-negative integer, a sequence of them, or a uint32 array of
-    ``SeedSequence`` words (see ``_seed_words``), and a 2-D uint32 array is
-    a stack of such rows. cqexp computes the ``SeedSequence`` states of all
-    seeds itself, in one pass (``_seed_states``), and hands each to numpy's
-    ``PCG64`` through numpy's ``ISeedSequence`` interface; numpy seeds PCG64
-    and draws. The streams are those of numpy's stream policy (NEP 19), and
-    the tests compare states and draws against numpy's own ``SeedSequence``.
+    ``keys`` is a (B, L) uint32 stack of ``SeedSequence`` words (see
+    ``_seed_words``), and codebook b is drawn from
+    ``Generator(PCG64(SeedSequence(keys[b])))``, the stream of
+    ``np.random.default_rng(keys[b])``. cqexp computes the ``SeedSequence``
+    states of all rows itself, in one pass (``_seed_states``), and hands each
+    to numpy's ``PCG64`` through numpy's ``ISeedSequence`` interface; numpy
+    seeds PCG64 and draws. The streams are those of numpy's stream policy
+    (NEP 19), and the tests compare states and draws against numpy's own
+    ``SeedSequence``.
 
     * i.i.d.: letter (m, i) is the inverse CDF of the prior (negative
       weights clipped to 0, then normalised) at draw (m, i) of the stream's
@@ -308,8 +290,7 @@ def _draw_words(alphabet_size: int, n: int, size: int, mode, seeds) -> np.ndarra
       ``permuted`` of the (size, n) array whose rows are the sorted type,
       so each row is an independent uniform permutation.
 
-    The prior, the composition and the seeds are checked before any stream
-    is built.
+    The prior and the composition are checked before any stream is built.
     """
     if size < 1 or n < 1:
         raise ValueError("need size >= 1 and n >= 1")
@@ -332,7 +313,7 @@ def _draw_words(alphabet_size: int, n: int, size: int, mode, seeds) -> np.ndarra
         rows = np.broadcast_to(np.repeat(np.arange(alphabet_size), t.counts), (size, n))
     else:
         raise TypeError(f"unknown codebook mode {mode!r}")
-    states = _stream_states(seeds)
+    states = _seed_states(keys)
     # numpy loads np.random on first use; looked up here, it stays out of `import cqexp`.
     rnd, seeded = np.random, _seed_state_type()
     # One stream at a time: a stream lives only while it fills its codebook.
@@ -354,7 +335,7 @@ def _as_codebook(words: np.ndarray) -> Codebook:
 
 def generate_codebook(alphabet_size: int, n: int, size: int, mode, seed) -> Codebook:
     """Random codebook, deterministic given the seed; duplicates allowed."""
-    return _as_codebook(_draw_words(alphabet_size, n, size, mode, [seed])[0])
+    return _as_codebook(_draw_words(alphabet_size, n, size, mode, _seed_words(seed)[None])[0])
 
 
 def codeword_state(channel: CQChannel, codeword: Sequence[int]) -> np.ndarray:

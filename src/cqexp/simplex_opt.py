@@ -3,8 +3,10 @@
 Every prior problem here maximizes phi(f(p)) with f convex on the simplex
 and phi strictly decreasing: the Holevo quantity is -f for the convex
 f = -chi, and the Renyi information is a/(a-1) log2 f for the convex
-f(p) = tr[(sum_x p_x rho_x^a)^(1/a)]. So the solver minimizes f, once,
-from one start, by an active-set Newton method:
+f(p) = tr[(sum_x p_x rho_x^a)^(1/a)]. The solver minimizes f for a stack
+of such problems, one start each, by an active-set Newton method whose
+rows go in lockstep, one evaluation of the live rows per round; each row
+keeps its own active set, backtrack, certificate and iteration count:
 
 * each iteration takes f, its gradient and its Hessian at the current
   prior, and minimizes the quadratic model of f, regularized by
@@ -20,23 +22,20 @@ from one start, by an active-set Newton method:
   predicts falls below the rounding of f itself, so there a step that
   keeps f within that rounding level is taken when it lowers the gap.
 
-The run stops on the Frank-Wolfe gap of the maximand,
+A run stops on the Frank-Wolfe gap of the maximand,
 max_x g_x - p.g for g = grad phi(f(p)), which vanishes only at the optimum
 and, for a concave objective, bounds the distance to it (Jaggi,
 "Revisiting Frank-Wolfe", ICML 2013). The gap cannot be resolved below
 the rounding of the gradient it is taken from, so that level is a floor
-under the tolerance. The gap and its floor are taken for one prior or a
-stack of them, so ``certified_starts`` tests many starts at once.
+under the tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
-
-Derivatives = tuple[float, np.ndarray, Callable[[], np.ndarray]]
 
 _EPS = float(np.finfo(float).eps)
 # Multiple of machine epsilon, times the magnitude of a quantity, taken as
@@ -51,23 +50,24 @@ GAP_TOL = 1e-9
 MAX_ITERATIONS = 10_000
 
 
-def _negate(f: float) -> tuple[float, float]:
-    return -f, 1.0
-
-
 @dataclass(frozen=True)
 class ConvexSurrogate:
-    """A maximand phi(f(p)), given through the convex f and the decreasing phi.
+    """A stack of maximands phi(f(p)), each given through the convex f and
+    the decreasing phi of its row.
 
-    ``derivatives(p)``, the one evaluation at a prior, is f(p), its gradient
-    and a function forming its Hessian, called only when a Newton step is
-    taken. Where a one-sided derivative of f is -inf, on a face of the
+    ``derivatives(points, rows)``, the one evaluation, takes one prior per
+    row of ``rows`` (an index array into the stack, or ``...`` for all of
+    it) and gives f at each, the gradients, a function forming the Hessians
+    (called only when a Newton step is taken) and a function giving a
+    per-row quantity that the solve hands back at each row's last iterate,
+    or None. Where a one-sided derivative of f is -inf, on a face of the
     simplex, the gradient must hold a large negative stand-in: the gap test
-    reads it. ``maximand(f)`` is (phi(f), -phi'(f)), by default (-f, 1).
+    reads it. ``maximand(f, rows)`` is (phi(f), -phi'(f)) elementwise, by
+    default (-f, 1).
     """
 
-    derivatives: Callable[[np.ndarray], Derivatives]
-    maximand: Callable[[float], tuple[float, float]] = _negate
+    derivatives: Callable[..., tuple]
+    maximand: Callable[..., tuple[np.ndarray, np.ndarray]] = lambda f, rows=...: (-f, 1.0)
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,9 @@ def _model_minimizer(point: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> n
         model_grad = grad + hess @ (q - point)
         free = np.flatnonzero(~fixed)
         m = len(free)
-        kkt = np.zeros((m + 1, m + 1))
-        kkt[:m, :m] = hess[free][:, free]
-        kkt[:m, m] = kkt[m, :m] = 1.0
-        rhs = np.append(-model_grad[free], 0.0)
+        kkt, rhs = np.ones((m + 1, m + 1)), np.zeros(m + 1)
+        kkt[:m, :m], kkt[m, m] = hess[free][:, free], 0.0
+        rhs[:m] = -model_grad[free]
         step = np.linalg.solve(kkt, rhs)[:m]
         shrinking = step < 0.0
         ratios = np.full(m, np.inf)
@@ -139,19 +138,6 @@ def _model_minimizer(point: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> n
     return q / q.sum()
 
 
-class _Iterate(NamedTuple):
-    """A prior with the derivatives of f there and its certificate."""
-
-    point: np.ndarray
-    f: float
-    grad: np.ndarray
-    hessian: Callable[[], np.ndarray]
-    value: float  # phi(f)
-    gap: float  # Frank-Wolfe gap of phi(f), in its units
-    floor: float  # rounding level of that gap
-    gap_f: float  # Frank-Wolfe gap of f
-
-
 def _rounding(f, pg, grad: np.ndarray):
     """Rounding level of f, and of the Frank-Wolfe gap p.g - min g, in f's units,
     from f, pg = p.g and g; for one prior or a stack of them."""
@@ -173,22 +159,6 @@ def _certified(gap, floor):
     return (gap <= GAP_TOL) | (gap <= floor)
 
 
-def certified_starts(points: np.ndarray, f: np.ndarray, grad: np.ndarray, maximand):
-    """For a stack of starts, with f and its gradient at each and ``maximand``
-    the elementwise (phi(f), -phi'(f)), the report ``maximize_on_simplex``
-    returns where the start already meets the stop rule (0 iterations), and
-    None where Newton steps are needed."""
-    value, slope = maximand(f)
-    gap, floor, gap_f = _certify(points, f, grad, slope)
-    bound = maximand(f - gap_f)[0] - value
-    return [
-        OptimizationReport(
-            value=float(v), prior=p.copy(), iterations=0, converged=True, start_count=1, gap=float(g)
-        ) if ok else None
-        for p, v, g, ok in zip(points, value, bound, _certified(gap, floor))
-    ]
-
-
 def start_point(dim: int, start: np.ndarray | None = None) -> np.ndarray:
     """``start``, nonnegative with a finite positive sum, divided by it; or the uniform prior."""
     if start is None:
@@ -201,44 +171,113 @@ def start_point(dim: int, start: np.ndarray | None = None) -> np.ndarray:
     return start / total
 
 
-def _iterate(surrogate: ConvexSurrogate, point: np.ndarray) -> _Iterate:
-    f, grad, hessian = surrogate.derivatives(point)
-    value, slope = surrogate.maximand(f)
-    gap, floor, gap_f = _certify(point, f, grad, slope)
-    return _Iterate(point, f, grad, hessian, value, float(gap), float(floor), float(gap_f))
+def maximize_rows(
+    surrogate: ConvexSurrogate, starts: np.ndarray, leaders=None
+) -> tuple[list[OptimizationReport], np.ndarray]:
+    """Active-set Newton descent on f for each row of the stack from its row
+    of ``starts`` (priors), in lockstep: one report per row, and the
+    surrogate's extra quantity at each row's last iterate (nan without one,
+    or where the row stopped on a failed descent). ``leaders[r] >= 0`` names
+    an earlier row, itself without a leader, whose final prior row r starts
+    from instead: row r is evaluated at the leader's start with it, and only
+    if the leader takes a step does row r wait for it and start again from
+    its final prior.
 
+    Each round evaluates the live rows at their trial points, at first their
+    starts. A trial that makes progress (a start always does) becomes the
+    row's iterate, which stops when the gap of phi(f) meets ``GAP_TOL`` or
+    its rounding floor, or after ``MAX_ITERATIONS`` iterations, and else
+    takes its Hessian and, as its next trial, the minimizer of its model
+    regularized by delta = the Frank-Wolfe gap of f. A trial that makes no
+    progress halves the row's step; a step that no longer moves the prior
+    fails.
 
-def _newton_step(surrogate: ConvexSurrogate, at: _Iterate) -> _Iterate | None:
-    """One backtracked step toward the minimizer of the model regularized by
-    delta = the Frank-Wolfe gap of f; None if no step makes progress.
-
-    A step makes progress when it lowers f by more than the rounding level
+    A trial makes progress when it lowers f by more than the rounding level
     of f and by the Armijo fraction of the decrease the model predicts, or
     when it keeps f within that rounding level and lowers the gap. The
     second kind serves full Newton steps near the optimum, whose decrease
     rounding hides, and the boundary where the gradient of f is nearly
-    discontinuous (t^(1/a - 1) at a near 1, for a letter that alone spans
-    an eigendirection of A): there f changes by no more than rounding over
-    the range of weights that certify the optimum. No step trades the
-    certificate for a change in f that rounding can produce, so the run
-    cannot cycle at rounding level.
+    discontinuous (t^(1/a - 1) at a near 1, for a letter that alone spans an
+    eigendirection of A): there f changes by no more than rounding over the
+    range of weights that certify the optimum. No step trades the
+    certificate for a change in f that rounding can produce, so a run cannot
+    cycle at rounding level.
     """
-    hess = at.hessian()
-    delta = max(at.gap_f, _ROUNDING * _EPS * float(np.abs(hess).max()))
-    target = _model_minimizer(at.point, at.grad, hess + delta * np.eye(len(at.point)))
-    direction = target - at.point
-    predicted = float(at.grad @ direction)
-    slack = float(_rounding(at.f, at.point @ at.grad, at.grad))
-    t, point = 1.0, target
-    # Halve until the step no longer moves the prior.
-    while t * float(np.abs(direction).max()) > _EPS:
-        trial = _iterate(surrogate, point)
-        descent = trial.f < at.f - slack and trial.f <= at.f + _ARMIJO * t * predicted
-        if descent or (trial.f <= at.f + slack and trial.gap < at.gap):
-            return trial
-        t *= 0.5
-        point = at.point + t * direction
-    return None
+    starts = np.asarray(starts, dtype=float)
+    count, dim = starts.shape
+    eye = np.eye(dim)
+    # Per row: its iterate with (f, phi(f), gap, floor, gap_f) there, its
+    # trial point, and the direction, predicted decrease, rounding slack and
+    # step length of its backtrack. A live row at 0 iterations has its start
+    # as its trial. ``settled`` holds the rows that stopped at their start,
+    # ``waiting`` the followers of each leader that took a step.
+    leaders = [-1] * count if leaders is None else list(leaders)
+    point, direction = list(starts), [None] * count
+    trial = [starts[r if k < 0 else k] for r, k in enumerate(leaders)]
+    f, value, gap, floor, gap_f, predicted, slack, t, reach = ([0.0] * count for _ in range(9))
+    iterations, extras = [0] * count, np.full(count, np.nan)
+    live, settled, waiting = list(range(count)), set(), {}
+    while live:
+        rows = ... if len(live) == count else np.array(live)
+        points = np.array([trial[r] for r in live])
+        at_f, grad, hessian, extra = surrogate.derivatives(points, rows)
+        at_value, slope = surrogate.maximand(at_f, rows)
+        at_gap, at_floor, at_gap_f = _certify(points, at_f, grad, slope)
+        evaluated = zip(at_f.tolist(), at_value.tolist(), at_gap.tolist(), at_floor.tolist(), at_gap_f.tolist())
+        certified = _certified(at_gap, at_floor).tolist()
+        stopped, stepping, going = [], [], []
+        for j, (r, at) in enumerate(zip(live, evaluated)):
+            if leaders[r] >= 0:
+                k, leaders[r] = leaders[r], -1
+                if k not in settled:
+                    waiting.setdefault(k, []).append(r)
+                    continue
+            took = (
+                iterations[r] == 0
+                or at[0] < f[r] - slack[r] and at[0] <= f[r] + _ARMIJO * t[r] * predicted[r]
+                or at[0] <= f[r] + slack[r] and at[2] < gap[r]
+            )
+            if took:
+                point[r], (f[r], value[r], gap[r], floor[r], gap_f[r]) = points[j], at
+                if certified[j] or iterations[r] >= MAX_ITERATIONS:
+                    stopped.append(j)
+                    if iterations[r] == 0:
+                        settled.add(r)
+                else:
+                    stepping.append(j)
+            else:
+                # Halve until the step no longer moves the prior.
+                t[r] *= 0.5
+                if t[r] * reach[r] > _EPS:
+                    trial[r] = point[r] + t[r] * direction[r]
+                    going.append(r)
+        if extra is not None and stopped:
+            extras[rows if len(stopped) == len(live) else [live[j] for j in stopped]] = extra()[stopped]
+        if stepping:
+            for j, hess in zip(stepping, hessian()[stepping] if len(stepping) < len(live) else hessian()):
+                r, g = live[j], grad[j]
+                iterations[r] += 1
+                delta = max(gap_f[r], _ROUNDING * _EPS * float(np.abs(hess).max()))
+                trial[r] = _model_minimizer(point[r], g, hess + delta * eye)
+                direction[r] = trial[r] - point[r]
+                predicted[r] = float(g @ direction[r])
+                slack[r] = float(_rounding(f[r], point[r] @ g, g))
+                t[r], reach[r] = 1.0, float(np.abs(direction[r]).max())
+                if reach[r] > _EPS:
+                    going.append(r)
+        for k in [k for k in waiting if k not in going]:
+            for r in waiting.pop(k):
+                trial[r] = point[k]
+                going.append(r)
+        live = sorted(going)
+
+    f, value, gap, floor, gap_f = np.array([f, value, gap, floor, gap_f])
+    bound = surrogate.maximand(f - gap_f)[0] - value
+    reports = [
+        OptimizationReport(value=float(v), prior=p, iterations=i, converged=bool(c), start_count=1, gap=float(b))
+        for v, p, i, c, b in zip(value, point, iterations, _certified(gap, floor), bound)
+    ]
+    return reports, extras
 
 
 def maximize_on_simplex(
@@ -247,29 +286,8 @@ def maximize_on_simplex(
     *,
     start: np.ndarray | None = None,
 ) -> OptimizationReport:
-    """Active-set Newton descent on f from ``start`` (see ``start_point``),
-    or from the uniform prior.
-
-    The run stops when the Frank-Wolfe gap of phi(f) reaches ``GAP_TOL``
-    or its rounding floor, when no step along the Newton direction makes
-    progress, or after ``MAX_ITERATIONS`` iterations. The Hessian is formed
-    only after the gap test has failed, so a start that is already optimal
-    costs one gradient.
-    """
-    at = _iterate(surrogate, start_point(dim, start))
-    iterations = 0
-    while not _certified(at.gap, at.floor) and iterations < MAX_ITERATIONS:
-        iterations += 1
-        stepped = _newton_step(surrogate, at)
-        if stepped is None:
-            break
-        at = stepped
-
-    return OptimizationReport(
-        value=at.value,
-        prior=at.point.copy(),
-        iterations=iterations,
-        converged=bool(_certified(at.gap, at.floor)),
-        start_count=1,
-        gap=surrogate.maximand(at.f - at.gap_f)[0] - at.value,
-    )
+    """The one-row case of ``maximize_rows``, from ``start`` (see
+    ``start_point``), or from the uniform prior. The Hessian is formed only
+    after the gap test has failed, so a start that is already optimal costs
+    one gradient."""
+    return maximize_rows(surrogate, start_point(dim, start)[None])[0][0]
