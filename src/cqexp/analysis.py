@@ -31,8 +31,6 @@ from .linalg import _support_clip, gram_stack, mat_power, spectral_entropy, tens
 from .simplex_opt import ConvexSurrogate, OptimizationReport, maximize_on_simplex, maximize_rows, start_point
 from .typeclasses import TypeClass, compositions, enumerate_sequences, type_count, type_counts, type_index
 
-# Largest input alphabet that a prior optimization takes.
-MAX_OPT_ALPHABET = 8
 # The paper's alpha floors: achievability maximizes over s in [0, 1], alpha in
 # [1/2, 1]; the sphere-packing supremum over (0, 1] is cut off at 0.01 (warned).
 ACHIEVABILITY_ALPHA_MIN = 0.5
@@ -246,15 +244,16 @@ def _holevo_surrogate(channel: CQChannel) -> ConvexSurrogate:
         traces, hessian = _letter_derivatives(outputs, lam, vec, log, np.reciprocal, 1.0 / LN_BASE)
         plogp = np.where(lam > 0, lam * np.log(np.maximum(lam, 1e-300)), 0.0)
         chi = -plogp.sum(axis=-1) / LN_BASE - prior @ letter_entropy
-        # chi = 0 may come out as -0.0 (equal pure letters), a capacity of -0.0.
         return -chi, traces + 1.0 / LN_BASE + letter_entropy, hessian, None
 
     return ConvexSurrogate(derivatives)
 
 
 def _check_alphabet(channel: CQChannel) -> None:
-    if channel.size > MAX_OPT_ALPHABET:
-        raise TooLarge(f"alphabet {channel.size} exceeds optimization cap {MAX_OPT_ALPHABET}")
+    """TooLarge unless the |X| x |X| Hessian and KKT system of a Newton step, the one
+    cost of a prior solve that grows with |X| alone, fit in ``CHUNK_ENTRIES``."""
+    if channel.size ** 2 > CHUNK_ENTRIES:
+        raise TooLarge(f"{channel.size ** 2} Hessian entries of alphabet {channel.size} exceed ceiling {CHUNK_ENTRIES}")
 
 
 def _check_order(alpha: float) -> float:
@@ -289,10 +288,10 @@ def renyi_mi_channel(channel: CQChannel, alpha: float, *, start: np.ndarray | No
 
 
 def _row_stacks(channel: CQChannel, count: int):
-    """Slices of ``count`` (alpha < 1, prior) rows, in stacks of
-    ``CHUNK_ENTRIES`` letter-function entries (|X| d^2 per row)."""
+    """Slices of ``count`` (alpha < 1, prior) rows, in stacks of ``CHUNK_ENTRIES``
+    entries: |X| d^2 of letter functions and |X|^2 of Hessian per row."""
     _check_alphabet(channel)
-    step = max(1, CHUNK_ENTRIES // (channel.size * channel.dim ** 2))
+    step = max(1, CHUNK_ENTRIES // (channel.size * channel.dim ** 2 + channel.size ** 2))
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
@@ -420,7 +419,7 @@ class ChannelAnalysis:
         gb = np.where(inside, slopes[other] - r, 0.0)
         while (live := np.flatnonzero((ga * gb < 0.0) & (np.abs(b - a) > ALPHA_TOL))).size:
             c = (a[live] * gb[live] - b[live] * ga[live]) / (gb[live] - ga[live])
-            starts = [grid[int(np.argmin(np.abs(alphas - x)))][0].prior for x in c]
+            starts = [grid[i][0].prior for i in np.argmin(np.abs(c[:, None] - alphas), axis=1)]
             probes = self._points(c.tolist(), starts)
             values = np.array([rep.value for rep, _ in probes])
             gc = np.array([slope for _, slope in probes]) - r[live]

@@ -99,10 +99,32 @@ class TestRenyiMIChannel:
             vertex[x] = 1.0
             assert rep.value >= renyi_mi_channel_prior(ch, vertex, 0.6) - 1e-10
 
-    def test_alphabet_cap(self, rng):
-        ch = random_channel(9, 2, rng)
-        with pytest.raises(TooLarge):
-            renyi_mi_channel(ch, 0.5)
+    def test_alphabet_cap(self):
+        # The |X| x |X| Hessian of a Newton step is held to CHUNK_ENTRIES =
+        # 2^16 entries, checked before any letter function is built.
+        ch = CQChannel.from_states([np.ones((1, 1))] * 257)
+        message = "^66049 Hessian entries of alphabet 257 exceed ceiling 65536$"
+        for solve in (lambda: renyi_mi_channel(ch, 0.5), lambda: holevo_capacity(ch), lambda: _row_stacks(ch, 1)):
+            with pytest.raises(TooLarge, match=message):
+                solve()
+
+    def test_alphabet_at_the_cap(self):
+        # 256 letters fill the 2^16 entries with their Hessian alone, so each
+        # stacked row takes a stack of its own.
+        ch = CQChannel.from_states([np.ones((1, 1))] * 256)
+        for rep in (renyi_mi_channel(ch, 0.5), holevo_capacity(ch)):
+            assert rep.converged and rep.value == 0.0
+        assert _row_stacks(ch, 3) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    def test_vertex_prior_reports_zero(self):
+        # The only prior is a vertex, where I_alpha and chi are exactly 0, but
+        # at alpha = 1/2 (lambda^a)^(1/a) rounds the trace to 1 + 2.2e-16: the
+        # report takes the value up to 0 and keeps the gap of the unrounded one.
+        ch = CQChannel.from_states([np.diag([0.5, 0.5])])
+        rep = renyi_mi_channel(ch, 0.5)
+        assert rep.converged and rep.value == 0.0 and rep.gap == 0.0
+        for rep in (renyi_mi_channel(ch, 0.1), renyi_mi_channel(ch, 0.9), holevo_capacity(ch)):
+            assert rep.converged and 0.0 <= rep.value <= 1e-12 and rep.gap == 0.0
 
     def test_permutation_invariance(self, rng):
         ch = random_channel(3, 2, rng)
@@ -717,7 +739,7 @@ class TestStackedPaths:
         # follows fall into different stacks, give the grid of one stack.
         channel = _seeded_channel(999, 0)
         whole = ChannelAnalysis(channel)._grid()
-        monkeypatch.setattr(analysis, "CHUNK_ENTRIES", rows * channel.size * channel.dim ** 2)
+        monkeypatch.setattr(analysis, "CHUNK_ENTRIES", rows * (channel.size * channel.dim ** 2 + channel.size ** 2))
         for (got, got_slope), (want, want_slope) in zip(ChannelAnalysis(channel)._grid(), whole):
             np.testing.assert_allclose(got.prior, want.prior, rtol=0, atol=1e-12)
             assert got.iterations == want.iterations
@@ -1299,15 +1321,19 @@ class TestAdditivity:
         joint = renyi_mi_channel(product, alpha).value
         assert joint == pytest.approx(single + 1.0, abs=1e-3)
 
-    @pytest.mark.parametrize("case", ["bsc01", "pure_pair", 0, 1, 2])
+    @pytest.mark.parametrize("case", ["bsc01", "pure_pair", 0, 1, 2] + [
+        pytest.param((k, case), id=f"{k}-letters-{case}") for k in (3, 4, 8) for case in range(3)
+    ])
     def test_product_curve_is_twice_the_curve(self, case):
         # E0 of N (x) N is 2 E0 of N, so every bound, r_c and C double along
         # the whole pipeline: grid, root search and rows. The optimizing alpha
-        # sits on a flat maximum and is not compared.
+        # sits on a flat maximum and is not compared. Seeded bases have 2, 3,
+        # 4 or 8 qubit letters, so N (x) N has up to 64.
         if isinstance(case, str):
             channel = load_channel(CHANNELS_DIR / f"{case}.json")
         else:
-            channel = random_channel(2, 2, np.random.default_rng([6060, case]))
+            k, case = case if isinstance(case, tuple) else (2, case)
+            channel = random_channel(k, 2, np.random.default_rng([6060, case]))
         session = ChannelAnalysis(channel)
         rates = np.linspace(0.05, 0.95, 10) * session.capacity().value
         one = session.curve(rates)
@@ -1318,6 +1344,17 @@ class TestAdditivity:
             assert b.lower == pytest.approx(2.0 * a.lower, rel=0, abs=1e-12)
             assert b.upper == pytest.approx(2.0 * a.upper, rel=0, abs=1e-12)
             assert b.equal == a.equal
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_product_information_is_twice_the_information(self, case):
+        # I_alpha and C of N (x) N, 64 letters, are twice those of N, each
+        # value within its certified gap of the optimum.
+        channel = random_channel(8, 2, np.random.default_rng([6060, case]))
+        product = channel.tensor(channel)
+        for alpha in (0.1, 0.5, 0.9, 1.0):
+            one, two = renyi_mi_channel(channel, alpha), renyi_mi_channel(product, alpha)
+            assert one.converged and two.converged
+            assert two.value == pytest.approx(2.0 * one.value, rel=0, abs=two.gap + 2.0 * one.gap)
 
 
 def test_analysis_does_not_import_coding():

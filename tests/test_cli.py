@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cqexp import ChannelAnalysis, analysis, cli
+from cqexp import ChannelAnalysis, analysis, cli, holevo_capacity
 from cqexp.channel_io import load_channel
 from cqexp.cli import main
-from conftest import draw_letters
+from conftest import draw_letters, random_channel
 from oracles import classical_sphere_packing_exponent
 
 CHANNELS_DIR = Path(__file__).resolve().parent.parent / "channels"
@@ -31,6 +31,16 @@ def identical_spec(tmp_path):
     path.write_text(json.dumps({
         "cqspec": 1,
         "stochastic_matrix": [[0.5, 0.5], [0.5, 0.5]],
+    }), encoding="utf-8")
+    return str(path)
+
+
+def _letters_file(tmp_path, name: str, letters) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps({
+        "cqspec": 1,
+        "dim": len(letters[0]),
+        "outputs": [[[[z.real, z.imag] for z in row] for row in rho] for rho in np.asarray(letters, dtype=complex)],
     }), encoding="utf-8")
     return str(path)
 
@@ -95,16 +105,10 @@ class TestRenyi:
 
     @pytest.mark.parametrize("draw", [34, 38])
     def test_eight_letter_qubit_draws_exit_0(self, runner, tmp_path, draw):
-        letters = draw_letters(draw)[1]
-        path = tmp_path / f"draw{draw}.json"
-        path.write_text(json.dumps({
-            "cqspec": 1,
-            "dim": 2,
-            "outputs": [[[[z.real, z.imag] for z in row] for row in rho] for rho in letters],
-        }), encoding="utf-8")
+        path = _letters_file(tmp_path, f"draw{draw}.json", draw_letters(draw)[1])
         for args in (["--alpha", "0.3"], ["--alpha", "0.7"], ["--alpha", "1.0"]):
-            assert runner.invoke(main, ["renyi", str(path), *args]).exit_code == 0
-        assert runner.invoke(main, ["capacity", str(path)]).exit_code == 0
+            assert runner.invoke(main, ["renyi", path, *args]).exit_code == 0
+        assert runner.invoke(main, ["capacity", path]).exit_code == 0
 
     def test_letter_with_eigenvalue_inside_load_tolerance(self, runner, tmp_path):
         # diag(1 + 5e-9, -5e-9) passes the 1e-8 load check; its negative
@@ -452,6 +456,24 @@ class TestFormatting:
             assert res.exit_code == 0, res.output
             assert zero in res.output and "-0.0" not in res.output, (args, res.output)
 
+    def test_one_letter_channel_prints_zero_information(self, runner, tmp_path):
+        # The only prior is a vertex, where I_alpha and C are exactly 0; at
+        # alpha = 1/2 rounding took I_alpha to -3.2e-16, printed as -0.000000.
+        path = tmp_path / "useless.json"
+        path.write_text(json.dumps({"cqspec": 1, "dim": 2, "outputs": [[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]]}))
+        for args, zero in (
+            (["renyi", "--alpha", "0.5"], "renyi_mi: 0.000000\n"),
+            (["renyi", "--alpha", "0.5", "--json"], '"renyi_mi":0.0,'),
+            (["capacity"], "capacity: 0.000000\n"),
+            (["capacity", "--json"], '"capacity":0.0,'),
+        ):
+            res = runner.invoke(main, [args[0], str(path), *args[1:]])
+            assert res.exit_code == 0, res.output
+            assert zero in res.stdout, (args, res.stdout)
+        res = runner.invoke(main, ["besttype", str(path), "--alpha", "0.5", "--nmax", "3"])
+        assert res.exit_code == 0
+        assert [row[3] for row in rows_of(res.stdout)[1]] == ["0", "0", "0"]
+
     def test_json_lines_are_strict_json(self, runner):
         # RFC 8259 has no Infinity or NaN: a non-finite cell prints as the
         # CSV token. Every M = 1 row has an infinite implied exponent.
@@ -542,6 +564,38 @@ n,best_type,value_per_use,I_alpha_target
 7,3|3,0.397548359,0.415037499
 8,4|4,0.402705152,0.415037499
 """
+
+
+ALL_COMMANDS = [
+    ["capacity"],
+    ["renyi", "--alpha", "0.5"],
+    ["exponent", "--rmin", "0.1", "--rmax", "0.5", "--steps", "3"],
+    ["simulate", "--rate", "0.3", "--n-list", "1,2", "--trials", "2", "--seed", "1"],
+    ["besttype", "--alpha", "0.5", "--nmax", "2"],
+]
+
+
+class TestAlphabetCeiling:
+    @pytest.mark.parametrize("args", ALL_COMMANDS, ids=[args[0] for args in ALL_COMMANDS])
+    def test_257_letters_exit_4_before_any_surrogate_is_built(self, runner, monkeypatch, tmp_path, args):
+        # The |X| x |X| Hessian of the prior solve is held to 2^16 entries.
+        path = _letters_file(tmp_path, "wide.json", [np.ones((1, 1))] * 257)
+        for name in ("_renyi_surrogate", "_holevo_surrogate"):
+            monkeypatch.setattr(analysis, name, None)  # building one would exit 1
+        res = runner.invoke(main, [args[0], path, *args[1:]])
+        assert res.exit_code == 4
+        assert res.stderr == "error: 66049 Hessian entries of alphabet 257 exceed ceiling 65536\n"
+
+    def test_16_letters_exit_0(self, runner, tmp_path):
+        # N (x) N of a four-letter qubit channel: 16 letters of dimension 4.
+        base = random_channel(4, 2, np.random.default_rng([6060, 0]))
+        path = _letters_file(tmp_path, "product.json", base.tensor(base).outputs)
+        for args in ALL_COMMANDS:
+            res = runner.invoke(main, [args[0], path, *args[1:]])
+            assert res.exit_code == 0, (args, res.output)
+        res = runner.invoke(main, ["capacity", path, "--json"])
+        capacity = json.loads(res.stdout)["capacity"]
+        assert capacity == pytest.approx(2.0 * holevo_capacity(base).value, rel=0, abs=1e-9)
 
 
 class TestGoldenOutputs:
