@@ -29,7 +29,7 @@ from .divergences import _per_row, check_alpha, letter_power_logs, letter_powers
 from .errors import InvalidGrid, NumericalInstability, RateAboveCapacity, TooLarge
 from .linalg import _support_clip, gram_stack, mat_power, spectral_entropy, tensor_all
 from .simplex_opt import ConvexSurrogate, OptimizationReport, maximize_on_simplex, maximize_rows, start_point
-from .typeclasses import TypeClass, compositions, enumerate_sequences, type_count, type_counts, type_index
+from .typeclasses import TypeClass, enumerate_sequences, type_count, type_counts, type_index
 
 # The paper's alpha floors: achievability maximizes over s in [0, 1], alpha in
 # [1/2, 1]; the sphere-packing supremum over (0, 1] is cut off at 0.01 (warned).
@@ -452,8 +452,9 @@ class ChannelAnalysis:
     def critical_rate(self) -> float:
         """r_c = E0'(1), the slope of s * I_{1/(1+s)}(N) at s = 1, in closed form
         at the prior maximizing I_{1/2} (Danskin's theorem): the slope of the
-        alpha = 1/2 point of the alpha grid, with no solve of its own."""
-        return float(self._grid()[int(np.searchsorted(ALPHA_GRID, 0.5))][1])
+        alpha = 1/2 point of the alpha grid, with no solve of its own. E0 is
+        nondecreasing in s, so a slope that rounding takes below 0 reads 0."""
+        return max(0.0, float(self._grid()[int(np.searchsorted(ALPHA_GRID, 0.5))][1]))
 
     def reliability(self, r: float) -> ReliabilityResult:
         """Exact exponent for r >= r_c, bounding interval below r_c."""
@@ -512,11 +513,12 @@ def _log_factorials(n: int) -> np.ndarray:
 
 
 def _logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """ln sum exp x along ``axis``; -inf where every entry is -inf."""
+    """ln sum exp x along ``axis``; -inf where every entry is -inf. Overwrites ``x``."""
     top = np.max(x, axis=axis, keepdims=True)
     top = np.where(np.isfinite(top), top, 0.0)
+    x -= top
     with np.errstate(divide="ignore"):
-        return np.log(np.exp(x - top).sum(axis=axis)) + np.squeeze(top, axis)
+        return np.log(np.exp(x, out=x).sum(axis=axis)) + np.squeeze(top, axis)
 
 
 def _pure_pair_log_traces(c2: float, ns: np.ndarray, small: np.ndarray, alpha: float) -> np.ndarray:
@@ -564,54 +566,47 @@ def _pure_pair_log_traces(c2: float, ns: np.ndarray, small: np.ndarray, alpha: f
     return out[back]
 
 
-def _commuting_log_traces(log_w: np.ndarray, n: int, counts: np.ndarray, alpha: float) -> np.ndarray:
+def _commuting_log_traces(log_w: np.ndarray, ns: np.ndarray, counts: np.ndarray, alpha: float) -> np.ndarray:
     """ln tr[rho_T^(1/alpha)] for commuting letters, one class of type P per row
-    of ``counts``; ``log_w`` is alpha ln W (|X|, d), W the letters' spectra
-    in their common eigenbasis, -inf where W = 0.
+    of ``counts`` at blocklength ``ns``; ``log_w`` is alpha ln W (|X|, d), W the
+    letters' spectra in their common eigenbasis, -inf where W = 0.
 
-    rho_T is diagonal there, and its entry at an output sequence depends on
-    its type Q alone: |T|^-1 [z^P] prod_b (sum_x z_x W(b|x)^alpha)^(Q_b), the
-    sum over the joint types R (row sums P, column sums Q) of
-    prod_b Q_b!/prod_x R_xb! prod_xb W(b|x)^(alpha R_xb). So
-    tr[rho_T^(1/alpha)] = sum_Q |T_Q| rho_T(y_Q)^(1/alpha). Each class takes
-    only its own joint types, in stacks of at most ``CHUNK_ENTRIES`` entries
-    (|X| d counts per joint type) or (class, Q) cells, but at least one class.
+    rho_T is diagonal there, and its entry g_P(Q) at an output sequence depends
+    on the sequence's type Q alone. A share P_x/m of the class ends in letter
+    x, so for b the last letter of Q,
+    g_P(Q) = sum_x (P_x/m) W(b|x)^alpha g_{P-e_x}(Q-e_b), g = 1 at m = 0, and
+    tr[rho_T^(1/alpha)] = sum_Q |T_Q| g_P(Q)^(1/alpha). One pass over
+    m = 1..max ``ns`` builds every (P, Q) cell of each level, in ``type_counts``
+    order, from the level before: |X| terms per cell, in stacks of at most
+    ``CHUNK_ENTRIES`` terms, but at least one cell.
     """
     size, d = log_w.shape
-    lf = _log_factorials(n)
-    outputs = type_count(n, d)
-    log_count = lf[n] - lf[counts].sum(axis=1)
-    # cell[x, b, r] = ln W(b|x)^(alpha r) / r!, the share of R_xb = r in a term.
-    r = np.arange(n + 1)
-    with np.errstate(invalid="ignore"):
-        cell = np.where(r > 0, r * log_w[:, :, None], 0.0) - lf
-    per_letter = np.array([math.comb(c + d - 1, d - 1) for c in range(n + 1)], dtype=float)
-    entries = per_letter[counts].prod(axis=1) * size * d
+    lf = _log_factorials(int(ns.max()))
     out = np.empty(len(counts))
-    lo = 0
-    while lo < len(counts):
-        hi, held = lo + 1, entries[lo]
-        while hi < len(counts) and held + entries[hi] <= CHUNK_ENTRIES and (hi + 1 - lo) * outputs <= CHUNK_ENTRIES:
-            held += entries[hi]
-            hi += 1
-        rows = np.arange(hi - lo)[:, None]  # the class of each joint type, then R row by row
+    log_g = np.zeros((1, 1))  # level 0
+    for m in range(1, int(ns.max()) + 1):
+        p, q = type_counts([m], size), type_counts([m], d)
+        last = d - 1 - np.argmax(q[:, ::-1] > 0, axis=1)
+        # Column Q - e_b of the previous level, then row P - e_x of that (0 where P_x = 0).
+        log_g = log_g[:, type_index(q - np.eye(d, dtype=np.int64)[last], m - 1)]
+        rows = np.zeros((size, len(p)), dtype=np.int64)
         for x in range(size):
-            rows = compositions(rows, counts[lo + rows[:, 0], x], d)
-        joint = rows[:, 1:].T.reshape(size, d, -1)  # joint[x, b] holds R_xb
-        q_counts = joint.sum(axis=0)
-        log_q = sum(lf[q] for q in q_counts)  # ln prod_b Q_b!
-        terms = log_q + sum(cell[x, b][joint[x, b]] for x in range(size) for b in range(d))
-        key = rows[:, 0] * outputs + type_index(q_counts.T, n)
-        cells = np.full((hi - lo) * outputs, -np.inf)
-        np.maximum.at(cells, key, terms)
-        shift = np.where(np.isfinite(cells), cells, 0.0)
-        sums = np.bincount(key, np.exp(terms - shift[key]), minlength=len(cells))
-        log_tq = np.zeros(outputs)
-        log_tq[key % outputs] = lf[n] - log_q
-        with np.errstate(divide="ignore"):
-            log_f = (np.log(sums) + shift).reshape(hi - lo, outputs)
-        out[lo:hi] = _logsumexp(log_tq + (log_f - log_count[lo:hi, None]) / alpha)
-        lo = hi
+            has = p[:, x] > 0
+            rows[x, has] = type_index(p[has] - np.eye(size, dtype=np.int64)[x], m - 1)
+        # Stacks of whole P rows, or of Q columns of one row past CHUNK_ENTRIES.
+        height, width = max(1, CHUNK_ENTRIES // (size * len(q))), max(1, CHUNK_ENTRIES // size)
+        level = np.empty((len(p), len(q)))
+        for lo in range(0, len(p), height):
+            for left in range(0, len(q), width):
+                cols = slice(left, left + width)
+                terms = log_g[:, cols][rows[:, lo:lo + height]]
+                with np.errstate(divide="ignore"):
+                    terms += np.log(p[lo:lo + height].T / m)[:, :, None]
+                terms += log_w[:, last[cols]][:, None]
+                level[lo:lo + height, cols] = _logsumexp(terms, axis=0)
+        log_g = level
+        at = ns == m
+        out[at] = _logsumexp(lf[m] - lf[q].sum(axis=1) + log_g[type_index(counts[at], m)] / alpha)
     return out
 
 
@@ -645,18 +640,20 @@ def _class_entries(path: str, n: int, size: int, d: int) -> int:
     """Table entries that ``path`` builds for every class of blocklength n:
     a (min(k, n - k) + 1)^2 table of binomial logs per class of two pure
     letters, sum_k (min(k, n - k) + 1)^2 = 2 S(m) - [n even] m^2 with
-    m = n // 2 + 1 and S(m) = m (m + 1) (2m + 1) / 6; or |X| d counts per
-    joint type R of commuting letters, C(n + |X| d - 1, |X| d - 1) of them."""
+    m = n // 2 + 1 and S(m) = m (m + 1) (2m + 1) / 6; or, for commuting
+    letters, the |X| terms of each (P, Q) cell of level n of the recurrence
+    over output positions, C(n + |X| - 1, |X| - 1) input types P by
+    C(n + d - 1, d - 1) output types Q."""
     if path == "pair":
         m = n // 2 + 1
         return m * (m + 1) * (2 * m + 1) // 3 - (m * m if n % 2 == 0 else 0)
-    return size * d * type_count(n, size * d)
+    return size * type_count(n, size) * type_count(n, d)
 
 
 def _check_classes(channel: CQChannel, path: str, ns: np.ndarray, counts: np.ndarray, config: RunConfig) -> None:
     """``config.check_classes`` on the classes of the rows of ``counts`` at
     blocklength ``ns``: the distinct eigenvalues of the largest class
-    average, and the table entries of every class of the largest ``ns``."""
+    average, and the table entries of the largest ``ns``."""
     n = int(ns.max())
     eigenvalues = int(counts.min(axis=1).max()) + 1 if path == "pair" else type_count(n, channel.dim)
     config.check_classes(eigenvalues, _class_entries(path, n, channel.size, channel.dim))
@@ -685,10 +682,7 @@ def _class_values(
     elif path == "commuting":
         with np.errstate(divide="ignore"):
             log_w = alpha * np.log(channel.induced_stochastic_matrix())
-        log_traces = np.empty(len(ns))
-        for n in np.unique(ns).tolist():
-            at = ns == n
-            log_traces[at] = _commuting_log_traces(log_w, n, counts[at], alpha)
+        log_traces = _commuting_log_traces(log_w, ns, counts, alpha)
     else:
         log_traces = np.array([
             math.log(_decomposed_trace(channel, TypeClass(n, tuple(row)), alpha, overlaps, config))
@@ -713,17 +707,18 @@ def constant_composition_mi(
     * two pure letters: the Johnson-scheme eigenvalues of the class's Gram
       matrix (``_pure_pair_log_traces``), min(k, n - k) + 1 distinct ones;
     * commuting letters, any |X|: the diagonal of rho_T in the common
-      eigenbasis, one value per output type (``_commuting_log_traces``),
-      C(n + d - 1, d - 1) distinct ones.
+      eigenbasis, one value per output type, C(n + d - 1, d - 1) distinct
+      ones, from one recurrence over output positions that builds every
+      class of every blocklength up to n (``_commuting_log_traces``).
 
     ``config.check_classes`` caps both paths before they build anything:
     ``max_sim_dim`` bounds the distinct eigenvalues of the class average, and
-    ``MAX_CLASS_ENTRIES`` the table entries that the classes of blocklength
-    n take (``_class_entries``), which bounds the work at n whatever
-    ``max_sim_dim`` is. Other pure letters take the |T| x |T| Gram matrix
-    while |T| <= d^n, capped at |T|; everything else takes the d^n x d^n
-    average, capped at d^n; both are also held to ``MAX_TENSOR_DIM`` before
-    any of it is built.
+    ``MAX_CLASS_ENTRIES`` the table entries of blocklength n, those of its
+    classes or of level n of the recurrence (``_class_entries``), which
+    bounds the work at n whatever ``max_sim_dim`` is. Other pure letters
+    take the |T| x |T| Gram matrix while |T| <= d^n, capped at |T|;
+    everything else takes the d^n x d^n average, capped at d^n; both are
+    also held to ``MAX_TENSOR_DIM`` before any of it is built.
 
     A class of one sequence is exactly 0 on every path, with nothing built:
     its average is a product state, and tr[(rho_xn^a)^(1/a)] = 1.
@@ -742,8 +737,9 @@ def _best_types(
 
     On a symmetric path the caps are checked at the largest blocklength
     before any type is built. The types then go in stacks of whole
-    blocklengths, at most ``CHUNK_ENTRIES`` types or one blocklength each,
-    and only the winners become ``TypeClass`` objects.
+    blocklengths, at most ``CHUNK_ENTRIES`` types or one blocklength each
+    (on the commuting path each stack runs the recurrence from n = 1), and
+    only the winners become ``TypeClass`` objects.
     """
     if not blocklengths:
         return []

@@ -46,9 +46,11 @@ MAX_TENSOR_DIM = 2 ** 12
 CHUNK_ENTRIES = 2 ** 16
 
 # Ceiling on the table entries that a symmetric type-class path builds for the
-# classes of one blocklength, summed over them: as many as one
-# MAX_TENSOR_DIM x MAX_TENSOR_DIM matrix holds. It bounds both the work at
-# one blocklength and the largest single class.
+# classes of one blocklength: as many as one MAX_TENSOR_DIM x MAX_TENSOR_DIM
+# matrix holds. For two pure letters that is the sum of each class's table;
+# for commuting letters, the terms of that blocklength's level of the
+# recurrence over output positions, which builds every class at once. It
+# bounds the work at one blocklength whatever ``max_sim_dim`` is.
 MAX_CLASS_ENTRIES = MAX_TENSOR_DIM ** 2
 
 
@@ -71,9 +73,10 @@ class RunConfig:
     while that is at most d^n, d^n otherwise; every decomposed matrix stays
     within ``MAX_TENSOR_DIM`` whatever it is; ``check`` applies both. The
     symmetric type-class paths decompose nothing: ``max_sim_dim`` bounds the
-    number of distinct eigenvalues of a class average, and the tables that
-    their sums take, over the classes of one blocklength, stay within
-    ``MAX_CLASS_ENTRIES``; ``check_classes`` applies both.
+    number of distinct eigenvalues of a class average, and the table entries
+    that they build for the classes of one blocklength (the terms of its
+    level, for the commuting recurrence) stay within ``MAX_CLASS_ENTRIES``;
+    ``check_classes`` applies both.
     """
 
     max_sim_dim: int = 256

@@ -78,19 +78,9 @@ def type_counts(blocklengths: Sequence[int], alphabet_size: int) -> np.ndarray:
     for n in blocklengths:
         if type_count(n, alphabet_size) > ENUMERATION_CAP:
             raise TooLarge(f"{type_count(n, alphabet_size)} types exceeds cap {ENUMERATION_CAP}")
-    rows = np.empty((len(blocklengths), 0), dtype=np.int64)
-    return compositions(rows, np.array(blocklengths, dtype=np.int64), alphabet_size)
-
-
-def compositions(rows: np.ndarray, totals: np.ndarray, parts: int) -> np.ndarray:
-    """Each row of ``rows`` followed by every composition of its entry of
-    ``totals`` into ``parts`` nonnegative parts, first part descending.
-
-    The compositions of one row stay together, in the order of its row, so a
-    stack of rows comes out grouped by row.
-    """
-    cols = rows.T  # built one part per row, transposed at the end
-    for _ in range(parts - 1):
+    totals = np.array(blocklengths, dtype=np.int64)
+    cols = np.empty((0, len(totals)), dtype=np.int64)  # built one letter per row, transposed at the end
+    for _ in range(alphabet_size - 1):
         reps = totals + 1
         ramp = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
         cols = np.vstack([np.repeat(cols, reps, axis=1), np.repeat(totals, reps) - ramp])

@@ -1161,8 +1161,10 @@ class TestSymmetricPaths:
         assert worst <= 1e-12
 
     # (|X|, d, seed, n_max): bsc01, noiseless_bit (patched off the pure-pair
-    # path), and seeded rotated commuting channels with |X| = 2 and 3.
-    @pytest.mark.parametrize("case", ["bsc01", "noiseless_bit", (2, 2, 5, 10), (2, 3, 6, 8), (3, 2, 7, 10)])
+    # path), and seeded rotated commuting channels with |X| = 2, 3 and 4.
+    @pytest.mark.parametrize("case", [
+        "bsc01", "noiseless_bit", (2, 2, 5, 10), (2, 3, 6, 8), (3, 2, 7, 10), (4, 2, 8, 7), (3, 3, 9, 7),
+    ])
     def test_commuting_matches_table_oracle(self, monkeypatch, case):
         if isinstance(case, str):
             ch, n_max = load_channel(CHANNELS_DIR / f"{case}.json"), 10
@@ -1224,38 +1226,79 @@ class TestSymmetricPaths:
             constant_composition_mi(pure_pair, t, 0.5, dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=2))
 
     @pytest.mark.parametrize("case", [("pair", 2, 2), ("commuting", 2, 2), ("commuting", 3, 2), ("commuting", 2, 3)])
-    def test_class_entries_closed_form(self, case):
-        # Against the sum over the classes: (min(k, n - k) + 1)^2 per class of
-        # two pure letters; |X| d per joint type, prod_x C(P_x + d - 1, d - 1)
-        # of them per class P, for commuting letters.
+    def test_class_entries_closed_form(self, monkeypatch, case):
+        # Two pure letters: against the sum over the classes of
+        # (min(k, n - k) + 1)^2. Commuting letters: against the terms that the
+        # recurrence reduces over the input letter (axis 0) at level n, counted
+        # while it runs up to n, less those of the run up to n - 1.
         path, size, d = case
+        reduce, built = analysis._logsumexp, []
+
+        def counting(x, axis=-1):
+            if axis == 0:
+                built.append(x.size)
+            return reduce(x, axis)
+
+        monkeypatch.setattr(analysis, "_logsumexp", counting)
+        log_w = np.log(np.random.default_rng([2525, size, d]).dirichlet(np.ones(d), size=size))
+        below = 0
         for n in range(1, 13):
             if path == "pair":
                 want = sum((min(k, n - k) + 1) ** 2 for k in range(n + 1))
             else:
-                want = sum(
-                    size * d * math.prod(math.comb(c + d - 1, d - 1) for c in t.counts)
-                    for t in enumerate_types(n, size)
-                )
+                built.clear()
+                analysis._commuting_log_traces(log_w, np.array([n]), typeclasses.type_counts([n], size)[:1], 0.5)
+                want, below = sum(built) - below, sum(built)
             assert analysis._class_entries(path, n, size, d) == want
 
     def test_commuting_work_is_held_to_the_entry_ceiling(self, monkeypatch):
-        # Six commuting qubit letters: C(n + 11, 11) joint types of 12 counts
-        # at blocklength n, 16 224 936 entries at n = 12 and 29 953 728 at
-        # n = 13, past MAX_CLASS_ENTRIES = 2^24; the n + 1 output types stay
-        # far inside any --max-dim.
+        # Six commuting qubit letters: 6 C(n + 5, 5) (n + 1) terms at level n
+        # of the recurrence, 14 152 320 at n = 23 and 17 813 250 at n = 24,
+        # past MAX_CLASS_ENTRIES = 2^24; the n + 1 output types stay far
+        # inside any --max-dim.
         rng = np.random.default_rng([2207, 6])
         ch = CQChannel.from_states([np.diag(w).astype(complex) for w in rng.dirichlet(np.ones(2), size=6)])
         assert ch.is_classical() and ch.size == 6
         wide = dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=10 ** 9)
         assert constant_composition_mi(ch, TypeClass(12, (2, 2, 2, 2, 2, 2)), 0.5, wide) > 0.0
-        with pytest.raises(TooLarge, match="^29953728 table entries at one blocklength exceed ceiling 16777216$"):
-            constant_composition_mi(ch, TypeClass(13, (3, 2, 2, 2, 2, 2)), 0.5, wide)
+        with pytest.raises(TooLarge, match="^17813250 table entries at one blocklength exceed ceiling 16777216$"):
+            constant_composition_mi(ch, TypeClass(24, (4, 4, 4, 4, 4, 4)), 0.5, wide)
         monkeypatch.setattr(analysis, "_commuting_log_traces", None)  # nothing may be evaluated
         monkeypatch.setattr(analysis, "type_counts", None)  # nor any type built
-        for n_max in (13, 10 ** 6):
+        for n_max in (24, 10 ** 6):
             with pytest.raises(TooLarge, match="table entries at one blocklength exceed"):
                 best_type_up_to(ch, n_max, 0.5, wide)
+
+    @staticmethod
+    def _all_classes(channel, counts, n_max=10):
+        ns = np.repeat(np.arange(1, n_max + 1), [typeclasses.type_count(n, channel.size) for n in range(1, n_max + 1)])
+        return analysis._class_values(channel, ns, counts, 0.5, DEFAULT_CONFIG)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_relabelled_inputs_permute_the_class_values(self, seed):
+        # Letter i of the relabelled channel is letter perm[i], so its class
+        # of counts c is the class of counts c' with c'[perm] = c.
+        rng = np.random.default_rng([3131, seed])
+        ch = CQChannel.from_states([np.diag(w).astype(complex) for w in rng.dirichlet(np.ones(3), size=4)])
+        assert ch.is_classical() and pure_letter_overlaps(ch) is None
+        perm = rng.permutation(4)
+        counts = typeclasses.type_counts(range(1, 11), 4)
+        moved = np.empty_like(counts)
+        moved[:, perm] = counts
+        relabelled = self._all_classes(ch.permuted(perm), counts)
+        np.testing.assert_allclose(relabelled, self._all_classes(ch, moved), rtol=0, atol=1e-12)
+        assert relabelled.max() > 0.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_permuted_outputs_leave_the_class_values(self, seed):
+        rng = np.random.default_rng([3232, seed])
+        w = rng.dirichlet(np.ones(3), size=4)
+        ch = CQChannel.from_states([np.diag(row).astype(complex) for row in w])
+        swapped = CQChannel.from_states([np.diag(row).astype(complex) for row in w[:, rng.permutation(3)]])
+        counts = typeclasses.type_counts(range(1, 11), 4)
+        np.testing.assert_allclose(
+            self._all_classes(swapped, counts), self._all_classes(ch, counts), rtol=0, atol=1e-12
+        )
 
     @pytest.mark.parametrize("name", ["pure_pair", "bsc01"])
     def test_caps_are_checked_before_any_type_is_built(self, monkeypatch, name):

@@ -400,7 +400,7 @@ class TestBestType:
         (PURE_PAIR, "256", "eigenvalue count 50001 exceeds cap 256"),
         (BSC, "256", "eigenvalue count 100001 exceeds cap 256"),
         (PURE_PAIR, "1000000000", "83338333450001 table entries at one blocklength exceed ceiling 16777216"),
-        (BSC, "1000000000", "666706667400004 table entries at one blocklength exceed ceiling 16777216"),
+        (BSC, "1000000000", "20000400002 table entries at one blocklength exceed ceiling 16777216"),
     ])
     def test_huge_nmax_exit_4_before_any_type_is_built(self, runner, monkeypatch, channel, max_dim, message):
         monkeypatch.setattr(analysis, "type_counts", None)  # a type stack would exit 1
@@ -473,6 +473,11 @@ class TestFormatting:
         res = runner.invoke(main, ["besttype", str(path), "--alpha", "0.5", "--nmax", "3"])
         assert res.exit_code == 0
         assert [row[3] for row in rows_of(res.stdout)[1]] == ["0", "0", "0"]
+        # r_c = E0'(1), whose alpha = 1/2 slope rounded to -1.1e-16 here.
+        res = runner.invoke(main, ["exponent", str(path), "--rmin", "0.1", "--rmax", "0.2", "--steps", "2"])
+        assert res.exit_code == 0
+        header, rows = rows_of(res.stdout)
+        assert [row[header.index("r_c")] for row in rows] == ["0", "0"]
 
     def test_json_lines_are_strict_json(self, runner):
         # RFC 8259 has no Infinity or NaN: a non-finite cell prints as the
@@ -565,6 +570,19 @@ n,best_type,value_per_use,I_alpha_target
 8,4|4,0.402705152,0.415037499
 """
 
+# The commuting type-class path, on bsc01.
+GOLDEN_BESTTYPE_BSC01 = """\
+n,best_type,value_per_use,I_alpha_target
+1,1|0,0,0.321928095
+2,1|1,0.278196674,0.321928095
+3,1|1,0.278196674,0.321928095
+4,2|2,0.305854676,0.321928095
+5,2|2,0.305854676,0.321928095
+6,3|3,0.312477187,0.321928095
+7,3|3,0.312477187,0.321928095
+8,4|4,0.315223489,0.321928095
+"""
+
 
 ALL_COMMANDS = [
     ["capacity"],
@@ -617,6 +635,11 @@ class TestGoldenOutputs:
         res = runner.invoke(main, ["besttype", PURE_PAIR, "--alpha", "0.5", "--nmax", "8"])
         assert res.exit_code == 0
         assert res.stdout == GOLDEN_BESTTYPE_PURE_PAIR
+
+    def test_besttype_bsc01(self, runner):
+        res = runner.invoke(main, ["besttype", BSC, "--alpha", "0.5", "--nmax", "8"])
+        assert res.exit_code == 0
+        assert res.stdout == GOLDEN_BESTTYPE_BSC01
 
 
 # Stdout of the two golden simulate commands at seeds whose stream keys

@@ -15,7 +15,7 @@ from cqexp import (
     type_probability,
 )
 from cqexp.errors import InvalidSequence, TooLarge
-from cqexp.typeclasses import compositions, type_counts, type_index
+from cqexp.typeclasses import type_counts, type_index
 
 
 class TestTypeOf:
@@ -151,7 +151,3 @@ class TestTypeCounts:
     def test_blocklengths_stack_in_order(self):
         counts = type_counts([3, 1, 2], 2)
         assert counts.tolist() == [[3, 0], [2, 1], [1, 2], [0, 3], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]]
-
-    def test_compositions_stay_grouped_by_row(self):
-        rows = compositions(np.array([[7], [8]]), np.array([2, 1]), 2)
-        assert rows.tolist() == [[7, 2, 0], [7, 1, 1], [7, 0, 2], [8, 1, 0], [8, 0, 1]]
