@@ -521,10 +521,10 @@ def _logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
         return np.log(np.exp(x, out=x).sum(axis=axis)) + np.squeeze(top, axis)
 
 
-def _pure_pair_log_traces(c2: float, ns: np.ndarray, small: np.ndarray, alpha: float) -> np.ndarray:
-    """ln tr[rho_T^(1/alpha)] for the classes of two pure letters with
-    |<psi_0|psi_1>|^2 = c2, one per row: blocklength ``ns``, and ``small`` =
-    min(k, n - k) for k the count of either letter.
+def _pure_pair_log_traces(overlap: complex, ns: np.ndarray, small: np.ndarray, alpha: float) -> np.ndarray:
+    """ln tr[rho_T^(1/alpha)] for the classes of two pure letters of
+    ``overlap`` <psi_0|psi_1>, one per row: blocklength ``ns``, and ``small``
+    = min(k, n - k) for k the count of either letter.
 
     rho_T has the nonzero spectrum of G_T/|T|, and G_T, a function of the
     Hamming distance alone, lies in the Bose-Mesner algebra of the Johnson
@@ -538,6 +538,7 @@ def _pure_pair_log_traces(c2: float, ns: np.ndarray, small: np.ndarray, alpha: f
     lf = _log_factorials(int(ns.max()))
     span = int(ns.max()) + 1
     keys, back = np.unique(ns * span + small, return_inverse=True)
+    c2 = min(float(abs(overlap) ** 2), 1.0)
     with np.errstate(divide="ignore"):
         log_c2, log_s2 = np.log(c2), np.log1p(-c2)
     out = np.empty(len(keys))
@@ -566,25 +567,27 @@ def _pure_pair_log_traces(c2: float, ns: np.ndarray, small: np.ndarray, alpha: f
     return out[back]
 
 
-def _commuting_log_traces(log_w: np.ndarray, ns: np.ndarray, counts: np.ndarray, alpha: float) -> np.ndarray:
-    """ln tr[rho_T^(1/alpha)] for commuting letters, one class of type P per row
-    of ``counts`` at blocklength ``ns``; ``log_w`` is alpha ln W (|X|, d), W the
-    letters' spectra in their common eigenbasis, -inf where W = 0.
+def _commuting_levels(w: np.ndarray, n_max: int, alpha: float):
+    """Yield, for m = 1..``n_max``, the types of blocklength m in ``type_counts``
+    order and ln tr[rho_T^(1/alpha)] of the class of each, for commuting
+    letters; ``w`` (|X|, d) holds W, the letters' spectra in their common
+    eigenbasis.
 
     rho_T is diagonal there, and its entry g_P(Q) at an output sequence depends
     on the sequence's type Q alone. A share P_x/m of the class ends in letter
     x, so for b the last letter of Q,
     g_P(Q) = sum_x (P_x/m) W(b|x)^alpha g_{P-e_x}(Q-e_b), g = 1 at m = 0, and
-    tr[rho_T^(1/alpha)] = sum_Q |T_Q| g_P(Q)^(1/alpha). One pass over
-    m = 1..max ``ns`` builds every (P, Q) cell of each level, in ``type_counts``
-    order, from the level before: |X| terms per cell, in stacks of at most
+    tr[rho_T^(1/alpha)] = sum_Q |T_Q| g_P(Q)^(1/alpha). Level m, every (P, Q)
+    cell of blocklength m with its rows P the types that it yields, is built
+    once, from level m - 1: |X| terms per cell, in stacks of at most
     ``CHUNK_ENTRIES`` terms, but at least one cell.
     """
-    size, d = log_w.shape
-    lf = _log_factorials(int(ns.max()))
-    out = np.empty(len(counts))
+    size, d = w.shape
+    with np.errstate(divide="ignore"):
+        log_w = alpha * np.log(w)
+    lf = _log_factorials(n_max)
     log_g = np.zeros((1, 1))  # level 0
-    for m in range(1, int(ns.max()) + 1):
+    for m in range(1, n_max + 1):
         p, q = type_counts([m], size), type_counts([m], d)
         last = d - 1 - np.argmax(q[:, ::-1] > 0, axis=1)
         # Column Q - e_b of the previous level, then row P - e_x of that (0 where P_x = 0).
@@ -605,9 +608,7 @@ def _commuting_log_traces(log_w: np.ndarray, ns: np.ndarray, counts: np.ndarray,
                 terms += log_w[:, last[cols]][:, None]
                 level[lo:lo + height, cols] = _logsumexp(terms, axis=0)
         log_g = level
-        at = ns == m
-        out[at] = _logsumexp(lf[m] - lf[q].sum(axis=1) + log_g[type_index(counts[at], m)] / alpha)
-    return out
+        yield p, _logsumexp(lf[m] - lf[q].sum(axis=1) + log_g / alpha)
 
 
 def _decomposed_trace(channel: CQChannel, t: TypeClass, alpha: float, overlaps, config: RunConfig) -> float:
@@ -650,47 +651,20 @@ def _class_entries(path: str, n: int, size: int, d: int) -> int:
     return size * type_count(n, size) * type_count(n, d)
 
 
-def _check_classes(channel: CQChannel, path: str, ns: np.ndarray, counts: np.ndarray, config: RunConfig) -> None:
-    """``config.check_classes`` on the classes of the rows of ``counts`` at
-    blocklength ``ns``: the distinct eigenvalues of the largest class
-    average, and the table entries of the largest ``ns``."""
-    n = int(ns.max())
+def _check_classes(channel: CQChannel, path: str, n: int, counts: np.ndarray, config: RunConfig) -> None:
+    """``config.check_classes`` on the classes of the rows of ``counts``, at
+    blocklength n: the distinct eigenvalues of the largest class average, and
+    the table entries of blocklength n."""
     eigenvalues = int(counts.min(axis=1).max()) + 1 if path == "pair" else type_count(n, channel.dim)
     config.check_classes(eigenvalues, _class_entries(path, n, channel.size, channel.dim))
 
 
-def _class_values(
-    channel: CQChannel, ns: np.ndarray, counts: np.ndarray, alpha: float, config: RunConfig
-) -> np.ndarray:
-    """``constant_composition_mi`` of the class of each row of ``counts``, at
-    blocklength ``ns``, in one stack where a symmetric path takes the channel."""
+def _check_class_order(alpha: float) -> float:
+    """alpha as a float, if it lies in (0, 2] and is not 1."""
     alpha = check_alpha(alpha, allow_one=False)
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    values = np.zeros(len(counts))
-    spread = np.flatnonzero(counts.max(axis=1) < ns)  # classes of more than one sequence
-    if spread.size == 0:
-        return values
-    ns, counts = ns[spread], counts[spread]
-    overlaps = pure_letter_overlaps(channel)
-    path = _symmetric_path(channel, overlaps)
-    if path is not None:
-        _check_classes(channel, path, ns, counts, config)
-    if path == "pair":
-        c2 = min(float(abs(overlaps[0, 1]) ** 2), 1.0)
-        log_traces = _pure_pair_log_traces(c2, ns, counts.min(axis=1), alpha)
-    elif path == "commuting":
-        with np.errstate(divide="ignore"):
-            log_w = alpha * np.log(channel.induced_stochastic_matrix())
-        log_traces = _commuting_log_traces(log_w, ns, counts, alpha)
-    else:
-        log_traces = np.array([
-            math.log(_decomposed_trace(channel, TypeClass(n, tuple(row)), alpha, overlaps, config))
-            for n, row in zip(ns.tolist(), counts.tolist())
-        ])
-    # + 0.0 turns a -0.0 (trace exactly 1) into 0.0.
-    values[spread] = alpha / (alpha - 1.0) / ns * log_traces / LN_BASE + 0.0
-    return values
+    return alpha
 
 
 def constant_composition_mi(
@@ -708,24 +682,42 @@ def constant_composition_mi(
       matrix (``_pure_pair_log_traces``), min(k, n - k) + 1 distinct ones;
     * commuting letters, any |X|: the diagonal of rho_T in the common
       eigenbasis, one value per output type, C(n + d - 1, d - 1) distinct
-      ones, from one recurrence over output positions that builds every
-      class of every blocklength up to n (``_commuting_log_traces``).
+      ones, read from level n of one recurrence over output positions
+      (``_commuting_levels``), which builds each level up to n once.
 
     ``config.check_classes`` caps both paths before they build anything:
     ``max_sim_dim`` bounds the distinct eigenvalues of the class average, and
     ``MAX_CLASS_ENTRIES`` the table entries of blocklength n, those of its
     classes or of level n of the recurrence (``_class_entries``), which
     bounds the work at n whatever ``max_sim_dim`` is. Other pure letters
-    take the |T| x |T| Gram matrix while |T| <= d^n, capped at |T|;
-    everything else takes the d^n x d^n average, capped at d^n; both are
-    also held to ``MAX_TENSOR_DIM`` before any of it is built.
+    take the |T| x |T| Gram matrix of the class of ``t`` alone while
+    |T| <= d^n, capped at |T|; everything else takes its d^n x d^n average,
+    capped at d^n; both are also held to ``MAX_TENSOR_DIM`` before any of it
+    is built.
 
     A class of one sequence is exactly 0 on every path, with nothing built:
     its average is a product state, and tr[(rho_xn^a)^(1/a)] = 1.
     """
     if t.alphabet_size != channel.size:
         raise InvalidGrid(f"type alphabet {t.alphabet_size} != channel alphabet {channel.size}")
-    return float(_class_values(channel, np.array([t.n]), np.array([t.counts]), alpha, config)[0])
+    alpha = _check_class_order(alpha)
+    if max(t.counts) == t.n:
+        return 0.0
+    overlaps = pure_letter_overlaps(channel)
+    path = _symmetric_path(channel, overlaps)
+    counts = np.array([t.counts])
+    if path is not None:
+        _check_classes(channel, path, t.n, counts, config)
+    if path == "pair":
+        log_trace = _pure_pair_log_traces(overlaps[0, 1], np.array([t.n]), counts.min(axis=1), alpha)[0]
+    elif path == "commuting":
+        for _, log_traces in _commuting_levels(channel.induced_stochastic_matrix(), t.n, alpha):
+            pass
+        log_trace = log_traces[type_index(counts, t.n)[0]]
+    else:
+        log_trace = math.log(_decomposed_trace(channel, t, alpha, overlaps, config))
+    # + 0.0 turns a -0.0 (trace exactly 1) into 0.0.
+    return float(alpha / (alpha - 1.0) / t.n * log_trace / LN_BASE + 0.0)
 
 
 def _best_types(
@@ -733,39 +725,46 @@ def _best_types(
 ) -> list[tuple[TypeClass, float]]:
     """The type maximizing the constant-composition information at each of
     the increasing ``blocklengths``, the first in ``type_counts`` order among
-    equal values.
-
-    On a symmetric path the caps are checked at the largest blocklength
-    before any type is built. The types then go in stacks of whole
-    blocklengths, at most ``CHUNK_ENTRIES`` types or one blocklength each
-    (on the commuting path each stack runs the recurrence from n = 1), and
-    only the winners become ``TypeClass`` objects.
+    equal values. On a symmetric path the caps are checked at the largest
+    blocklength before any type is built. The values then come one
+    blocklength at a time: a level of the one run of the commuting
+    recurrence as the run passes it, a slice of one stack of every type for
+    two pure letters, or each class of one blocklength for other letters.
+    Only the winners become ``TypeClass`` objects.
     """
-    if not blocklengths:
-        return []
-    n_max, size = blocklengths[-1], channel.size
-    path = _symmetric_path(channel, pure_letter_overlaps(channel))
-    if path is not None and n_max >= 2 and size >= 2:
+    alpha = _check_class_order(alpha)
+    n_max, size = max(blocklengths, default=0), channel.size
+    if n_max < 2 or size < 2:  # every class is one sequence: the first type of each n wins with 0
+        return [(TypeClass(n, (n,) + (0,) * (size - 1)), 0.0) for n in blocklengths]
+    overlaps = pure_letter_overlaps(channel)
+    path = _symmetric_path(channel, overlaps)
+    if path is not None:
         balanced = np.array([[n_max // size + (x < n_max % size) for x in range(size)]])
-        _check_classes(channel, path, np.array([n_max]), balanced, config)
-    out, lo = [], 0
-    while lo < len(blocklengths):
-        sizes, held = [], 0
-        for n in blocklengths[lo:]:
-            count = type_count(n, size)
-            if sizes and held + count > CHUNK_ENTRIES:
-                break
-            sizes.append(count)
-            held += count
-        chunk = blocklengths[lo:lo + len(sizes)]
-        counts = type_counts(chunk, size)
-        values = _class_values(channel, np.repeat(chunk, sizes), counts, alpha, config)
-        start = 0
-        for n, count in zip(chunk, sizes):
-            best = start + int(np.argmax(values[start:start + count]))
-            out.append((TypeClass(n, tuple(counts[best].tolist())), float(values[best])))
-            start += count
-        lo += len(sizes)
+        _check_classes(channel, path, n_max, balanced, config)
+    if path == "commuting":
+        levels = _commuting_levels(channel.induced_stochastic_matrix(), n_max, alpha)
+        levels = (level for m, level in enumerate(levels, start=1) if m in blocklengths)
+    elif path == "pair":
+        sizes = [n + 1 for n in blocklengths]
+        counts = type_counts(blocklengths, size)
+        log_traces = _pure_pair_log_traces(overlaps[0, 1], np.repeat(blocklengths, sizes), counts.min(axis=1), alpha)
+        ends = np.cumsum(sizes)[:-1]
+        levels = zip(np.split(counts, ends), np.split(log_traces, ends))
+    else:
+        def decomposed(n: int):
+            counts = type_counts([n], size)
+            return counts, np.array([
+                math.log(_decomposed_trace(channel, TypeClass(n, tuple(row)), alpha, overlaps, config))
+                if max(row) < n else 0.0
+                for row in counts.tolist()
+            ])
+
+        levels = map(decomposed, blocklengths)
+    out = []
+    for n, (counts, log_traces) in zip(blocklengths, levels):
+        values = np.where(counts.max(axis=1) == n, 0.0, alpha / (alpha - 1.0) / n * log_traces / LN_BASE + 0.0)
+        best = int(np.argmax(values))
+        out.append((TypeClass(n, tuple(counts[best].tolist())), float(values[best])))
     return out
 
 

@@ -74,8 +74,8 @@ class ConvexSurrogate:
 class OptimizationReport:
     """Outcome of a simplex maximization.
 
-    ``value`` is phi(f) at ``prior``, or 0 where rounding takes it below 0, as
-    at a vertex: both maximands here are at least 0. ``gap`` is phi(f - G) -
+    ``value`` is phi(f) at ``prior``, or 0 within the rounding floor, as at
+    a vertex: both maximands here are at least 0. ``gap`` is phi(f - G) -
     phi(f), with G the Frank-Wolfe gap of f there: f is convex, so f* >= f - G,
     and phi is decreasing, so ``gap`` bounds the distance of ``value`` to the
     optimum (G itself for phi(f) = -f; +inf where phi(f - G) is unbounded).
@@ -276,7 +276,7 @@ def maximize_rows(
     bound = surrogate.maximand(f - gap_f)[0] - value
     reports = [
         OptimizationReport(value=float(v), prior=p, iterations=i, converged=bool(c), start_count=1, gap=float(b))
-        for v, p, i, c, b in zip(np.maximum(value, 0.0), point, iterations, _certified(gap, floor), bound)
+        for v, p, i, c, b in zip(np.where(value > floor, value, 0.0), point, iterations, _certified(gap, floor), bound)
     ]
     return reports, extras
 

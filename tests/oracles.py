@@ -300,3 +300,45 @@ def channel_dispersion(states, prior) -> float:
         lx = log2(rho) - log_mix
         total += p * (np.trace(rho @ lx @ lx).real - np.trace(rho @ lx).real ** 2)
     return float(total)
+
+
+def _full_rank_power(m, t: float) -> np.ndarray:
+    """m^t for a Hermitian positive semidefinite m, from its own eigendecomposition;
+    a negative t asks for m of full rank."""
+    m = (m + m.conj().T) / 2.0
+    lam, vec = np.linalg.eigh(m)
+    return (vec * np.clip(lam, 0.0, None) ** t) @ vec.conj().T
+
+
+def duality_renyi_mi(states, prior, alpha: float) -> float:
+    """I_alpha(N, p) = (a/(a-1)) log2 tr[(sum_x p_x rho_x^a)^(1/a)] of full-rank
+    letters (those of weight 0 may be singular), without any power rho_x^a, from the duality of Petz and sandwiched
+    conditional entropies, H_a^up(X|B) = -H~_{1/a}^down(X|R) (Tomamichel, Berta
+    and Hayashi, J. Math. Phys. 55, 082206, 2014), with R the purifying system.
+
+    With q_x = p_x^(1/a) / Z, Z = sum_x p_x^(1/a), the cq state of q is purified
+    by |psi> = sum_x sqrt(q_x) |x>_X |x>_X' |vec sqrt(rho_x)>_BC. Tracing out B
+    leaves rho_XX'C, whose (x, x') block on C is conj(sqrt(rho_x) sqrt(rho_x'))
+    at |x x><x' x'|, and I_a(N, p) = H~_{1/a}^down(X|X'C) + (a/(a-1)) log2 Z,
+    where H~_b^down(X|R) = -D~_b(rho_XR || I_X (x) rho_R) and
+    D~_b(rho || s) = log2 tr[(s^g rho s^g)^b] / (b - 1), g = (1 - b) / (2b).
+    """
+    prior = np.asarray(prior, dtype=float)
+    on = prior > 0  # a letter of weight 0 is no part of the state
+    states, prior = np.asarray(states, dtype=complex)[on], prior[on]
+    k, d = states.shape[0], states.shape[1]
+    beta = 1.0 / alpha
+    z = float((prior ** beta).sum())
+    q = prior ** beta / z
+    roots = [_full_rank_power(rho, 0.5) for rho in states]
+    joint = np.zeros((k, k, d, k, k, d), dtype=complex)
+    marginal = np.zeros((k, d, k, d), dtype=complex)
+    for x in range(k):
+        marginal[x, :, x, :] = q[x] * np.conj(states[x])
+        for y in range(k):
+            joint[x, x, :, y, y, :] = np.sqrt(q[x] * q[y]) * np.conj(roots[x] @ roots[y])
+    joint = joint.reshape(k * k * d, k * k * d)
+    side = np.kron(np.eye(k), _full_rank_power(marginal.reshape(k * d, k * d), (1.0 - beta) / (2.0 * beta)))
+    trace = float(np.trace(_full_rank_power(side @ joint @ side, beta)).real)
+    conditional = -np.log(trace) / ((beta - 1.0) * LN2)
+    return float(conditional + alpha / (alpha - 1.0) * np.log(z) / LN2)

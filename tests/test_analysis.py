@@ -118,13 +118,15 @@ class TestRenyiMIChannel:
 
     def test_vertex_prior_reports_zero(self):
         # The only prior is a vertex, where I_alpha and chi are exactly 0, but
-        # at alpha = 1/2 (lambda^a)^(1/a) rounds the trace to 1 + 2.2e-16: the
-        # report takes the value up to 0 and keeps the gap of the unrounded one.
+        # (lambda^a)^(1/a) rounds the trace to 1 + eps, as at alpha = 1/2, or
+        # to 1 - eps, which a/(a-1) = -9 took to 1.4e-15 at alpha = 0.9: a
+        # value within its rounding floor reads 0, and the gap is that of the
+        # unrounded one.
         ch = CQChannel.from_states([np.diag([0.5, 0.5])])
-        rep = renyi_mi_channel(ch, 0.5)
+        for rep in (renyi_mi_channel(ch, a) for a in (0.1, 0.5, 0.9)):
+            assert rep.converged and rep.value == 0.0 and rep.gap == 0.0
+        rep = holevo_capacity(ch)
         assert rep.converged and rep.value == 0.0 and rep.gap == 0.0
-        for rep in (renyi_mi_channel(ch, 0.1), renyi_mi_channel(ch, 0.9), holevo_capacity(ch)):
-            assert rep.converged and 0.0 <= rep.value <= 1e-12 and rep.gap == 0.0
 
     def test_permutation_invariance(self, rng):
         ch = random_channel(3, 2, rng)
@@ -983,7 +985,7 @@ class TestConstantComposition:
             random_channel(2, 3, np.random.default_rng([20, 3])),
         ]
         assert not channels[2].is_classical() and pure_letter_overlaps(channels[2]) is None
-        for name in ("gram_stack", "tensor_all", "mat_power", "_pure_pair_log_traces", "_commuting_log_traces"):
+        for name in ("gram_stack", "tensor_all", "mat_power", "_pure_pair_log_traces", "_commuting_levels"):
             monkeypatch.setattr(analysis, name, None)  # any body call fails
         for ch in channels:
             for n in (1, 3):
@@ -1069,7 +1071,7 @@ class TestConstantCompositionGram:
         # {|0>, |1>, |+>}: pure letters that do not commute, three of them.
         zero, one = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
         ch = CQChannel.from_states([zero, one, np.full((2, 2), 0.5, dtype=complex)])
-        for name in ("_commuting_log_traces", "tensor_all"):
+        for name in ("_commuting_levels", "tensor_all"):
             monkeypatch.setattr(analysis, name, None)  # any commuting or dense call fails
         # Uniform over {01, 10}: two orthogonal sequence states, 1 bit over 2 uses.
         assert constant_composition_mi(ch, TypeClass(2, (1, 1, 0)), 0.5) == pytest.approx(0.5, abs=1e-12)
@@ -1229,8 +1231,9 @@ class TestSymmetricPaths:
     def test_class_entries_closed_form(self, monkeypatch, case):
         # Two pure letters: against the sum over the classes of
         # (min(k, n - k) + 1)^2. Commuting letters: against the terms that the
-        # recurrence reduces over the input letter (axis 0) at level n, counted
-        # while it runs up to n, less those of the run up to n - 1.
+        # recurrence reduces over the input letter (axis 0) while it builds
+        # level n, counted from the level before it was yielded; the reduction
+        # of each level over the output types (the last axis) is not counted.
         path, size, d = case
         reduce, built = analysis._logsumexp, []
 
@@ -1240,39 +1243,70 @@ class TestSymmetricPaths:
             return reduce(x, axis)
 
         monkeypatch.setattr(analysis, "_logsumexp", counting)
-        log_w = np.log(np.random.default_rng([2525, size, d]).dirichlet(np.ones(d), size=size))
-        below = 0
+        w = np.random.default_rng([2525, size, d]).dirichlet(np.ones(d), size=size)
+        levels = analysis._commuting_levels(w, 12, 0.5)
         for n in range(1, 13):
             if path == "pair":
                 want = sum((min(k, n - k) + 1) ** 2 for k in range(n + 1))
             else:
                 built.clear()
-                analysis._commuting_log_traces(log_w, np.array([n]), typeclasses.type_counts([n], size)[:1], 0.5)
-                want, below = sum(built) - below, sum(built)
+                next(levels)
+                want = sum(built)
             assert analysis._class_entries(path, n, size, d) == want
+
+    @staticmethod
+    def _six_letters():
+        """Six seeded commuting qubit letters."""
+        rng = np.random.default_rng([2207, 6])
+        ch = CQChannel.from_states([np.diag(w).astype(complex) for w in rng.dirichlet(np.ones(2), size=6)])
+        assert ch.is_classical() and ch.size == 6
+        return ch
 
     def test_commuting_work_is_held_to_the_entry_ceiling(self, monkeypatch):
         # Six commuting qubit letters: 6 C(n + 5, 5) (n + 1) terms at level n
         # of the recurrence, 14 152 320 at n = 23 and 17 813 250 at n = 24,
         # past MAX_CLASS_ENTRIES = 2^24; the n + 1 output types stay far
         # inside any --max-dim.
-        rng = np.random.default_rng([2207, 6])
-        ch = CQChannel.from_states([np.diag(w).astype(complex) for w in rng.dirichlet(np.ones(2), size=6)])
-        assert ch.is_classical() and ch.size == 6
+        ch = self._six_letters()
         wide = dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=10 ** 9)
         assert constant_composition_mi(ch, TypeClass(12, (2, 2, 2, 2, 2, 2)), 0.5, wide) > 0.0
         with pytest.raises(TooLarge, match="^17813250 table entries at one blocklength exceed ceiling 16777216$"):
             constant_composition_mi(ch, TypeClass(24, (4, 4, 4, 4, 4, 4)), 0.5, wide)
-        monkeypatch.setattr(analysis, "_commuting_log_traces", None)  # nothing may be evaluated
+        monkeypatch.setattr(analysis, "_commuting_levels", None)  # nothing may be evaluated
         monkeypatch.setattr(analysis, "type_counts", None)  # nor any type built
         for n_max in (24, 10 ** 6):
             with pytest.raises(TooLarge, match="table entries at one blocklength exceed"):
                 best_type_up_to(ch, n_max, 0.5, wide)
 
+    @pytest.mark.parametrize("n_max", [16, 18])
+    def test_best_type_up_to_builds_each_level_once(self, monkeypatch, n_max):
+        # Six commuting qubit letters: sum_n C(n + 5, 5) types pass
+        # CHUNK_ENTRIES = 2^16 at n = 16. Restarting the recurrence for every
+        # stack of at most that many types built 31 levels to n = 16 (stacks
+        # to 15 and 16) and 50 to n = 18 (stacks to 15, 17 and 18).
+        levels, built = analysis._commuting_levels, []
+
+        def counting(*args):
+            for level in levels(*args):
+                built.append(len(level[0]))
+                yield level
+
+        monkeypatch.setattr(analysis, "_commuting_levels", counting)
+        rows = best_type_up_to(self._six_letters(), n_max, 0.5)
+        assert built == [typeclasses.type_count(n, 6) for n in range(1, n_max + 1)]
+        assert [n for n, _, _ in rows] == list(range(1, n_max + 1))
+
     @staticmethod
     def _all_classes(channel, counts, n_max=10):
-        ns = np.repeat(np.arange(1, n_max + 1), [typeclasses.type_count(n, channel.size) for n in range(1, n_max + 1)])
-        return analysis._class_values(channel, ns, counts, 0.5, DEFAULT_CONFIG)
+        # Per-use information at alpha = 1/2 of the class of each row of
+        # ``counts``, types of n <= n_max, read from the levels of one run of
+        # the recurrence; 0 for a class of one sequence.
+        ns, values = counts.sum(axis=1), np.zeros(len(counts))
+        levels = analysis._commuting_levels(channel.induced_stochastic_matrix(), n_max, 0.5)
+        for n, (_, log_traces) in enumerate(levels, start=1):
+            at = (ns == n) & (counts.max(axis=1) < n)
+            values[at] = -log_traces[typeclasses.type_index(counts[at], n)] / n / LN_BASE
+        return values
 
     @pytest.mark.parametrize("seed", range(3))
     def test_relabelled_inputs_permute_the_class_values(self, seed):
@@ -1309,9 +1343,10 @@ class TestSymmetricPaths:
         with pytest.raises(TooLarge, match="table entries at one blocklength exceed ceiling 16777216$"):
             best_type_up_to(ch, 100_000, 0.5, dataclasses.replace(DEFAULT_CONFIG, max_sim_dim=10 ** 9))
 
-    def test_stacks_of_whole_blocklengths_match_one_stack(self, monkeypatch):
-        # CHUNK_ENTRIES = 1 puts each blocklength in a stack of its own (and
-        # each table in one of its own, which moves sums by an ulp).
+    def test_one_entry_table_chunks_leave_the_winners(self, monkeypatch):
+        # CHUNK_ENTRIES = 1 puts each pure-pair table, and each cell of a level
+        # of the commuting recurrence, in a chunk of its own, which moves sums
+        # by an ulp but no winner.
         for name in ("pure_pair", "bsc01"):
             ch = load_channel(CHANNELS_DIR / f"{name}.json")
             whole = best_type_up_to(ch, 30, 0.3)

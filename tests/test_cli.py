@@ -458,12 +458,15 @@ class TestFormatting:
 
     def test_one_letter_channel_prints_zero_information(self, runner, tmp_path):
         # The only prior is a vertex, where I_alpha and C are exactly 0; at
-        # alpha = 1/2 rounding took I_alpha to -3.2e-16, printed as -0.000000.
+        # alpha = 1/2 rounding took I_alpha to -3.2e-16, printed as -0.000000,
+        # and at alpha = 0.9 to 1.44e-15, printed in full by --json.
         path = tmp_path / "useless.json"
         path.write_text(json.dumps({"cqspec": 1, "dim": 2, "outputs": [[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]]}))
         for args, zero in (
             (["renyi", "--alpha", "0.5"], "renyi_mi: 0.000000\n"),
             (["renyi", "--alpha", "0.5", "--json"], '"renyi_mi":0.0,'),
+            (["renyi", "--alpha", "0.1", "--json"], '"renyi_mi":0.0,'),
+            (["renyi", "--alpha", "0.9", "--json"], '"renyi_mi":0.0,'),
             (["capacity"], "capacity: 0.000000\n"),
             (["capacity", "--json"], '"capacity":0.0,'),
         ):

@@ -13,6 +13,7 @@ from cqexp import (
     permute_systems,
     petz_divergence,
     quantum_relative_entropy,
+    renyi_mi_channel,
     renyi_mi_channel_prior,
     renyi_mutual_info_state,
     sibson_minimizer,
@@ -26,6 +27,7 @@ from oracles import (
     classical_conditional_renyi_up,
     classical_renyi_divergence,
     classical_sibson_distribution,
+    duality_renyi_mi,
     gallager_e0,
 )
 
@@ -297,3 +299,42 @@ class TestChannelPriorInformation:
         expected = -np.log2(np.trace(avg @ avg).real)
         got = renyi_mi_channel_prior(pure_pair, [0.5, 0.5], 0.5)
         assert got == pytest.approx(expected, abs=1e-12)
+
+
+class TestDualityOracle:
+    """Mixed letters that do not commute, against the purification oracle,
+    which takes no power rho_x^a: seeded full-rank Ginibre channels (|X|, d)."""
+
+    SHAPES = ((2, 2), (3, 3), (4, 2), (2, 4), (4, 4))
+    ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+    @staticmethod
+    def _channel(case):
+        k, d = TestDualityOracle.SHAPES[case]
+        rng = np.random.default_rng([1212, case])
+        channel = random_channel(k, d, rng)
+        assert not channel.is_classical()
+        return channel, rng
+
+    @pytest.mark.parametrize("case", range(len(SHAPES)))
+    def test_prior_information_matches(self, case):
+        ch, rng = self._channel(case)
+        for alpha in self.ALPHAS:
+            p = rng.dirichlet(np.ones(ch.size))
+            oracle = duality_renyi_mi(ch.outputs, p, alpha)
+            assert renyi_mi_channel_prior(ch, p, alpha) == pytest.approx(oracle, rel=0, abs=1e-12)
+            state = cq_state(ch, p).to_matrix()
+            got = renyi_mutual_info_state(state, np.diag(p).astype(complex), alpha, dims=(ch.size, ch.dim))
+            assert got == pytest.approx(oracle, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("case", range(len(SHAPES)))
+    def test_channel_information_bounds_every_prior(self, case):
+        # The optimum is the oracle at its own prior, and no seeded prior
+        # beats it by more than its certified gap.
+        ch, rng = self._channel(case)
+        for alpha in self.ALPHAS:
+            rep = renyi_mi_channel(ch, alpha)
+            assert rep.converged
+            assert rep.value == pytest.approx(duality_renyi_mi(ch.outputs, rep.prior, alpha), rel=0, abs=1e-12)
+            for p in rng.dirichlet(np.ones(ch.size), size=4):
+                assert rep.value >= duality_renyi_mi(ch.outputs, p, alpha) - rep.gap - 1e-12
