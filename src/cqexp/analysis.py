@@ -317,6 +317,16 @@ def _renyi_solve(channel: CQChannel, alphas, starts, leaders=None):
     return reports, slopes
 
 
+def _inverse_cubic_root(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """x at g = 0 on the cubic x(g) through the four (g, x) points of each
+    row of ``g`` and ``x``, in Lagrange form; not finite where two g agree."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return sum(
+            x[:, k] * np.prod([g[:, j] / (g[:, j] - g[:, k]) for j in range(4) if j != k], axis=0)
+            for k in range(4)
+        )
+
+
 class ChannelAnalysis:
     """Session object caching the inner prior optimizations of one channel.
 
@@ -392,14 +402,22 @@ class ChannelAnalysis:
 
         The sign of E0' - r at the grid maximum picks the neighbouring cell
         (the objective rises toward larger s where E0' > r), which must not
-        leave the floor. If the sign changes across it, the Illinois method
-        (regula falsi halving the stale end) shrinks that alpha bracket to
-        ``ALPHA_TOL``. The brackets of all rows, of both bound kinds, move in
-        lockstep: each round takes the probes of every open bracket, with
-        their slopes, as one stack (``_points``), each warm-started from its
-        nearest grid point. A probe is cached by alpha, so rows that take
-        the same cell share every probe. A bound is saturated when its alpha
-        ends within 10 ``ALPHA_TOL`` of the sphere-packing floor.
+        leave the floor. If the sign changes across it, a pair search shrinks
+        that alpha bracket: each round probes c -/+ ``ALPHA_TOL`` / 4 about a
+        center c, and the bracket closes when the pair straddles the root.
+        The first center is the inverse cubic interpolation of E0' - r
+        through the four grid points around the cell; each later one is the
+        secant through the last pair. A center outside the bracket falls
+        back to the bracket's Illinois point (regula falsi halving the stale
+        end), and every pair is kept inside the bracket. The brackets of all
+        rows, of both bound kinds, move in lockstep: each round takes the
+        pairs of every open bracket, with their slopes, as one stack
+        (``_points``), each probe warm-started from its nearest grid point.
+        A probe is cached by alpha, so rows that take the same cell share
+        every probe. The value is the best of the grid point and the probes;
+        alpha is the end of the final bracket with the smaller |E0' - r|. A
+        bound is saturated when its alpha ends within 10 ``ALPHA_TOL`` of
+        the sphere-packing floor.
         """
         alphas, grid = ALPHA_GRID, self._grid()
         mis = np.asarray([rep.value for rep, _ in grid])
@@ -417,20 +435,40 @@ class ChannelAnalysis:
         other = np.clip(other, 0, len(alphas) - 1)
         b = np.where(inside, alphas[other], a)
         gb = np.where(inside, slopes[other] - r, 0.0)
+        # a is the retained end, its slope weighted by `stale` (halved each
+        # round it is kept) in the Illinois point; b is the latest end.
+        stale, opened = np.ones_like(a), ga * gb < 0.0
+        cell = np.clip(np.minimum(best, other) - 1, 0, len(alphas) - 4)[:, None] + np.arange(4)
+        guess = _inverse_cubic_root(alphas[cell], slopes[cell] - r[:, None])
+        delta = ALPHA_TOL / 4.0
         while (live := np.flatnonzero((ga * gb < 0.0) & (np.abs(b - a) > ALPHA_TOL))).size:
-            c = (a[live] * gb[live] - b[live] * ga[live]) / (gb[live] - ga[live])
-            starts = [grid[i][0].prior for i in np.argmin(np.abs(c[:, None] - alphas), axis=1)]
-            probes = self._points(c.tolist(), starts)
-            values = np.array([rep.value for rep, _ in probes])
-            gc = np.array([slope for _, slope in probes]) - r[live]
-            val = (1.0 - c) / c * (values - r[live])
-            better = val > val_star[live]
-            alpha_star[live] = np.where(better, c, alpha_star[live])
-            val_star[live] = np.where(better, val, val_star[live])
-            flip = gc * gb[live] < 0.0
-            a[live] = np.where(flip, b[live], a[live])
-            ga[live] = np.where(flip, gb[live], ga[live] / 2.0)
-            b[live], gb[live] = c, gc
+            al, bl, gal, gbl, rl = a[live], b[live], ga[live], gb[live], r[live]
+            lower, upper = np.minimum(al, bl), np.maximum(al, bl)
+            illinois = (al * gbl - bl * gal * stale[live]) / (gbl - gal * stale[live])
+            c = np.where((guess[live] > lower) & (guess[live] < upper), guess[live], illinois)
+            # A pair that would leave the bracket takes its end, a cached probe.
+            pair = np.stack([
+                np.clip(c - delta, lower, upper - 2.0 * delta), np.clip(c + delta, lower + 2.0 * delta, upper)
+            ])
+            starts = [grid[i][0].prior for i in np.argmin(np.abs(pair.reshape(-1, 1) - alphas), axis=1)]
+            probes = self._points(pair.ravel().tolist(), starts)
+            values = np.array([rep.value for rep, _ in probes]).reshape(pair.shape)
+            gp = np.array([slope for _, slope in probes]).reshape(pair.shape) - rl
+            val_star[live] = np.maximum(val_star[live], np.max((1.0 - pair) / pair * (values - rl), axis=0))
+            closes = gp[0] * gp[1] <= 0.0
+            # Otherwise both probes lie on one side of the root, and the one
+            # nearer it becomes b. If it shares the sign of b, a is kept and
+            # its weight halved; else the old b becomes a.
+            inner = (gal * gp[0] > 0.0) == (al < bl)
+            xn, gn = np.where(inner, pair[1], pair[0]), np.where(inner, gp[1], gp[0])
+            flip = gn * gbl < 0.0
+            stale[live] = np.where(closes | flip, 1.0, stale[live] / 2.0)
+            a[live] = np.where(closes, pair[0], np.where(flip, bl, al))
+            ga[live] = np.where(closes, gp[0], np.where(flip, gbl, gal))
+            b[live], gb[live] = np.where(closes, pair[1], xn), np.where(closes, gp[1], gn)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                guess[live] = pair[0] - gp[0] * (pair[1] - pair[0]) / (gp[1] - gp[0])
+        alpha_star = np.where(opened, np.where(np.abs(gb) < np.abs(ga), b, a), alpha_star)
         saturated = alpha_star <= SPHERE_PACKING_ALPHA_MIN + ALPHA_TOL * 10
         return [
             BoundResult(value=float(v), alpha=float(x), saturated=bool(s))

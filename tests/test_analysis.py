@@ -535,7 +535,7 @@ class TestExponentBounds:
     @pytest.mark.parametrize("case", ["bsc01", "pure_pair", 0, 1, 2])
     def test_refinement_solves_per_bound(self, case):
         # Past the alpha grid, each bound is a short root search on
-        # E0'(s) = r: a handful of warm-started solves, not dozens.
+        # E0'(s) = r: two rounds of two warm-started probes, not dozens.
         if isinstance(case, str):
             channel = load_channel(CHANNELS_DIR / f"{case}.json")
         else:
@@ -548,7 +548,7 @@ class TestExponentBounds:
             for bound in (session.lower_bound, session.upper_bound):
                 before = len(session._mi_cache)
                 bound(frac * cap)
-                assert len(session._mi_cache) - before <= 8
+                assert len(session._mi_cache) - before <= 4
 
     def test_alpha_floors_are_grid_points(self):
         grid = analysis.ALPHA_GRID.tolist()
@@ -556,13 +556,23 @@ class TestExponentBounds:
         assert analysis.SPHERE_PACKING_ALPHA_MIN in grid
         assert grid[-1] == 1.0
 
-    @pytest.mark.parametrize("case, most", [("bsc01", 160), ("pure_pair", 135)])
-    def test_curve_session_solve_count(self, case, most):
+    @pytest.mark.parametrize("case, most", [("bsc01", 128), ("pure_pair", 120)])
+    def test_curve_session_solve_count(self, monkeypatch, case, most):
         # The README exponent session: one 100-point alpha grid for both
-        # bounds, and a few root-search probes per rate.
+        # bounds, and two rounds of root-search probe pairs, each round one
+        # stack of the pairs of every open bracket (the bounds' _points calls
+        # are the ones that pass starts).
         session = ChannelAnalysis(load_channel(CHANNELS_DIR / f"{case}.json"))
+        points, rounds = session._points, []
+
+        def counting(alphas, starts=None):
+            rounds.append(starts)
+            return points(alphas, starts)
+
+        monkeypatch.setattr(session, "_points", counting)
         session.curve(np.linspace(0.05, 0.5, 10))
         assert len(session._mi_cache) <= most
+        assert sum(starts is not None for starts in rounds) <= 2
 
     @pytest.mark.parametrize("case", ["bsc01", "pure_pair", 0, 1, 2])
     def test_bounds_identical_above_critical_rate(self, case):
@@ -684,9 +694,10 @@ class TestLetterSpectra:
     def test_curve_decomposition_cap(self, monkeypatch):
         # The capacity, one stack for the values, certificates and slopes of
         # the whole grid (r_c is its alpha = 1/2 slope), and one stack per
-        # Illinois round of both bound kinds: a certified probe is decomposed
-        # once. On an asymmetric channel each round of a lockstep solve is one
-        # stack (the sequential solves took 304 here).
+        # round of probe pairs of both bound kinds, two rounds on the files: a
+        # certified probe is decomposed once. On an asymmetric channel each
+        # round of a lockstep solve is one stack (the sequential solves took
+        # 304 here).
         count = 0
 
         def counting(fn):
@@ -704,7 +715,7 @@ class TestLetterSpectra:
         sessions["seeded"] = ChannelAnalysis(_seeded_channel(999, 0))
         monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
-        for name, most in (("bsc01", 9), ("pure_pair", 8), ("seeded", 19)):
+        for name, most in (("bsc01", 4), ("pure_pair", 4), ("seeded", 19)):
             count = 0
             sessions[name].curve(np.linspace(0.05, 0.5, 10))
             assert count <= most, name
@@ -797,6 +808,62 @@ class TestStackedPaths:
             assert row.upper == pytest.approx(low.value if row.equal else up.value, rel=0, abs=1e-12)
             assert row.alpha_lower == pytest.approx(low.alpha, rel=0, abs=1e-12)
             assert row.alpha_upper == pytest.approx(up.alpha, rel=0, abs=1e-12)
+
+
+class TestRootSearch:
+    """Each bound's pair search against a bisection of E0'(s) - r on one-row
+    solves, which reads no grid, stack or cache."""
+
+    @staticmethod
+    def _reference_root(channel: CQChannel, r: float) -> tuple[float, np.ndarray]:
+        """The root alpha of E0' = r by bisection on [0.01, 1] to 1e-12, or 0.01
+        where E0' - r >= 0 already, and the last solved prior. E0' falls in s,
+        so it rises in alpha; each solve starts from the last one's prior."""
+        prior = None
+
+        def excess(alpha: float) -> float:
+            nonlocal prior
+            prior = renyi_mi_channel(channel, alpha, start=prior).prior
+            return _row_slopes(channel, [alpha], [prior])[0] - r
+
+        lo, hi = analysis.SPHERE_PACKING_ALPHA_MIN, 1.0
+        if excess(lo) >= 0.0:
+            return lo, prior
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if excess(mid) < 0.0 else (lo, mid)
+        return 0.5 * (lo + hi), prior
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_bounds_match_bisection(self, monkeypatch, index):
+        # Both floors at 10 rates: a refined alpha lies within ALPHA_TOL of
+        # the root and ends on a sign change of E0' - r among the session's
+        # probes at most ALPHA_TOL apart; the value is the objective at the
+        # root, or at the floor above it. The same holds when no seed is
+        # finite and every first center is the bracket's Illinois point.
+        channel = _reference_channels()[index]
+        rates = np.linspace(0.05, 0.95, 10) * holevo_capacity(channel).value
+        floors = np.repeat([analysis.ACHIEVABILITY_ALPHA_MIN, analysis.SPHERE_PACKING_ALPHA_MIN], len(rates))
+        rates = np.tile(rates, 2)
+        roots = {r: self._reference_root(channel, r) for r in rates}
+        wanted = []
+        for floor, r in zip(floors, rates):
+            root, prior = roots[r]
+            at = max(root, floor)
+            wanted.append((root, at, (1.0 - at) / at * (renyi_mi_channel(channel, at, start=prior).value - r)))
+        for seeded in (True, False):
+            if not seeded:
+                monkeypatch.setattr(analysis, "_inverse_cubic_root", lambda x, g: np.full(len(x), np.nan))
+            session = ChannelAnalysis(channel)
+            bounds = session._bound(floors, rates)
+            probes = np.array(list(session._mi_cache))
+            slopes = np.array([slope for _, slope in session._mi_cache.values()])
+            for got, floor, r, (root, at, value) in zip(bounds, floors, rates, wanted):
+                assert got.value == pytest.approx(value, rel=0, abs=1e-10)
+                assert got.alpha == pytest.approx(at, rel=0, abs=analysis.ALPHA_TOL)
+                if root > floor:
+                    excess = slopes[np.abs(probes - got.alpha) <= analysis.ALPHA_TOL] - r
+                    assert excess.min() <= 0.0 <= excess.max()
 
 
 class TestDiagonalLetters:
@@ -1405,8 +1472,9 @@ class TestAdditivity:
     def test_product_curve_is_twice_the_curve(self, case):
         # E0 of N (x) N is 2 E0 of N, so every bound, r_c and C double along
         # the whole pipeline: grid, root search and rows. The optimizing alpha
-        # sits on a flat maximum and is not compared. Seeded bases have 2, 3,
-        # 4 or 8 qubit letters, so N (x) N has up to 64.
+        # is the root of E0'(s) = r, the same for both, and each search pins
+        # it within its final bracket. Seeded bases have 2, 3, 4 or 8 qubit
+        # letters, so N (x) N has up to 64.
         if isinstance(case, str):
             channel = load_channel(CHANNELS_DIR / f"{case}.json")
         else:
@@ -1422,6 +1490,8 @@ class TestAdditivity:
             assert b.lower == pytest.approx(2.0 * a.lower, rel=0, abs=1e-12)
             assert b.upper == pytest.approx(2.0 * a.upper, rel=0, abs=1e-12)
             assert b.equal == a.equal
+            assert b.alpha_lower == pytest.approx(a.alpha_lower, rel=0, abs=analysis.ALPHA_TOL)
+            assert b.alpha_upper == pytest.approx(a.alpha_upper, rel=0, abs=analysis.ALPHA_TOL)
 
     @pytest.mark.parametrize("case", range(3))
     def test_product_information_is_twice_the_information(self, case):

@@ -306,7 +306,7 @@ class TestDualityOracle:
     which takes no power rho_x^a: seeded full-rank Ginibre channels (|X|, d)."""
 
     SHAPES = ((2, 2), (3, 3), (4, 2), (2, 4), (4, 4))
-    ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9)
+    ALPHAS = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
 
     @staticmethod
     def _channel(case):
